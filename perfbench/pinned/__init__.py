@@ -1,0 +1,68 @@
+"""Least-prime searches and explicit-bound verification.
+
+Library plus CLI for: least quadratic and k-th power non-residues, least
+primes outside subgroups / in cosets / in arithmetic progressions,
+explicit L(1, chi) and class-number bounds, weighted prime-sum identity
+residuals, and the Mellin-kernel optimization behind the asymptotic
+constants 0.42 / 0.49 / 0.51.
+"""
+
+from .arith import (
+    Factorization,
+    UnitGroupStructure,
+    euler_phi,
+    factorize,
+    is_prime,
+    primes_up_to,
+    unit_group_structure,
+    von_mangoldt,
+)
+from .characters import (
+    CharacterValue,
+    DirichletCharacter,
+    SubgroupSpec,
+    annihilator,
+    character_group,
+    coset_indicator,
+    is_fundamental_discriminant,
+    kronecker,
+    kth_power_subgroup,
+    primitive_characters,
+    subgroup_from_generators,
+    trivial_subgroup,
+)
+from .lfunctions import (
+    EULER_GAMMA,
+    HADAMARD_B,
+    class_number_bqf,
+    class_number_via_formula,
+    complex_gamma,
+    digamma_trigamma,
+    hurwitz_zeta,
+    l_at_1,
+    re_b,
+    zeta_1_plus_it,
+)
+from .search import (
+    SearchResult,
+    least_kth_nonresidue,
+    least_prime_in_ap,
+    least_prime_in_coset,
+    least_prime_outside_subgroup,
+    least_qnr,
+)
+from .kernels import (
+    Kernel,
+    alpha_table,
+    fejer_kernel,
+    gamma_kernel,
+    largeh_constant,
+    limit_constant,
+    line_l1,
+    mellin_numeric_check,
+    optimize_lambda,
+    prop62_constant,
+    weighted_integral,
+)
+
+__version__ = "0.1.0"

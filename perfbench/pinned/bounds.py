@@ -1,0 +1,400 @@
+"""Explicit bound formulas and search-vs-bound verification.
+
+Every formula evaluator transcribes one display; the verify drivers pair
+each bound with the matching least-prime search (or class-number pair)
+and emit BoundReports.  Applicability thresholds are first class: below
+threshold the margin is still reported but the verdict says
+not-applicable rather than claiming a verification.  A fail verdict
+(applicable and measured strictly over the bound) is always loud; at
+these ranges it means a bug rather than a counterexample.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Iterable, Iterator
+
+from .arith import euler_phi, factorize, is_prime, primes_up_to
+from .characters import SubgroupSpec, is_fundamental_discriminant, kth_power_subgroup
+from .lfunctions import (
+    EULER_GAMMA,
+    class_number_bqf,
+    class_number_via_formula,
+)
+from .search import (
+    least_prime_all_classes,
+    least_prime_in_coset,
+    least_prime_outside_subgroup,
+    least_qnr,
+)
+
+__all__ = [
+    "BoundReport",
+    "ap_bound",
+    "class_number_bounds",
+    "coset_bound",
+    "elementary_phi_report",
+    "l1_value_bounds",
+    "subgroup_bound_clean_applicable",
+    "subgroup_bound_quantities",
+    "verify_ap",
+    "verify_classnum",
+    "verify_coset",
+    "verify_qnr",
+    "verify_subgroup",
+    "verify_subgroup_clean",
+]
+
+AP_THRESHOLD = 4  # progression bound stated for q > 3
+SUBGROUP_THRESHOLD = 3000
+COSET_THRESHOLD = 20000
+LVALUE_THRESHOLD = 1e10
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    formula: str
+    q: int
+    target: str
+    measured: float | None
+    bound: float | None
+    margin: float | None
+    applicable: bool
+    verdict: str  # pass | fail | not-applicable | not-found
+
+    @staticmethod
+    def from_comparison(
+        formula: str,
+        q: int,
+        target: str,
+        measured: float | None,
+        bound: float,
+        applicable: bool,
+        strict: bool = False,
+    ) -> "BoundReport":
+        if measured is None:
+            return BoundReport(formula, q, target, None, bound, None, applicable, "not-found")
+        margin = bound - measured
+        holds = measured < bound if strict else measured <= bound
+        if not applicable:
+            verdict = "not-applicable"
+        else:
+            verdict = "pass" if holds else "fail"
+        return BoundReport(formula, q, target, measured, bound, margin, applicable, verdict)
+
+
+# ----------------------------------------------------------------------
+# Formula evaluators
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SubgroupBoundQuantities:
+    q: int
+    a_term: float
+    b_term: float
+    bound: float
+
+
+def subgroup_bound_quantities(q: int) -> SubgroupBoundQuantities:
+    """A(q), B(q), and the bound (log q + B(q))^2 for primes off a subgroup.
+
+    A(q) = max(0, 2 log log q - 8/5 - sum_{p|q} log p/(p-1))
+    B(q) = max(0, 2 log log q + 3 + 2 omega(q) (log log q)^2/log q - 2 A(q))
+    """
+    if q < 3:
+        raise ValueError("q >= 3 required")
+    lq = math.log(q)
+    llq = math.log(lq)
+    fac = factorize(q)
+    prime_sum = math.fsum(math.log(p) / (p - 1) for p, _ in fac.factors)
+    a_term = max(0.0, 2 * llq - 1.6 - prime_sum)
+    b_term = max(0.0, 2 * llq + 3 + 2 * fac.omega * llq**2 / lq - 2 * a_term)
+    return SubgroupBoundQuantities(q, a_term, b_term, (lq + b_term) ** 2)
+
+
+def subgroup_bound_clean_applicable(q: int) -> bool:
+    """No prime below (log q)^2 divides q (the clean (log q)^2 branch)."""
+    cut = math.log(q) ** 2
+    for p in map(int, primes_up_to(int(cut) + 1)):
+        if p < cut and q % p == 0:
+            return False
+    return True
+
+
+def coset_bound(q: int, h: int) -> float:
+    """((h-1) log q + 3(h+1) + (5/2)(log log q)^2)^2."""
+    if q < 3:
+        raise ValueError("q >= 3 required")
+    lq = math.log(q)
+    llq = math.log(lq)
+    return ((h - 1) * lq + 3 * (h + 1) + 2.5 * llq**2) ** 2
+
+
+COSET_DIRECT_BRANCH = 10**9  # a prime at or below this passes outright
+
+
+def ap_bound(q: int) -> float:
+    """(phi(q) log q)^2 for the least prime in a progression."""
+    return (euler_phi(q) * math.log(q)) ** 2
+
+
+@dataclass(frozen=True)
+class LValueBounds:
+    q: float
+    upper: float
+    reciprocal_upper: float
+
+
+def l1_value_bounds(q: float) -> LValueBounds:
+    """|L(1, chi)| <= 2 e^gamma (log log q - log 2 + 1/2 + 1/log log q) and
+    the companion 12 e^gamma/pi^2 bound for 1/|L(1, chi)|."""
+    if q <= math.e:
+        raise ValueError("log log q must be positive")
+    llq = math.log(math.log(q))
+    core = llq - math.log(2) + 0.5 + 1 / llq
+    upper = 2 * math.exp(EULER_GAMMA) * core
+    recip = (
+        12
+        * math.exp(EULER_GAMMA)
+        / math.pi**2
+        * (core + 14 * llq / math.log(q))
+    )
+    return LValueBounds(q, upper, recip)
+
+
+@dataclass(frozen=True)
+class ClassNumberBounds:
+    q: float
+    lower: float
+    upper: float
+    lower_floor: int
+
+
+def class_number_bounds(q: float) -> ClassNumberBounds:
+    """Two-sided bounds for h(-q) derived from the L(1, chi) bounds."""
+    if q <= math.e:
+        raise ValueError("log log q must be positive")
+    llq = math.log(math.log(q))
+    core = llq - math.log(2) + 0.5 + 1 / llq
+    recip_core = core + 14 * llq / math.log(q)
+    lower = math.pi / (12 * math.exp(EULER_GAMMA)) * math.sqrt(q) / recip_core
+    upper = 2 * math.exp(EULER_GAMMA) / math.pi * math.sqrt(q) * core
+    return ClassNumberBounds(q, lower, upper, math.floor(lower))
+
+
+@dataclass(frozen=True)
+class ElementaryPhiReport:
+    q: int
+    phi: int
+    omega: int
+    phi_at_least_4156: bool
+    two_omega_below_q37: bool
+    phi_at_least_q56: bool
+
+    @property
+    def all_hold(self) -> bool:
+        return self.phi_at_least_4156 and self.two_omega_below_q37 and self.phi_at_least_q56
+
+
+def elementary_phi_report(q: int) -> ElementaryPhiReport:
+    """phi(q) >= 4156, 2^omega(q) <= q^(3/7), phi(q) >= q^(5/6).
+
+    Claims stated for q > 20000; evaluable anywhere.
+    """
+    fac = factorize(q)
+    phi = fac.phi
+    return ElementaryPhiReport(
+        q=q,
+        phi=phi,
+        omega=fac.omega,
+        phi_at_least_4156=phi >= 4156,
+        two_omega_below_q37=2**fac.omega <= q ** (3 / 7),
+        phi_at_least_q56=phi >= q ** (5 / 6),
+    )
+
+
+# ----------------------------------------------------------------------
+# Verification drivers
+# ----------------------------------------------------------------------
+
+
+def _subgroup_for(q: int, spec: str) -> SubgroupSpec:
+    if spec == "squares":
+        return kth_power_subgroup(q, 2)
+    if spec.startswith("powers:"):
+        return kth_power_subgroup(q, int(spec.split(":", 1)[1]))
+    if spec.startswith("gens:"):
+        from .characters import subgroup_from_generators
+
+        gens = [int(g) for g in spec.split(":", 1)[1].split(",")]
+        return subgroup_from_generators(q, gens)
+    if spec == "trivial":
+        from .characters import trivial_subgroup
+
+        return trivial_subgroup(q)
+    raise ValueError(f"unknown subgroup spec {spec!r}")
+
+
+def verify_qnr(q: int) -> BoundReport:
+    """Least quadratic non-residue against (log q)^2, primes q >= 5."""
+    res = least_qnr(q)
+    bound = math.log(q) ** 2
+    return BoundReport.from_comparison(
+        "cor12", q, "qnr", res.prime, bound, applicable=q >= 5, strict=True
+    )
+
+
+def verify_subgroup(q: int, subgroup: str = "squares", ceiling: int | None = None) -> BoundReport:
+    """Least prime off H against (log q + B(q))^2."""
+    vals = subgroup_bound_quantities(q)
+    h = _subgroup_for(q, subgroup)
+    if ceiling is None:
+        ceiling = max(1000, int(4 * vals.bound) + 1)
+    res = least_prime_outside_subgroup(q, h, ceiling)
+    return BoundReport.from_comparison(
+        "thm11", q, res.target, res.prime, vals.bound, applicable=q >= SUBGROUP_THRESHOLD
+    )
+
+
+def verify_subgroup_clean(q: int, subgroup: str = "squares", ceiling: int | None = None) -> BoundReport:
+    """Least prime off H against the clean (log q)^2 branch."""
+    bound = math.log(q) ** 2
+    h = _subgroup_for(q, subgroup)
+    if ceiling is None:
+        ceiling = max(1000, int(4 * subgroup_bound_quantities(q).bound) + 1)
+    res = least_prime_outside_subgroup(q, h, ceiling)
+    applicable = q >= SUBGROUP_THRESHOLD and subgroup_bound_clean_applicable(q)
+    return BoundReport.from_comparison(
+        "thm12", q, res.target, res.prime, bound, applicable=applicable
+    )
+
+
+def verify_ap(q: int, per_class: bool = False, ceiling: int | None = None) -> list[BoundReport]:
+    """P(a, q) <= (phi(q) log q)^2, every reduced class at once.
+
+    One row per class when per_class is set, else a single worst-class row.
+    """
+    bound = ap_bound(q)
+    if ceiling is None:
+        ceiling = max(10**6, int(4 * bound) + 1)
+    found, missing = least_prime_all_classes(q, ceiling)
+    applicable = q > AP_THRESHOLD - 1
+    out = []
+    if per_class:
+        for a in sorted(found):
+            out.append(
+                BoundReport.from_comparison(
+                    "cor15", q, f"ap:a={a}", found[a], bound, applicable
+                )
+            )
+        for a in missing:
+            out.append(BoundReport("cor15", q, f"ap:a={a}", None, bound, None, applicable, "not-found"))
+        return out
+    if missing:
+        a = missing[0]
+        return [BoundReport("cor15", q, f"ap:a={a}", None, bound, None, applicable, "not-found")]
+    worst = max(found, key=lambda a: (found[a], a))
+    return [
+        BoundReport.from_comparison(
+            "cor15", q, f"ap:worst-a={worst}", found[worst], bound, applicable
+        )
+    ]
+
+
+def verify_coset(
+    q: int, subgroup: str = "squares", ceiling: int | None = None, reps: Iterable[int] | None = None
+) -> list[BoundReport]:
+    """Least prime in each coset aH against the coset bound (1e9 short branch)."""
+    h = _subgroup_for(q, subgroup)
+    bound = coset_bound(q, h.index)
+    applicable = q >= COSET_THRESHOLD and h.index > 1
+    if reps is None:
+        reps = coset_representatives(h)
+    out = []
+    for a in reps:
+        res = least_prime_in_coset(q, h, a, ceiling)
+        if res.prime is not None and res.prime <= COSET_DIRECT_BRANCH:
+            effective = max(bound, float(COSET_DIRECT_BRANCH))
+        else:
+            effective = bound
+        out.append(
+            BoundReport.from_comparison(
+                "thm14", q, res.target, res.prime, effective, applicable
+            )
+        )
+    return out
+
+
+def coset_representatives(h: SubgroupSpec) -> list[int]:
+    """Smallest member of each coset of H, ascending."""
+    q = h.q
+    seen = [False] * q
+    reps = []
+    members = h.members()
+    for a in range(1, q):
+        if seen[a] or math.gcd(a, q) != 1:
+            continue
+        reps.append(a)
+        for m in members:
+            seen[a * m % q] = True
+    return reps
+
+
+def verify_classnum(q: int) -> BoundReport:
+    """Reduced-form count against the rounded class formula."""
+    counted = class_number_bqf(q)
+    formula = class_number_via_formula(q)
+    measured = float(counted.h)
+    bound = float(formula.h)
+    verdict = "pass" if counted.h == formula.h and formula.distance < 0.25 else "fail"
+    return BoundReport(
+        "eq13",
+        q,
+        f"h(-{q})",
+        measured,
+        bound,
+        formula.distance,
+        True,
+        verdict,
+    )
+
+
+def verify_elementary(q: int) -> list[BoundReport]:
+    rep = elementary_phi_report(q)
+    applicable = q > COSET_THRESHOLD
+    rows = [
+        ("phi>=4156", float(rep.phi), 4156.0, rep.phi >= 4156, True),
+        ("2^omega<=q^(3/7)", float(2**rep.omega), q ** (3 / 7), rep.two_omega_below_q37, False),
+        ("phi>=q^(5/6)", float(rep.phi), q ** (5 / 6), rep.phi_at_least_q56, True),
+    ]
+    out = []
+    for target, measured, ref, holds, lower_style in rows:
+        margin = (measured - ref) if lower_style else (ref - measured)
+        verdict = ("pass" if holds else "fail") if applicable else "not-applicable"
+        out.append(BoundReport("sec43", q, target, measured, ref, margin, applicable, verdict))
+    return out
+
+
+def verify_stream(formula: str, qs: Iterable[int], **kwargs) -> Iterator[BoundReport]:
+    """Uniform driver used by the command line scanner."""
+    for q in qs:
+        if formula == "cor12":
+            if q >= 5 and is_prime(q):
+                yield verify_qnr(q)
+        elif formula == "thm11":
+            yield verify_subgroup(q, **kwargs)
+        elif formula == "thm12":
+            yield verify_subgroup_clean(q, **kwargs)
+        elif formula == "cor15":
+            yield from verify_ap(q, **kwargs)
+        elif formula == "thm14":
+            yield from verify_coset(q, **kwargs)
+        elif formula == "eq13":
+            if q > 4 and is_fundamental_discriminant(q):
+                yield verify_classnum(q)
+        elif formula == "sec43":
+            yield from verify_elementary(q)
+        else:
+            raise ValueError(f"unknown formula {formula!r}")

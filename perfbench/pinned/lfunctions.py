@@ -1,0 +1,508 @@
+"""Special functions and L-values at the edge of the critical strip.
+
+Contents, all double precision with stated error targets:
+
+* complex Gamma by a fixed Lanczos coefficient set, reflected below
+  Re z = 1/2 (relative error <= 1e-12 on the strip |Re z| <= 2,
+  |Im z| <= 60);
+* digamma / trigamma by recurrence shift plus asymptotic series;
+* Hurwitz zeta(s, a) and its s-derivative by Euler-Maclaurin
+  (shift N = 30, Bernoulli depth M = 12), plus the two Laurent
+  coefficients at s = 1 that the L(1, chi) and L'(1, chi) evaluations
+  need after the character sum kills the pole;
+* L(1, chi) by three routes: the Hurwitz route, the finite character-sum
+  formula for real odd characters, and a tail-corrected Dirichlet
+  series used only as an independent oracle;
+* the Hadamard real-part constant |Re B(chi)| recovered from
+  L'/L(1, chi);
+* zeta(1 + it);
+* class numbers h(-q) by reduced-form counting and by the class number
+  formula h(-q) = (sqrt(q)/pi) L(1, chi_{-q}).
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+from .arith import factorize
+from .characters import (
+    DirichletCharacter,
+    is_fundamental_discriminant,
+    kronecker_character_table,
+)
+
+__all__ = [
+    "ClassNumberResult",
+    "EULER_GAMMA",
+    "HADAMARD_B",
+    "LValueResult",
+    "NotFundamentalError",
+    "PoleError",
+    "PrincipalCharacterError",
+    "RoundingAmbiguousError",
+    "SpecialConstants",
+    "class_number_bqf",
+    "class_number_via_formula",
+    "complex_gamma",
+    "digamma",
+    "digamma_trigamma",
+    "hurwitz_zeta",
+    "l_and_lprime_at_1",
+    "l_at_1",
+    "l_of_s",
+    "re_b",
+    "trigamma",
+    "zeta_1_plus_it",
+]
+
+EULER_GAMMA = 0.5772156649015328606
+HADAMARD_B = 0.5 * math.log(4 * math.pi) - 1.0 - EULER_GAMMA / 2  # -0.0230957...
+
+# B_2, B_4, ..., B_26 as exact ratios.
+_BERNOULLI = (
+    1 / 6,
+    -1 / 30,
+    1 / 42,
+    -1 / 30,
+    5 / 66,
+    -691 / 2730,
+    7 / 6,
+    -3617 / 510,
+    43867 / 798,
+    -174611 / 330,
+    854513 / 138,
+    -236364091 / 2730,
+    8553103 / 6,
+)
+
+
+class PoleError(ArithmeticError):
+    """Evaluation requested at a pole."""
+
+
+class PrincipalCharacterError(ValueError):
+    """Operation requires a non-principal character."""
+
+
+class NotFundamentalError(ValueError):
+    """-q is not a fundamental discriminant."""
+
+
+class RoundingAmbiguousError(ArithmeticError):
+    """Class-formula value too far from an integer to round safely."""
+
+
+@dataclass(frozen=True)
+class SpecialConstants:
+    euler_gamma: float = EULER_GAMMA
+    hadamard_b: float = HADAMARD_B
+    psi0_at_1: float = -EULER_GAMMA
+    psi1_at_1: float = math.pi**2 / 6
+    psi0_at_half: float = -2 * math.log(2) - EULER_GAMMA
+    psi1_at_half: float = math.pi**2 / 2
+    zeta_2: float = math.pi**2 / 6
+
+
+CONSTANTS = SpecialConstants()
+
+
+# ----------------------------------------------------------------------
+# Gamma and its logarithmic derivatives
+# ----------------------------------------------------------------------
+
+_LANCZOS_G = 4.7421875
+_LANCZOS_C0 = 0.99999999999999709182
+_LANCZOS_C = (
+    57.156235665862923517,
+    -59.597960355475491248,
+    14.136097974741747174,
+    -0.49191381609762019978,
+    0.33994649984811888699e-4,
+    0.46523628927048575665e-4,
+    -0.98374475304879564677e-4,
+    0.15808870322491248884e-3,
+    -0.21026444172410488319e-3,
+    0.21743961811521264320e-3,
+    -0.16431810653676389022e-3,
+    0.84418223983852743293e-4,
+    -0.26190838401581408670e-4,
+    0.36899182659531622704e-5,
+)
+
+
+def complex_gamma(z: complex) -> complex:
+    """Gamma(z) via Lanczos for Re z >= 1/2, reflection otherwise."""
+    z = complex(z)
+    if z.real < 0.5:
+        if z.imag == 0.0 and z.real == math.floor(z.real):
+            raise PoleError(f"Gamma pole at {z}")
+        if abs(z.imag) > 220.0:
+            # |sin(pi z)| ~ e^(pi |Im z|)/2 would overflow; the reflected
+            # value itself underflows double precision, so report 0.
+            return 0j
+        return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
+    w = z - 1.0
+    series = _LANCZOS_C0
+    for k, c in enumerate(_LANCZOS_C, start=1):
+        series += c / (w + k)
+    t = w + _LANCZOS_G + 0.5
+    return math.sqrt(2 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * series
+
+
+def _psi_asymptotic(y: np.ndarray, order: int) -> np.ndarray:
+    """psi_order(y) for y >= 12 by the Bernoulli asymptotic series."""
+    inv2 = 1.0 / (y * y)
+    if order == 0:
+        out = np.log(y) - 0.5 / y
+        term = np.ones_like(y)
+        for j, b in enumerate(_BERNOULLI[:8], start=1):
+            term = term * inv2
+            out -= b / (2 * j) * term
+        return out
+    out = 1.0 / y + 0.5 * inv2
+    term = 1.0 / y
+    for b in _BERNOULLI[:8]:
+        term = term * inv2
+        out += b * term
+    return out
+
+
+_PSI_SHIFT = 12
+
+
+def _psi_array(x: np.ndarray, order: int) -> np.ndarray:
+    """Vectorized psi_0 / psi_1 on positive real arguments."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
+        raise ValueError("digamma/trigamma require positive arguments")
+    y = x + _PSI_SHIFT
+    out = _psi_asymptotic(y, order)
+    for k in range(_PSI_SHIFT):
+        if order == 0:
+            out -= 1.0 / (x + k)
+        else:
+            out += 1.0 / (x + k) ** 2
+    return out
+
+
+def digamma(x: float) -> float:
+    return float(_psi_array(np.asarray([x]), 0)[0])
+
+
+def trigamma(x: float) -> float:
+    return float(_psi_array(np.asarray([x]), 1)[0])
+
+
+def digamma_trigamma(x: float, order: int = 0) -> float:
+    """psi_0(x) for order 0, psi_1(x) for order 1; absolute error <= 1e-12."""
+    if order not in (0, 1):
+        raise ValueError("order must be 0 or 1")
+    return digamma(x) if order == 0 else trigamma(x)
+
+
+# ----------------------------------------------------------------------
+# Hurwitz zeta by Euler-Maclaurin
+# ----------------------------------------------------------------------
+
+_EM_SHIFT = 30
+_EM_DEPTH = 12
+
+
+def hurwitz_zeta(s, a: float, derivative_order: int = 0):
+    """zeta(s, a) or its s-derivative, Re s > 0, 0 < a <= 1.
+
+    Absolute error <= 1e-12 for moderate |Im s| (the shift grows with the
+    imaginary part so the Bernoulli tail keeps converging).
+    """
+    if derivative_order not in (0, 1):
+        raise ValueError("derivative_order must be 0 or 1")
+    if not 0 < a <= 1:
+        raise ValueError("a must lie in (0, 1]")
+    sc = complex(s)
+    if sc == 1:
+        raise PoleError("Hurwitz zeta has a pole at s = 1")
+    if sc.real <= 0:
+        raise ValueError("Euler-Maclaurin evaluation needs Re s > 0")
+
+    n_shift = max(_EM_SHIFT, int(abs(sc.imag)) + 10)
+    base = np.arange(n_shift) + a
+    big = n_shift + a
+    log_base = np.log(base)
+    log_big = math.log(big)
+
+    powers = np.exp(-sc * log_base)  # (k+a)^(-s)
+    head = powers.sum()
+    tail_main = big ** (1 - sc) / (sc - 1)
+    tail_half = 0.5 * big ** (-sc)
+
+    # Bernoulli corrections: B_2j/(2j)! * s(s+1)...(s+2j-2) * big^(-s-2j+1)
+    corr = 0j
+    corr_d = 0j
+    rising = sc  # product s(s+1)...(s+i)
+    rising_dlog = 1.0 / sc  # derivative of log rising product
+    fact = 1.0
+    power_big = big ** (-sc - 1)
+    for j in range(1, _EM_DEPTH + 1):
+        two_j = 2 * j
+        fact *= (two_j - 1) * two_j
+        b_over_fact = _BERNOULLI[j - 1] / fact
+        term = b_over_fact * rising * power_big
+        corr += term
+        if derivative_order == 1:
+            corr_d += term * (rising_dlog - log_big)
+        if j < _EM_DEPTH:
+            nxt0 = sc + two_j - 1
+            nxt1 = sc + two_j
+            rising = rising * nxt0 * nxt1
+            rising_dlog = rising_dlog + 1.0 / nxt0 + 1.0 / nxt1
+            power_big = power_big / (big * big)
+
+    if derivative_order == 0:
+        result = head + tail_main + tail_half + corr
+    else:
+        head_d = -(log_base * powers).sum()
+        tail_main_d = tail_main * (-log_big - 1.0 / (sc - 1))
+        tail_half_d = -log_big * tail_half
+        result = head_d + tail_main_d + tail_half_d + corr_d
+
+    if isinstance(s, (int, float)):
+        return result.real
+    return result
+
+
+@lru_cache(maxsize=2048)
+def hurwitz_laurent_pair(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Laurent data of zeta(s, a/q) at s = 1 for a = 1..q.
+
+    Returns (c0, c1) with zeta(s, a) = 1/(s-1) + c0(a) + c1(a)(s-1) + ...
+    (c0(a) = -psi_0(a)).  Arrays are cached; do not mutate.
+    """
+    a = np.arange(1, q + 1, dtype=float) / q
+    n_shift = _EM_SHIFT
+    k = np.arange(n_shift, dtype=float)[:, None]
+    base = k + a[None, :]
+    big = n_shift + a
+    log_big = np.log(big)
+
+    c0 = (1.0 / base).sum(axis=0) - log_big + 0.5 / big
+    c1 = -(np.log(base) / base).sum(axis=0) + 0.5 * log_big**2 - log_big / (2 * big)
+
+    harmonic = 0.0
+    inv = 1.0 / (big * big)
+    power = np.ones_like(big)
+    for j in range(1, _EM_DEPTH + 1):
+        two_j = 2 * j
+        harmonic += 1.0 / (two_j - 1) + (1.0 / (two_j - 2) if two_j > 2 else 0.0)
+        power = power * inv
+        coeff = _BERNOULLI[j - 1] / two_j
+        c0 += coeff * power
+        c1 += coeff * power * (harmonic - log_big)
+    return c0, c1
+
+
+# ----------------------------------------------------------------------
+# Dirichlet L-values at s = 1
+# ----------------------------------------------------------------------
+
+HURWITZ_METHOD = "hurwitz-euler-maclaurin"
+FINITE_METHOD = "finite-gauss-formula"
+SERIES_METHOD = "dirichlet-series"
+
+
+@dataclass(frozen=True)
+class LValueResult:
+    char: str
+    value: complex
+    method: str
+    est_error: float
+
+
+def _chi_on_1_to_q(chi: DirichletCharacter) -> np.ndarray:
+    tab = chi.complex_table
+    return np.concatenate([tab[1:], tab[:1]])  # index i holds chi(i+1)
+
+
+def _require_primitive_nonprincipal(chi: DirichletCharacter) -> None:
+    if chi.is_principal:
+        raise PrincipalCharacterError("principal character not allowed here")
+    if not chi.is_primitive:
+        raise ValueError(f"character {chi.label} has conductor {chi.conductor} != {chi.q}")
+
+
+def l_of_s(chi: DirichletCharacter, s) -> complex:
+    """L(s, chi) = q^(-s) sum_a chi(a) zeta(s, a/q) for Re s > 0, s != 1."""
+    q = chi.q
+    vals = _chi_on_1_to_q(chi)
+    total = 0j
+    for a in range(1, q + 1):
+        v = vals[a - 1]
+        if v != 0:
+            total += v * hurwitz_zeta(complex(s), a / q)
+    return complex(q) ** (-complex(s)) * total
+
+
+def l_and_lprime_at_1(chi: DirichletCharacter) -> tuple[complex, complex]:
+    """(L(1, chi), L'(1, chi)) through the Laurent data at s = 1.
+
+    The character sum annihilates the Hurwitz poles, leaving
+    L(1) = (1/q) sum chi(a) c0(a/q) and
+    L'(1) = (1/q) sum chi(a) c1(a/q) - log(q) L(1).
+    """
+    _require_primitive_nonprincipal(chi)
+    q = chi.q
+    c0, c1 = hurwitz_laurent_pair(q)
+    vals = _chi_on_1_to_q(chi)
+    l1 = complex(np.dot(vals, c0)) / q
+    lp = complex(np.dot(vals, c1)) / q - math.log(q) * l1
+    return l1, lp
+
+
+def _l1_finite_real_odd(chi: DirichletCharacter) -> float:
+    """L(1, chi) for real odd primitive chi, q > 4, by the finite sum
+    pi * sum_{0 < a < q/2} chi(a) / ((2 - chi(2)) sqrt(q))."""
+    q = chi.q
+    if not (chi.is_real and chi.parity == 1 and q > 4):
+        raise ValueError("finite formula needs a real odd primitive character, q > 4")
+    total = 0
+    for a in range(1, (q + 1) // 2):
+        v = chi.evaluate(a)
+        if not v.zero:
+            total += v.real_int()
+    chi2 = chi.evaluate(2).real_int() if q % 2 else 0
+    return math.pi * total / ((2 - chi2) * math.sqrt(q))
+
+
+def _l1_dirichlet_series(chi: DirichletCharacter) -> tuple[complex, float]:
+    """Tail-corrected partial sum of sum chi(n)/n; independent oracle.
+
+    Terms are grouped in blocks of q; the block function g(k) decays like
+    k^(-2), and the truncated tail is restored by Euler-Maclaurin in the
+    block index.
+    """
+    q = chi.q
+    vals = _chi_on_1_to_q(chi)  # chi(1..q), chi(q) = 0
+    j = np.arange(1, q + 1, dtype=float)
+    head = complex(np.dot(vals, 1.0 / j))
+    blocks = max(600, 300_000 // q)
+    k = np.arange(1, blocks + 1, dtype=float)[:, None]
+    denom = k * q + j[None, :]
+    body = complex((vals[None, :] / denom).sum())
+
+    x_edge = float(blocks + 1)
+    edge = x_edge * q + j
+    integral = -complex(np.dot(vals, np.log(edge))) / q
+    g_edge = complex(np.dot(vals, 1.0 / edge))
+    gp_edge = -q * complex(np.dot(vals, 1.0 / edge**2))
+    tail = integral + 0.5 * g_edge - gp_edge / 12.0
+    # next Euler-Maclaurin term is ~ g'''(edge)/720
+    est = 6 * q**3 * float(np.abs(vals).sum()) / (x_edge * q) ** 4 / 720 + 1e-14
+    return head + body + tail, est
+
+
+def l_at_1(chi: DirichletCharacter, method: str = HURWITZ_METHOD) -> LValueResult:
+    """L(1, chi) for primitive non-principal chi by the chosen route."""
+    _require_primitive_nonprincipal(chi)
+    if method == HURWITZ_METHOD:
+        value, _ = l_and_lprime_at_1(chi)
+        return LValueResult(chi.label, value, method, 1e-12 * (1 + math.log(chi.q)))
+    if method == FINITE_METHOD:
+        return LValueResult(chi.label, complex(_l1_finite_real_odd(chi)), method, 1e-13)
+    if method == SERIES_METHOD:
+        value, est = _l1_dirichlet_series(chi)
+        return LValueResult(chi.label, value, method, est)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def re_b(chi: DirichletCharacter) -> float:
+    """|Re B(chi)| for primitive non-principal chi.
+
+    Recovered from the completed-L logarithmic derivative at 1:
+    |Re B| = log(q/pi)/2 + psi_0((1 + parity)/2)/2 + Re L'/L(1, chi).
+    Positive whenever the zeros lie on the critical line, so a negative
+    return value signals an implementation problem, not new mathematics.
+    """
+    _require_primitive_nonprincipal(chi)
+    l1, lp = l_and_lprime_at_1(chi)
+    psi_term = CONSTANTS.psi0_at_1 if chi.parity == 1 else CONSTANTS.psi0_at_half
+    return 0.5 * math.log(chi.q / math.pi) + 0.5 * psi_term + (lp / l1).real
+
+
+def zeta_1_plus_it(t: float) -> complex:
+    """zeta(1 + it) for real t != 0."""
+    if t == 0:
+        raise PoleError("zeta pole at s = 1")
+    return complex(hurwitz_zeta(1 + 1j * t, 1.0))
+
+
+# ----------------------------------------------------------------------
+# Class numbers of imaginary quadratic fields
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ClassNumberResult:
+    q: int
+    h: int
+    method: str
+    real_value: float | None = None
+    distance: float | None = None
+
+
+def class_number_bqf(q: int) -> ClassNumberResult:
+    """h(-q) by counting reduced forms (a, b, c), b^2 - 4ac = -q.
+
+    Reduced means |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
+    Exact integer; serves as the oracle for the class-formula route.
+    """
+    if q <= 4 or not is_fundamental_discriminant(q):
+        raise NotFundamentalError(f"-{q} is not a fundamental discriminant below -4")
+    h = 0
+    b_max = math.isqrt(q // 3)
+    for b in range(q % 2, b_max + 1, 2):
+        n4 = b * b + q
+        if n4 % 4:
+            continue
+        n = n4 // 4
+        for a in factorize(n).divisors():
+            if a * a > n:
+                break
+            if a < max(b, 1):
+                continue
+            c = n // a
+            h += 1 if (b == 0 or a == b or a == c) else 2
+    return ClassNumberResult(q, h, "bqf-count")
+
+
+def class_number_via_formula(q: int) -> ClassNumberResult:
+    """h(-q) = (sqrt(q)/pi) L(1, chi_{-q}), rounded with its distance kept.
+
+    chi_{-q} is evaluated through the Kronecker symbol so scans stay free
+    of unit-group tables; L(1) comes from -1/q sum chi(a) psi_0(a/q).
+    """
+    if q <= 4 or not is_fundamental_discriminant(q):
+        raise NotFundamentalError(f"-{q} is not a fundamental discriminant below -4")
+    tab = kronecker_character_table(q)
+    a = np.arange(1, q, dtype=float) / q
+    lval = -float(np.dot(tab[1:], _psi_array(a, 0))) / q
+    real = math.sqrt(q) / math.pi * lval
+    h = round(real)
+    dist = abs(real - h)
+    if dist >= 0.25:
+        raise RoundingAmbiguousError(f"class value {real} for q={q} too far from integer")
+    return ClassNumberResult(q, int(h), "class-formula", real_value=real, distance=dist)
+
+
+def fundamental_q_values(limit: int) -> list[int]:
+    """All q with 4 < q <= limit such that -q is fundamental, ascending."""
+    out = []
+    for q in range(5, limit + 1):
+        if q % 4 in (1, 2):
+            continue
+        if is_fundamental_discriminant(q):
+            out.append(q)
+    return out

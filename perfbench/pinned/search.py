@@ -1,0 +1,187 @@
+"""Least-prime searches.
+
+Least prime outside a subgroup, least k-th power non-residue, least
+quadratic non-residue, least prime in a coset, and least prime in an
+arithmetic progression.  Subgroup scans walk the prime sieve (dense
+predicate); coset and progression searches step candidates and apply the
+deterministic primality test (sparse predicate), so large moduli stay
+cheap.  Results always report minimality: primes are visited in
+increasing order.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .arith import is_prime, primes_up_to, unit_group_structure
+from .characters import SubgroupSpec, kth_power_subgroup
+
+__all__ = [
+    "ImproperSubgroupError",
+    "SearchResult",
+    "least_prime_all_classes",
+    "least_prime_in_ap",
+    "least_prime_in_coset",
+    "least_prime_outside_subgroup",
+    "least_qnr",
+    "least_kth_nonresidue",
+]
+
+COSET_CEILING_FLOOR = 10**9
+
+
+class ImproperSubgroupError(ValueError):
+    """The subgroup is all of (Z/qZ)*, so nothing lies outside it."""
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    q: int
+    target: str
+    prime: int | None
+    examined: int
+    ceiling: int
+
+    @property
+    def found(self) -> bool:
+        return self.prime is not None
+
+
+def _default_subgroup_ceiling(q: int) -> int:
+    # 4x the explicit subgroup bound, so a verification run terminates
+    # loudly instead of looping when something is wrong.
+    from .bounds import subgroup_bound_quantities
+
+    return max(1000, int(4 * subgroup_bound_quantities(q).bound) + 1)
+
+
+def _default_coset_ceiling(q: int, h: int) -> int:
+    from .bounds import coset_bound
+
+    return max(COSET_CEILING_FLOOR, int(4 * coset_bound(q, h)) + 1)
+
+
+def least_prime_outside_subgroup(
+    q: int, h: SubgroupSpec, ceiling: int | None = None
+) -> SearchResult:
+    """Least prime l with l not dividing q and l mod q outside H."""
+    if h.index == 1:
+        raise ImproperSubgroupError(f"subgroup is all of (Z/{q}Z)*")
+    if ceiling is None:
+        ceiling = _default_subgroup_ceiling(q)
+    target = f"outside:{h.kind}"
+    examined = 0
+    mask = h.mask
+    for p in map(int, primes_up_to(ceiling)):
+        if q % p == 0:
+            continue
+        examined += 1
+        if not mask[p % q]:
+            return SearchResult(q, target, p, examined, ceiling)
+    return SearchResult(q, target, None, examined, ceiling)
+
+
+def least_qnr(q: int) -> SearchResult:
+    """Least prime quadratic non-residue mod an odd prime q."""
+    if q < 3 or q % 2 == 0 or not is_prime(q):
+        raise ValueError("least_qnr expects an odd prime modulus")
+    half = (q - 1) // 2
+    limit = 64
+    examined = 0
+    while True:
+        for p in map(int, primes_up_to(limit)):
+            if p == q:
+                continue
+            examined += 1
+            if pow(p, half, q) == q - 1:
+                return SearchResult(q, "qnr", p, examined, limit)
+        if limit > q:  # cannot happen for prime q; guards a broken caller
+            raise ArithmeticError(f"no non-residue found below {limit} for q={q}")
+        limit *= 4
+
+
+def least_kth_nonresidue(q: int, k: int, ceiling: int | None = None) -> SearchResult:
+    """Least prime outside the subgroup of k-th powers."""
+    h = kth_power_subgroup(q, k)
+    if h.index == 1:
+        raise ImproperSubgroupError(f"k-th powers fill (Z/{q}Z)* for k={k}")
+    res = least_prime_outside_subgroup(q, h, ceiling)
+    return SearchResult(q, f"kth-nonresidue:{k}", res.prime, res.examined, res.ceiling)
+
+
+def least_prime_in_coset(
+    q: int, h: SubgroupSpec, a: int, ceiling: int | None = None
+) -> SearchResult:
+    """Least prime p with p mod q in the coset aH."""
+    if math.gcd(a, q) != 1:
+        from .characters import NonUnitCosetError
+
+        raise NonUnitCosetError(f"a={a} is not a unit mod {q}")
+    if ceiling is None:
+        ceiling = _default_coset_ceiling(q, max(h.index, 2))
+    residues = sorted({a * int(m) % q for m in np.nonzero(h.mask)[0]})
+    target = f"coset:a={a % q}:{h.kind}"
+    examined = 0
+    base = 0
+    while base <= ceiling:
+        for r in residues:
+            n = base + r
+            if n < 2 or n > ceiling:
+                continue
+            examined += 1
+            if is_prime(n):
+                return SearchResult(q, target, n, examined, ceiling)
+        base += q
+    return SearchResult(q, target, None, examined, ceiling)
+
+
+def least_prime_in_ap(q: int, a: int, ceiling: int | None = None) -> SearchResult:
+    """Least prime congruent to a mod q, by stepping and primality testing."""
+    if math.gcd(a, q) != 1:
+        from .characters import NonUnitCosetError
+
+        raise NonUnitCosetError(f"a={a} is not a unit mod {q}")
+    if ceiling is None:
+        from .bounds import ap_bound
+
+        ceiling = max(10**6, int(4 * ap_bound(q)) + 1)
+    a %= q
+    n = a if a > 1 else a + q
+    examined = 0
+    target = f"ap:a={a}"
+    while n <= ceiling:
+        examined += 1
+        if is_prime(n):
+            return SearchResult(q, target, n, examined, ceiling)
+        n += q
+    return SearchResult(q, target, None, examined, ceiling)
+
+
+def least_prime_all_classes(q: int, ceiling: int) -> tuple[dict[int, int], list[int]]:
+    """Least prime in every reduced class mod q at once.
+
+    Returns (found, missing): found maps each reduced residue a to the
+    least prime congruent to a below the ceiling, missing lists classes
+    with no prime found.  Backed by one vectorized pass over the sieve,
+    so full-range progression scans stay cheap; agreement with the
+    stepping search is a tested property.
+    """
+    struct = unit_group_structure(q)
+    units = np.nonzero(struct.unit_mask)[0]
+    limit = min(ceiling, max(64 * q, 4096))
+    while True:
+        ps = primes_up_to(limit)
+        mods = ps % q
+        classes, first = np.unique(mods, return_index=True)
+        found = {
+            int(c): int(ps[i])
+            for c, i in zip(classes, first)
+            if struct.unit_mask[c]
+        }
+        missing = [int(a) for a in units if int(a) not in found]
+        if not missing or limit >= ceiling:
+            return found, missing
+        limit = min(ceiling, limit * 4)

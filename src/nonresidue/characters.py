@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -468,26 +468,43 @@ def coset_indicator(h: SubgroupSpec, a: int, n: int) -> int:
     return direct
 
 
-@lru_cache(maxsize=512)
+# chi_D on residues mod |D| for the 2-part D of -q when 4 | q, keyed by
+# (q/4) mod 8: 1 and 5 give D = -4, 2 gives D = -8, 6 gives D = 8.
+_TWO_PART_TABLES = {
+    1: np.array([0, 1, 0, -1], dtype=np.int8),
+    5: np.array([0, 1, 0, -1], dtype=np.int8),
+    2: np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8),
+    6: np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8),
+}
+
+
+def _legendre_table(p: int) -> np.ndarray:
+    """(n/p) on residues 0..p-1 for an odd prime p, as int8."""
+    tab = np.full(p, -1, dtype=np.int8)
+    tab[0] = 0
+    r = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
+    tab[r * r % p] = 1
+    return tab
+
+
 def kronecker_character_table(q: int) -> np.ndarray:
     """Values of n -> (-q/n) on residues 0..q-1 as a float array.
 
-    Filled multiplicatively from prime values, so class-number scans never
-    touch unit-group tables.
+    -q must be a fundamental discriminant.  It is a product of prime
+    discriminants: the 2-part (1, -4, 8 or -8) and p* = +-p for each odd
+    p | q, whose character is the Legendre symbol mod p.  The table is the
+    product of those periodic tables, so class-number scans never touch
+    unit-group tables.
     """
-    from .arith import primes_up_to
-
-    arr = np.zeros(q, dtype=float)
-    if q == 1:
-        return np.ones(1, dtype=float)
-    arr[1:] = 1.0
-    for p in map(int, primes_up_to(q - 1)):
-        v = kronecker(-q, p)
-        if v == 0:
-            arr[p::p] = 0.0
-        else:
-            pk = p
-            while pk < q:
-                arr[pk::pk] *= v
-                pk *= p
-    return arr
+    if not is_fundamental_discriminant(q):
+        raise ValueError(f"-{q} is not a fundamental discriminant")
+    out = np.ones(q, dtype=np.int8)
+    # each local period divides q, so a local table multiplies in as a row
+    # broadcast over the q/period rows of the result
+    if q % 4 == 0:
+        tab = _TWO_PART_TABLES[q // 4 % 8]
+        out.reshape(-1, tab.size)[:] *= tab
+    for p, _ in factorize(q).factors:
+        if p != 2:
+            out.reshape(-1, p)[:] *= _legendre_table(p)
+    return out.astype(float)

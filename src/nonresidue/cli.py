@@ -17,11 +17,12 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from decimal import Decimal, InvalidOperation
 from typing import Iterable, Sequence
 
 from . import bounds, explicit_formula as ef, kernels
 from .bounds import BoundReport
-from .characters import character_group, primitive_characters
+from .characters import character_group, is_fundamental_discriminant, primitive_characters
 from .lfunctions import (
     FINITE_METHOD,
     HURWITZ_METHOD,
@@ -141,19 +142,45 @@ def _progress(msg: str) -> None:
 # ----------------------------------------------------------------------
 
 
-def _parse_qrange(args) -> list[int]:
-    if args.q:
-        text = args.q
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return list(range(int(float(lo)), int(float(hi)) + 1))
-        return [int(float(text))]
-    if args.qmin is None or args.qmax is None:
+# Integer flags accept at most this many digits; q itself is bounded far
+# lower by is_prime/factorize (2**63), so this only keeps int() cheap.
+_MAX_INT_DIGITS = 40
+
+
+def _exact_int(text: str) -> int:
+    """An integer flag, parsed exactly; `1e5` is accepted, `1.5` is not."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not value.is_finite() or value.adjusted() >= _MAX_INT_DIGITS:
+        raise argparse.ArgumentTypeError(f"not an integer below 1e{_MAX_INT_DIGITS}: {text!r}")
+    if value != value.to_integral_value():
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(value)
+
+
+def _q_spec(text: str) -> range:
+    """`--q` of a scan: a single q, or an inclusive range a..b."""
+    if ".." in text:
+        lo, hi = text.split("..", 1)
+        return range(_exact_int(lo), _exact_int(hi) + 1)
+    q = _exact_int(text)
+    return range(q, q + 1)
+
+
+def _parse_qrange(args) -> range:
+    if args.q is not None:
+        qs = args.q
+    elif args.qmin is not None and args.qmax is not None:
+        qs = range(args.qmin, args.qmax + 1)
+    else:
+        _progress("error: pass --q Q, --q A..B, or --qmin A --qmax B")
         raise SystemExit(EXIT_USAGE)
-    if args.qmax < args.qmin:
+    if not qs:
         _progress("error: empty q range")
         raise SystemExit(EXIT_USAGE)
-    return list(range(args.qmin, args.qmax + 1))
+    return qs
 
 
 _SCAN_FORMULAS = {
@@ -167,25 +194,30 @@ _SCAN_FORMULAS = {
 }
 
 
+# Scans whose search takes no ceiling.
+_UNBOUNDED_SCANS = ("qnr", "classnum", "elementary")
+
+
 def cmd_scan(args) -> int:
     formula = _SCAN_FORMULAS[args.what]
+    if args.ceiling is not None and args.what in _UNBOUNDED_SCANS:
+        _progress(f"error: scan {args.what} takes no --ceiling")
+        return EXIT_USAGE
     qs = _parse_qrange(args)
     kwargs = {}
     if formula in ("thm11", "thm12", "thm14"):
         kwargs["subgroup"] = args.subgroup
-        if args.ceiling:
-            kwargs["ceiling"] = int(args.ceiling)
     if formula == "cor15":
         kwargs["per_class"] = args.per_class
-        if args.ceiling:
-            kwargs["ceiling"] = int(args.ceiling)
+    if args.ceiling is not None:
+        kwargs["ceiling"] = args.ceiling
     reports = run_scan(formula, qs, workers=args.workers, **kwargs)
     _write_output(args, reports)
     return exit_code(reports)
 
 
 def cmd_eval(args) -> int:
-    q = None if args.q is None else int(float(args.q))
+    q = args.q
     h = None
     if args.h is not None:
         h = math.inf if args.h in ("inf", "oo") else int(args.h)
@@ -342,7 +374,7 @@ def cmd_lvalue(args) -> int:
             _progress(f"error: no primitive character with index {args.index} mod {q}")
             return EXIT_USAGE
     rows: list[BoundReport] = []
-    tol = args.tolerance or 1e-8
+    tol = args.tolerance
     for chi in chars:
         base = l_at_1(chi, HURWITZ_METHOD)
         series = l_at_1(chi, SERIES_METHOD)
@@ -362,10 +394,16 @@ def cmd_lvalue(args) -> int:
 
 
 def cmd_classnum(args) -> int:
-    if args.qmax:
+    if args.qmax is not None:
         qs = fundamental_q_values(args.qmax)
-    else:
+        if not qs:
+            _progress(f"error: no fundamental discriminant -q with 4 < q <= {args.qmax}")
+            return EXIT_USAGE
+    elif args.q > 4 and is_fundamental_discriminant(args.q):
         qs = [args.q]
+    else:
+        _progress(f"error: -{args.q} is not a fundamental discriminant below -4")
+        return EXIT_USAGE
     reports = run_scan("eq13", qs, workers=args.workers)
     _write_output(args, reports)
     return exit_code(reports)
@@ -519,8 +557,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json", "human"), default="human")
     p.add_argument("--out", default=None, help="write reports to this path instead of stdout")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--ceiling", type=float, default=None, help="search ceiling override")
-    p.add_argument("--tolerance", type=float, default=None, help="tolerance override where applicable")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -529,17 +565,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="range scans of bound vs search")
     p.add_argument("what", choices=sorted(_SCAN_FORMULAS))
-    p.add_argument("--q", default=None, help="single q or range a..b")
-    p.add_argument("--qmin", type=int, default=None)
-    p.add_argument("--qmax", type=int, default=None)
+    p.add_argument("--q", type=_q_spec, default=None, help="single q or range a..b")
+    p.add_argument("--qmin", type=_exact_int, default=None)
+    p.add_argument("--qmax", type=_exact_int, default=None)
     p.add_argument("--subgroup", default="squares", help="squares | powers:K | gens:a,b | trivial")
     p.add_argument("--per-class", action="store_true")
+    p.add_argument("--ceiling", type=_exact_int, default=None, help="search ceiling override")
     _add_common(p)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("eval", help="single-shot formula evaluation")
     p.add_argument("what", choices=("thm11", "thm12", "thm14", "cor15", "thm15", "cor16", "sec43", "alpha", "limit", "largeh"))
-    p.add_argument("--q", default=None)
+    p.add_argument("--q", type=_exact_int, default=None)
     p.add_argument("--h", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
@@ -561,21 +598,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemma", help="identity residual tables")
     p.add_argument("which", choices=("2.1", "2.2", "2.3", "2.4", "2.5", "2.6", "3.1", "5.1", "trig"))
     p.add_argument("--x", default=None, help="comma separated x values")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--q", type=_exact_int, default=None)
+    p.add_argument("--m", type=_exact_int, default=None)
     p.add_argument("--grid", type=int, default=2001)
     _add_common(p)
     p.set_defaults(func=cmd_lemma)
 
     p = sub.add_parser("lvalue", help="L(1, chi) by independent methods")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_exact_int, required=True)
     p.add_argument("--index", type=int, default=None)
+    p.add_argument("--tolerance", type=float, default=1e-8, help="agreement tolerance")
     _add_common(p)
     p.set_defaults(func=cmd_lvalue)
 
     p = sub.add_parser("classnum", help="class numbers two ways")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--qmax", type=int, default=None)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--q", type=_exact_int, default=None)
+    which.add_argument("--qmax", type=_exact_int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_classnum)
 

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nonresidue.arith import euler_phi, unit_group_structure
+from nonresidue.arith import euler_phi, primes_up_to, unit_group_structure
 from nonresidue.characters import (
     CharacterValue,
     NonUnitCosetError,
@@ -139,6 +140,62 @@ def test_kronecker_character_is_primitive_and_odd():
         assert match.parity == 1
         assert match.conductor == q
     assert count > 100
+
+
+def legendre_by_euler(a: np.ndarray, p: int) -> np.ndarray:
+    """(a/p) elementwise for an odd prime p: a^((p-1)/2) mod p."""
+    base = a % p
+    r = np.ones_like(base)
+    e = (p - 1) // 2
+    while e:
+        if e & 1:
+            r = r * base % p
+        base = base * base % p
+        e >>= 1
+    return np.where(r == p - 1, -1, r)
+
+
+def test_kronecker_table_matches_euler_criterion():
+    # for every fundamental q <= 2*10^4: the table at each odd prime p < q
+    # is (-q/p) by Euler's criterion, at 2 it is (-q/2) from -q mod 8, and
+    # it vanishes exactly where gcd(n, q) > 1; q < 1000 is compared with
+    # kronecker at every n
+    qs = np.array([q for q in range(3, 20_001) if is_fundamental_discriminant(q)])
+    assert len(qs) == 6079
+    primes = primes_up_to(20_000)
+    odd = primes[1:]
+    at_primes = np.zeros((len(qs), len(odd)), dtype=np.int8)
+    for i, q in enumerate(map(int, qs)):
+        table = kronecker_character_table(q)
+        below = odd[: np.searchsorted(odd, q)]
+        at_primes[i, : len(below)] = table[below]
+        assert table[2 % q] == (0 if q % 2 == 0 else (1 if -q % 8 in (1, 7) else -1)), q
+        shares_factor = np.zeros(q, dtype=bool)
+        for p in primes[q % primes == 0]:
+            shares_factor[::p] = True
+        assert np.array_equal(table == 0, shares_factor), q
+        if q < 1000:
+            assert table.tolist() == [kronecker(-q, n) for n in range(q)], q
+    for j, p in enumerate(map(int, odd)):
+        above = qs > p
+        assert np.array_equal(at_primes[above, j], legendre_by_euler(-qs[above], p)), p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    q=st.integers(3, 10**6).filter(is_fundamental_discriminant),
+    ns=st.lists(st.integers(1, 10**18), min_size=1, max_size=20),
+)
+def test_kronecker_table_is_the_kronecker_symbol(q, ns):
+    table = kronecker_character_table(q)
+    for n in ns:
+        assert table[n % q] == kronecker(-q, n), (q, n)
+
+
+def test_kronecker_table_rejects_non_fundamental_q():
+    for q in (1, 2, 5, 9, 12, 16, 18, 27, 10**6):
+        with pytest.raises(ValueError):
+            kronecker_character_table(q)
 
 
 def test_fundamental_discriminant_classification():

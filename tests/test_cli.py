@@ -144,11 +144,57 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 
 
 def test_console_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "nonresidue.cli", "eval", "alpha", "--h", "3", "--format", "csv"],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
-    )
-    assert proc.returncode == 0
-    assert "0.49" in proc.stdout
+    for module in ("nonresidue.cli", "nonresidue"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "eval", "alpha", "--h", "3", "--format", "csv"],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, (module, proc.stderr)
+        assert "0.49" in proc.stdout
+
+
+def test_classnum_rejects_missing_or_non_fundamental_q(capsys):
+    for argv in (["classnum"], ["classnum", "--q", "12"], ["classnum", "--q", "4"], ["classnum", "--q", "3"]):
+        code, out = run_main(argv + ["--format", "csv"])
+        assert code == EXIT_USAGE, argv
+        assert out == ""
+        assert "error" in capsys.readouterr().err
+    # a range scan still skips non-fundamental q without complaint
+    code, out = run_main(["scan", "classnum", "--q", "8..12", "--format", "csv"])
+    assert code == EXIT_OK
+    assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == ["8", "11"]
+
+
+def test_integer_flags_are_parsed_exactly(capsys):
+    big = "100000000000000003"  # prime; its float is 10^17
+    code, out = run_main(["scan", "qnr", "--q", big, "--format", "csv"])
+    assert code == EXIT_OK
+    assert out.splitlines()[1].startswith(f"cor12,{big},qnr,2,")
+    code, out = run_main(["eval", "thm11", "--q", big, "--format", "csv"])
+    assert code == EXIT_OK
+    assert out.splitlines()[1].split(",")[1] == big
+    code, out = run_main(["scan", "qnr", "--qmin", "1e5", "--qmax", "100010", "--format", "csv"])
+    assert code == EXIT_OK
+    assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == ["100003"]
+    for argv in (["scan", "qnr", "--q", "1.5"], ["scan", "qnr", "--q", "5..1e1.5"], ["eval", "thm11", "--q", "1.5"]):
+        assert main(argv) == EXIT_USAGE, argv
+        assert "not an integer" in capsys.readouterr().err
+
+
+def test_flags_a_command_ignores_are_rejected(capsys):
+    for argv in (
+        ["classnum", "--q", "23", "--ceiling", "10"],
+        ["eval", "alpha", "--h", "2", "--tolerance", "1e-3"],
+        ["kernel", "gamma", "--l1", "--ceiling", "10"],
+        ["scan", "subgroup", "--q", "3001", "--tolerance", "1e-3"],
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+    for what in ("qnr", "classnum", "elementary"):
+        assert main(["scan", what, "--q", "23", "--ceiling", "100"]) == EXIT_USAGE, what
+        assert "takes no --ceiling" in capsys.readouterr().err
+    assert main(["scan", "ap", "--q", "7", "--ceiling", "10.5"]) == EXIT_USAGE
+    code, out = run_main(["scan", "ap", "--q", "7", "--ceiling", "1e1", "--format", "csv"])
+    assert code == EXIT_NOT_FOUND and "not-found" in out

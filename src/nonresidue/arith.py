@@ -2,14 +2,14 @@
 
 Deterministic 64-bit primality, factorization, a grow-only prime sieve,
 the von Mangoldt function, and the decomposition of the unit group
-(Z/qZ)* into cyclic components with precomputed discrete-log tables.
+(Z/qZ)* into cyclic components, with discrete-log tables built on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -210,18 +210,51 @@ class UnitGroupStructure:
 
     components[j] = (g_j, d_j): g_j generates a cyclic factor of order d_j,
     normalized so g_j is 1 modulo the other prime-power parts of q.
-    dlogs[j][r] is the exponent of r on component j (-1 off the units).
     prime_blocks groups component indices by the prime power they refine,
-    which is what conductor computations need.
+    which is what conductor computations need.  unit_mask[r] says whether
+    r is coprime to q.  The discrete-log tables `dlogs` are O(q) per
+    component and are built on their first read, not with the structure.
     """
 
     q: int
     components: tuple[tuple[int, int], ...]
-    dlogs: tuple[np.ndarray, ...]
     prime_blocks: tuple[tuple[int, int, tuple[int, ...]], ...]
     phi: int
     exponent: int
     unit_mask: np.ndarray
+
+    @cached_property
+    def dlogs(self) -> tuple[np.ndarray, ...]:
+        """dlogs[j][r] is the exponent of r on component j, or -1 when r is
+        divisible by the prime whose block holds j (use unit_mask for
+        whether r is a unit: no component marks the 2 of q = 2 mod 4).
+
+        Built once per structure from the local table of each prime power
+        p^k | q, copied into every row of a (q / p^k, p^k) view.
+        """
+        tables: list[np.ndarray] = []
+        for p, k, idxs in self.prime_blocks:
+            pk = p**k
+            if p == 2 and k >= 3:
+                _, five = idxs
+                half = self.components[five][1]
+                pows = _powers(5, half, pk)
+                t_sign = np.full(pk, -1, dtype=np.int64)
+                t_five = np.full(pk, -1, dtype=np.int64)
+                t_sign[pows], t_sign[pk - pows] = 0, 1
+                t_five[pows] = t_five[pk - pows] = np.arange(half)
+                local = [t_sign, t_five]
+            else:
+                (j,) = idxs
+                g, order = self.components[j]
+                tab = np.full(pk, -1, dtype=np.int64)
+                tab[_powers(g % pk, order, pk)] = np.arange(order)
+                local = [tab]
+            for t in local:
+                full = np.empty(self.q, dtype=np.int64)
+                full.reshape(-1, pk)[:] = t
+                tables.append(full)
+        return tuple(tables)
 
     def is_unit(self, n: int) -> bool:
         return bool(self.unit_mask[n % self.q])
@@ -239,6 +272,23 @@ class UnitGroupStructure:
         return out
 
 
+def _powers(g: int, n: int, pk: int) -> np.ndarray:
+    """g^0, ..., g^(n-1) mod pk as int64: about sqrt(n) baby steps times
+    sqrt(n) giant steps, multiplied as an outer product.  Entries are below
+    pk, so each product is below pk^2, which fits in int64 for pk < 3e9."""
+    m = math.isqrt(n - 1) + 1
+    baby = [1]
+    for _ in range(m - 1):
+        baby.append(baby[-1] * g % pk)
+    step = baby[-1] * g % pk
+    giant = [1]
+    for _ in range(-(-n // m) - 1):
+        giant.append(giant[-1] * step % pk)
+    table = np.array(giant, dtype=np.int64)[:, None] * np.array(baby, dtype=np.int64)
+    table %= pk
+    return table.ravel()[:n]
+
+
 def _crt_lift(residue: int, pk: int, q: int) -> int:
     """The unit mod q that is `residue` mod pk and 1 mod q // pk."""
     rest = q // pk
@@ -249,10 +299,13 @@ def _crt_lift(residue: int, pk: int, q: int) -> int:
 
 @lru_cache(maxsize=4096)
 def unit_group_structure(q: int, ceiling: int = DEFAULT_DLOG_CEILING) -> UnitGroupStructure:
-    """Cyclic decomposition of (Z/qZ)* with full discrete-log tables.
+    """Cyclic decomposition of (Z/qZ)*: generators, orders and unit mask.
 
     Odd prime powers contribute one component generated by the smallest
     primitive root; 2^k with k >= 3 contributes the pair <-1> x <5>.
+    Only the bool unit mask is O(q) here; the discrete-log tables are
+    built on the first read of `dlogs`, so searches that need only
+    membership never pay for them.
     """
     if q < 1:
         raise ValueError("modulus must be positive")
@@ -260,50 +313,26 @@ def unit_group_structure(q: int, ceiling: int = DEFAULT_DLOG_CEILING) -> UnitGro
         raise ModulusTooLargeError(f"q={q} exceeds dlog-table ceiling {ceiling}")
 
     gens: list[tuple[int, int]] = []
-    local_tables: list[tuple[int, np.ndarray]] = []  # (pk, table over residues mod pk)
     blocks: list[tuple[int, int, tuple[int, ...]]] = []
+    unit_mask = np.ones(q, dtype=bool)
 
     for p, k in factorize(q).factors:
+        unit_mask[::p] = False
         pk = p**k
         if p == 2:
             if k == 1:
                 continue
             if k == 2:
-                tab = np.full(4, -1, dtype=np.int64)
-                tab[1], tab[3] = 0, 1
                 blocks.append((2, 2, (len(gens),)))
                 gens.append((_crt_lift(3, 4, q), 2))
-                local_tables.append((4, tab))
             else:
-                half = pk // 4
-                t_sign = np.full(pk, -1, dtype=np.int64)
-                t_five = np.full(pk, -1, dtype=np.int64)
-                v = 1
-                for b in range(half):
-                    t_sign[v], t_five[v] = 0, b
-                    w = pk - v
-                    t_sign[w], t_five[w] = 1, b
-                    v = v * 5 % pk
                 blocks.append((2, k, (len(gens), len(gens) + 1)))
                 gens.append((_crt_lift(pk - 1, pk, q), 2))
-                local_tables.append((pk, t_sign))
-                gens.append((_crt_lift(5, pk, q), half))
-                local_tables.append((pk, t_five))
+                gens.append((_crt_lift(5, pk, q), pk // 4))
         else:
             g = _primitive_root_prime_power(p, k)
-            order = pk // p * (p - 1)
-            tab = np.full(pk, -1, dtype=np.int64)
-            v = 1
-            for i in range(order):
-                tab[v] = i
-                v = v * g % pk
             blocks.append((p, k, (len(gens),)))
-            gens.append((_crt_lift(g, pk, q), order))
-            local_tables.append((pk, tab))
-
-    residues = np.arange(q, dtype=np.int64)
-    dlogs = tuple(tab[residues % pk] for pk, tab in local_tables)
-    unit_mask = np.gcd(residues, q) == 1 if q > 1 else np.ones(1, dtype=bool)
+            gens.append((_crt_lift(g, pk, q), pk // p * (p - 1)))
 
     phi = 1
     exponent = 1
@@ -314,7 +343,6 @@ def unit_group_structure(q: int, ceiling: int = DEFAULT_DLOG_CEILING) -> UnitGro
     struct = UnitGroupStructure(
         q=q,
         components=tuple(gens),
-        dlogs=dlogs,
         prime_blocks=tuple(blocks),
         phi=phi,
         exponent=exponent,

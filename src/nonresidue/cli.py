@@ -197,6 +197,12 @@ _SCAN_FORMULAS = {
 # Scans whose search takes no ceiling.
 _UNBOUNDED_SCANS = ("qnr", "classnum", "elementary")
 
+# What a q must be for the scans that skip every other q.
+_SCAN_APPLIES_TO = {
+    "qnr": "prime q >= 5",
+    "classnum": "q > 4 with -q a fundamental discriminant",
+}
+
 
 def cmd_scan(args) -> int:
     formula = _SCAN_FORMULAS[args.what]
@@ -212,6 +218,10 @@ def cmd_scan(args) -> int:
     if args.ceiling is not None:
         kwargs["ceiling"] = args.ceiling
     reports = run_scan(formula, qs, workers=args.workers, **kwargs)
+    if not reports:
+        needs = _SCAN_APPLIES_TO.get(args.what, "applicable q")
+        _progress(f"error: scan {args.what} checks only {needs}; there is none in {qs.start}..{qs.stop - 1}")
+        return EXIT_USAGE
     _write_output(args, reports)
     return exit_code(reports)
 
@@ -226,7 +236,7 @@ def cmd_eval(args) -> int:
     if name in ("thm11", "thm12", "thm14", "cor15", "thm15", "cor16", "sec43") and q is None:
         _progress("error: --q required")
         return EXIT_USAGE
-    if name in ("alpha", "limit", "largeh") and h is None:
+    if name in ("thm14", "alpha", "limit", "largeh") and h is None:
         _progress("error: --h required")
         return EXIT_USAGE
     # targets carry the instantiated formula so single-shot output is
@@ -310,6 +320,15 @@ def _residual_report_row(rep: ef.ResidualReport) -> BoundReport:
     )
 
 
+def _primitive_characters(q: int) -> list:
+    """primitive_characters(q), or a usage error when there are none."""
+    chars = primitive_characters(q)
+    if not chars:
+        _progress(f"error: no primitive character mod {q} (there is none for q = 1 or q = 2 mod 4)")
+        raise SystemExit(EXIT_USAGE)
+    return chars
+
+
 def cmd_lemma(args) -> int:
     xs = [float(t) for t in args.x.split(",")] if args.x else []
     rows: list[BoundReport] = []
@@ -320,7 +339,7 @@ def cmd_lemma(args) -> int:
     elif which in ("2.2", "2.3", "2.5"):
         if args.q is None:
             raise SystemExit(EXIT_USAGE)
-        for chi in primitive_characters(args.q):
+        for chi in _primitive_characters(args.q):
             rb = re_b(chi)
             for x in xs:
                 if which == "2.2":
@@ -367,7 +386,7 @@ def cmd_lemma(args) -> int:
 
 def cmd_lvalue(args) -> int:
     q = args.q
-    chars = primitive_characters(q)
+    chars = _primitive_characters(q)
     if args.index is not None:
         chars = [c for c in chars if c.index == args.index]
         if not chars:

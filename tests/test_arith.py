@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nonresidue import bounds
 from nonresidue.arith import (
     ModulusTooLargeError,
     euler_phi,
@@ -163,6 +166,100 @@ def test_unit_group_invariants_all_small_q():
         assert len(units) == s.phi
         for n in map(int, units):
             assert s.from_exponents(s.dlog(n)) == n, (q, n)
+
+
+def reference_tables(struct):
+    """dlog tables and unit mask by the per-element loop that built them
+    eagerly before the numpy build; the oracle for `dlogs` and `unit_mask`."""
+    q = struct.q
+    local = []
+    for p, k, idxs in struct.prime_blocks:
+        pk = p**k
+        if p == 2 and k >= 3:
+            half = pk // 4
+            t_sign = np.full(pk, -1, dtype=np.int64)
+            t_five = np.full(pk, -1, dtype=np.int64)
+            v = 1
+            for b in range(half):
+                t_sign[v], t_five[v] = 0, b
+                w = pk - v
+                t_sign[w], t_five[w] = 1, b
+                v = v * 5 % pk
+            local += [(pk, t_sign), (pk, t_five)]
+        else:
+            (j,) = idxs
+            g, order = struct.components[j]
+            tab = np.full(pk, -1, dtype=np.int64)
+            v = 1
+            for i in range(order):
+                tab[v] = i
+                v = v * g % pk
+            local.append((pk, tab))
+    residues = np.arange(q, dtype=np.int64)
+    dlogs = tuple(tab[residues % pk] for pk, tab in local)
+    unit_mask = np.gcd(residues, q) == 1 if q > 1 else np.ones(1, dtype=bool)
+    return dlogs, unit_mask
+
+
+def assert_tables_match_reference(qs):
+    for q in qs:
+        # Uncached, so the check builds every table itself and keeps none.
+        s = unit_group_structure.__wrapped__(q)
+        dlogs, unit_mask = reference_tables(s)
+        assert s.unit_mask.dtype == unit_mask.dtype and np.array_equal(s.unit_mask, unit_mask), q
+        assert len(s.dlogs) == len(dlogs) == len(s.components), q
+        for got, want in zip(s.dlogs, dlogs):
+            assert got.dtype == want.dtype and np.array_equal(got, want), q
+
+
+def test_dlog_tables_match_reference_loop():
+    odd_squares = [int(p) ** 2 for p in primes_up_to(199)[1:]]
+    powers = [2**k for k in range(1, 21)] + [3**k for k in range(1, 13)]
+    assert_tables_match_reference(list(range(1, 3001)) + powers + odd_squares)
+
+
+@pytest.mark.slow
+def test_dlog_tables_match_reference_loop_exhaustive():
+    assert_tables_match_reference(range(1, 20_001))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(q=st.integers(1, 10**6), ns=st.lists(st.integers(0, 10**12), min_size=1, max_size=20))
+def test_dlog_round_trip(q, ns):
+    s = unit_group_structure.__wrapped__(q)
+    for n in ns:
+        if math.gcd(n, q) == 1:
+            exps = s.dlog(n)
+            assert all(0 <= e < d for e, (_, d) in zip(exps, s.components)), (q, n)
+            assert s.from_exponents(exps) == n % q, (q, n)
+        else:
+            assert not s.is_unit(n)
+        # A component's table reads -1 exactly where n shares its prime.
+        for p, _, idxs in s.prime_blocks:
+            for j in idxs:
+                assert (int(s.dlogs[j][n % q]) == -1) == (n % p == 0), (q, n, p)
+
+
+def test_searches_build_no_dlog_tables():
+    unit_group_structure.cache_clear()
+    for q in (3001, 3003, 4096, 5000, 7919):
+        bounds.verify_subgroup(q)
+        assert "dlogs" not in unit_group_structure(q).__dict__, q
+    for q in (4, 10, 64, 105, 2000):
+        bounds.verify_ap(q)
+        assert "dlogs" not in unit_group_structure(q).__dict__, q
+
+
+def test_subgroup_scan_memory_stays_small():
+    unit_group_structure.cache_clear()
+    tracemalloc.start()
+    try:
+        for q in range(3000, 4001):
+            bounds.verify_subgroup(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_unit_group_ceiling():

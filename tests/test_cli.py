@@ -198,3 +198,27 @@ def test_flags_a_command_ignores_are_rejected(capsys):
     assert main(["scan", "ap", "--q", "7", "--ceiling", "10.5"]) == EXIT_USAGE
     code, out = run_main(["scan", "ap", "--q", "7", "--ceiling", "1e1", "--format", "csv"])
     assert code == EXIT_NOT_FOUND and "not-found" in out
+
+
+def test_eval_thm14_requires_h(capsys):
+    code, out = run_main(["eval", "thm14", "--q", "20001", "--format", "csv"])
+    assert code == EXIT_USAGE and out == ""
+    assert "--h required" in capsys.readouterr().err
+    code, out = run_main(["eval", "thm14", "--q", "20001", "--h", "2", "--format", "csv"])
+    assert code == EXIT_OK and out.splitlines()[1].startswith("thm14,20001,")
+
+
+def test_runs_with_nothing_to_check_are_usage_errors(capsys):
+    for argv, reason in (
+        (["lvalue", "--q", "1"], "no primitive character mod 1"),
+        (["lvalue", "--q", "2"], "no primitive character mod 2"),
+        (["lvalue", "--q", "6"], "no primitive character mod 6"),
+        (["lemma", "2.2", "--q", "6", "--x", "100"], "no primitive character mod 6"),
+        (["scan", "qnr", "--q", "0..3"], "prime q >= 5; there is none in 0..3"),
+        (["scan", "qnr", "--qmin", "8", "--qmax", "10"], "there is none in 8..10"),
+        (["scan", "classnum", "--q", "9..10"], "fundamental discriminant; there is none in 9..10"),
+    ):
+        code, out = run_main(argv + ["--format", "csv"])
+        assert code == EXIT_USAGE, argv
+        assert out == "", argv
+        assert reason in capsys.readouterr().err, argv

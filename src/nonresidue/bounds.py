@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .arith import euler_phi, factorize, is_prime, primes_up_to
-from .characters import SubgroupSpec, is_fundamental_discriminant, kth_power_subgroup
+from .characters import (
+    SubgroupSpec,
+    is_fundamental_discriminant,
+    kth_power_subgroup,
+    subgroup_from_generators,
+    trivial_subgroup,
+)
 from .lfunctions import (
     EULER_GAMMA,
     class_number_bqf,
@@ -34,7 +40,6 @@ __all__ = [
     "ap_bound",
     "class_number_bounds",
     "coset_bound",
-    "elementary_phi_report",
     "l1_value_bounds",
     "subgroup_bound_clean_applicable",
     "subgroup_bound_quantities",
@@ -49,7 +54,6 @@ __all__ = [
 AP_THRESHOLD = 4  # progression bound stated for q > 3
 SUBGROUP_THRESHOLD = 3000
 COSET_THRESHOLD = 20000
-LVALUE_THRESHOLD = 1e10
 
 
 @dataclass(frozen=True)
@@ -77,16 +81,20 @@ class BoundReport:
             return BoundReport(formula, q, target, None, bound, None, applicable, "not-found")
         margin = bound - measured
         holds = measured < bound if strict else measured <= bound
-        if not applicable:
-            verdict = "not-applicable"
-        else:
-            verdict = "pass" if holds else "fail"
+        verdict = ("pass" if holds else "fail") if applicable else "not-applicable"
         return BoundReport(formula, q, target, measured, bound, margin, applicable, verdict)
 
 
 # ----------------------------------------------------------------------
 # Formula evaluators
 # ----------------------------------------------------------------------
+
+
+def _search_ceiling(bound: float, floor: int) -> int:
+    """4x the bound, at least floor: a search that should succeed below the
+    bound ends loudly with not-found instead of looping when something is
+    wrong."""
+    return max(floor, int(4 * bound) + 1)
 
 
 @dataclass(frozen=True)
@@ -114,6 +122,9 @@ def subgroup_bound_quantities(q: int) -> SubgroupBoundQuantities:
     return SubgroupBoundQuantities(q, a_term, b_term, (lq + b_term) ** 2)
 
 
+SUBGROUP_CEILING_FLOOR = 1000
+
+
 def subgroup_bound_clean_applicable(q: int) -> bool:
     """No prime below (log q)^2 divides q (the clean (log q)^2 branch)."""
     cut = math.log(q) ** 2
@@ -132,12 +143,17 @@ def coset_bound(q: int, h: int) -> float:
     return ((h - 1) * lq + 3 * (h + 1) + 2.5 * llq**2) ** 2
 
 
-COSET_DIRECT_BRANCH = 10**9  # a prime at or below this passes outright
+# A prime at or below this passes outright, so coset searches run at
+# least this far.
+COSET_DIRECT_BRANCH = 10**9
 
 
 def ap_bound(q: int) -> float:
     """(phi(q) log q)^2 for the least prime in a progression."""
     return (euler_phi(q) * math.log(q)) ** 2
+
+
+AP_CEILING_FLOOR = 10**6
 
 
 @dataclass(frozen=True)
@@ -184,37 +200,6 @@ def class_number_bounds(q: float) -> ClassNumberBounds:
     return ClassNumberBounds(q, lower, upper, math.floor(lower))
 
 
-@dataclass(frozen=True)
-class ElementaryPhiReport:
-    q: int
-    phi: int
-    omega: int
-    phi_at_least_4156: bool
-    two_omega_below_q37: bool
-    phi_at_least_q56: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return self.phi_at_least_4156 and self.two_omega_below_q37 and self.phi_at_least_q56
-
-
-def elementary_phi_report(q: int) -> ElementaryPhiReport:
-    """phi(q) >= 4156, 2^omega(q) <= q^(3/7), phi(q) >= q^(5/6).
-
-    Claims stated for q > 20000; evaluable anywhere.
-    """
-    fac = factorize(q)
-    phi = fac.phi
-    return ElementaryPhiReport(
-        q=q,
-        phi=phi,
-        omega=fac.omega,
-        phi_at_least_4156=phi >= 4156,
-        two_omega_below_q37=2**fac.omega <= q ** (3 / 7),
-        phi_at_least_q56=phi >= q ** (5 / 6),
-    )
-
-
 # ----------------------------------------------------------------------
 # Verification drivers
 # ----------------------------------------------------------------------
@@ -226,13 +211,9 @@ def _subgroup_for(q: int, spec: str) -> SubgroupSpec:
     if spec.startswith("powers:"):
         return kth_power_subgroup(q, int(spec.split(":", 1)[1]))
     if spec.startswith("gens:"):
-        from .characters import subgroup_from_generators
-
         gens = [int(g) for g in spec.split(":", 1)[1].split(",")]
         return subgroup_from_generators(q, gens)
     if spec == "trivial":
-        from .characters import trivial_subgroup
-
         return trivial_subgroup(q)
     raise ValueError(f"unknown subgroup spec {spec!r}")
 
@@ -251,7 +232,7 @@ def verify_subgroup(q: int, subgroup: str = "squares", ceiling: int | None = Non
     vals = subgroup_bound_quantities(q)
     h = _subgroup_for(q, subgroup)
     if ceiling is None:
-        ceiling = max(1000, int(4 * vals.bound) + 1)
+        ceiling = _search_ceiling(vals.bound, SUBGROUP_CEILING_FLOOR)
     res = least_prime_outside_subgroup(q, h, ceiling)
     return BoundReport.from_comparison(
         "thm11", q, res.target, res.prime, vals.bound, applicable=q >= SUBGROUP_THRESHOLD
@@ -263,7 +244,7 @@ def verify_subgroup_clean(q: int, subgroup: str = "squares", ceiling: int | None
     bound = math.log(q) ** 2
     h = _subgroup_for(q, subgroup)
     if ceiling is None:
-        ceiling = max(1000, int(4 * subgroup_bound_quantities(q).bound) + 1)
+        ceiling = _search_ceiling(subgroup_bound_quantities(q).bound, SUBGROUP_CEILING_FLOOR)
     res = least_prime_outside_subgroup(q, h, ceiling)
     applicable = q >= SUBGROUP_THRESHOLD and subgroup_bound_clean_applicable(q)
     return BoundReport.from_comparison(
@@ -278,23 +259,17 @@ def verify_ap(q: int, per_class: bool = False, ceiling: int | None = None) -> li
     """
     bound = ap_bound(q)
     if ceiling is None:
-        ceiling = max(10**6, int(4 * bound) + 1)
+        ceiling = _search_ceiling(bound, AP_CEILING_FLOOR)
     found, missing = least_prime_all_classes(q, ceiling)
     applicable = q > AP_THRESHOLD - 1
-    out = []
+    # a class with no prime below the ceiling gives a not-found row
     if per_class:
-        for a in sorted(found):
-            out.append(
-                BoundReport.from_comparison(
-                    "cor15", q, f"ap:a={a}", found[a], bound, applicable
-                )
-            )
-        for a in missing:
-            out.append(BoundReport("cor15", q, f"ap:a={a}", None, bound, None, applicable, "not-found"))
-        return out
+        return [
+            BoundReport.from_comparison("cor15", q, f"ap:a={a}", found.get(a), bound, applicable)
+            for a in sorted(found) + missing
+        ]
     if missing:
-        a = missing[0]
-        return [BoundReport("cor15", q, f"ap:a={a}", None, bound, None, applicable, "not-found")]
+        return [BoundReport.from_comparison("cor15", q, f"ap:a={missing[0]}", None, bound, applicable)]
     worst = max(found, key=lambda a: (found[a], a))
     return [
         BoundReport.from_comparison(
@@ -310,6 +285,8 @@ def verify_coset(
     h = _subgroup_for(q, subgroup)
     bound = coset_bound(q, h.index)
     applicable = q >= COSET_THRESHOLD and h.index > 1
+    if ceiling is None:
+        ceiling = _search_ceiling(bound, COSET_DIRECT_BRANCH)
     if reps is None:
         reps = coset_representatives(h)
     out = []
@@ -362,17 +339,21 @@ def verify_classnum(q: int) -> BoundReport:
 
 
 def verify_elementary(q: int) -> list[BoundReport]:
-    rep = elementary_phi_report(q)
+    """phi(q) >= 4156, 2^omega(q) <= q^(3/7), phi(q) >= q^(5/6).
+
+    Claims stated for q > 20000; evaluated, as not-applicable, anywhere.
+    """
+    fac = factorize(q)
+    phi, two_omega = float(fac.phi), float(2**fac.omega)
     applicable = q > COSET_THRESHOLD
     rows = [
-        ("phi>=4156", float(rep.phi), 4156.0, rep.phi >= 4156, True),
-        ("2^omega<=q^(3/7)", float(2**rep.omega), q ** (3 / 7), rep.two_omega_below_q37, False),
-        ("phi>=q^(5/6)", float(rep.phi), q ** (5 / 6), rep.phi_at_least_q56, True),
+        ("phi>=4156", phi, 4156.0, phi - 4156.0),
+        ("2^omega<=q^(3/7)", two_omega, q ** (3 / 7), q ** (3 / 7) - two_omega),
+        ("phi>=q^(5/6)", phi, q ** (5 / 6), phi - q ** (5 / 6)),
     ]
     out = []
-    for target, measured, ref, holds, lower_style in rows:
-        margin = (measured - ref) if lower_style else (ref - measured)
-        verdict = ("pass" if holds else "fail") if applicable else "not-applicable"
+    for target, measured, ref, margin in rows:
+        verdict = ("pass" if margin >= 0 else "fail") if applicable else "not-applicable"
         out.append(BoundReport("sec43", q, target, measured, ref, margin, applicable, verdict))
     return out
 

@@ -18,7 +18,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal, InvalidOperation
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import bounds, explicit_formula as ef, kernels
 from .bounds import BoundReport
@@ -95,14 +95,13 @@ def emit_reports(reports: Sequence[BoundReport], fmt: str, stream) -> None:
 
 
 def exit_code(reports: Iterable[BoundReport]) -> int:
-    code = EXIT_OK
     saw_missing = False
     for r in reports:
         if r.verdict == "fail":
             return EXIT_FAIL
         if r.verdict == "not-found":
             saw_missing = True
-    return EXIT_NOT_FOUND if saw_missing else code
+    return EXIT_NOT_FOUND if saw_missing else EXIT_OK
 
 
 def _sorted_reports(reports: Iterable[BoundReport]) -> list[BoundReport]:
@@ -160,13 +159,26 @@ def _exact_int(text: str) -> int:
     return int(value)
 
 
+def _modulus(text: str) -> int:
+    """A modulus flag: an exact integer below 2**63, the range of is_prime/factorize."""
+    n = _exact_int(text)
+    if n >= 2**63:
+        raise argparse.ArgumentTypeError(f"{text!r} is not below 2^63, the range of is_prime and factorize")
+    return n
+
+
 def _q_spec(text: str) -> range:
     """`--q` of a scan: a single q, or an inclusive range a..b."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return range(_exact_int(lo), _exact_int(hi) + 1)
-    q = _exact_int(text)
+        return range(_modulus(lo), _modulus(hi) + 1)
+    q = _modulus(text)
     return range(q, q + 1)
+
+
+def _index_h(text: str) -> int | float:
+    """`--h`: an integer index, or inf (also oo)."""
+    return math.inf if text in ("inf", "oo") else _exact_int(text)
 
 
 def _parse_qrange(args) -> range:
@@ -227,10 +239,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    q = args.q
-    h = None
-    if args.h is not None:
-        h = math.inf if args.h in ("inf", "oo") else int(args.h)
+    q, h = args.q, args.h
     rows: list[BoundReport] = []
     name = args.what
     if name in ("thm11", "thm12", "thm14", "cor15", "thm15", "cor16", "sec43") and q is None:
@@ -238,6 +247,9 @@ def cmd_eval(args) -> int:
         return EXIT_USAGE
     if name in ("thm14", "alpha", "limit", "largeh") and h is None:
         _progress("error: --h required")
+        return EXIT_USAGE
+    if name == "thm14" and math.isinf(h):
+        _progress("error: thm14 needs a finite --h")
         return EXIT_USAGE
     # targets carry the instantiated formula so single-shot output is
     # self-describing
@@ -249,7 +261,7 @@ def cmd_eval(args) -> int:
             BoundReport("thm12", q, "(log q)^2 when no prime below it divides q", None, math.log(q) ** 2, None, bounds.subgroup_bound_clean_applicable(q), "not-applicable")
         )
     elif name == "thm14":
-        rows.append(BoundReport("thm14", q, f"((h-1)log q + 3(h+1) + 2.5(loglog q)^2)^2 at h={h}", None, bounds.coset_bound(q, int(h)), None, q >= 20000, "not-applicable"))
+        rows.append(BoundReport("thm14", q, f"((h-1)log q + 3(h+1) + 2.5(loglog q)^2)^2 at h={h}", None, bounds.coset_bound(q, h), None, q >= 20000, "not-applicable"))
     elif name == "cor15":
         rows.append(BoundReport("cor15", q, "(phi(q) log q)^2", None, bounds.ap_bound(q), None, q > 3, "not-applicable"))
     elif name == "thm15":
@@ -264,25 +276,17 @@ def cmd_eval(args) -> int:
     elif name == "sec43":
         rows.extend(bounds.verify_elementary(q))
     elif name == "alpha":
-        rows.append(BoundReport("alpha", 0, f"headline constant at h={args.h}", None, kernels.alpha_table(h), None, True, "not-applicable"))
+        rows.append(BoundReport("alpha", 0, f"headline constant at h={h}", None, kernels.alpha_table(h), None, True, "not-applicable"))
     elif name == "limit":
-        rows.append(BoundReport("limit", 0, f"((h-1)/(2h-1))^2 at h={args.h}", None, kernels.limit_constant(h), None, True, "not-applicable"))
-    elif name == "largeh":
-        rows.append(BoundReport("largeh", 0, f"(1/4)(1-1/h)^2(log 2h/(log 2h - 2))^2 at h={args.h}", None, kernels.largeh_constant(h), None, True, "not-applicable"))
-    else:
-        raise SystemExit(EXIT_USAGE)
+        rows.append(BoundReport("limit", 0, f"((h-1)/(2h-1))^2 at h={h}", None, kernels.limit_constant(h), None, True, "not-applicable"))
+    else:  # largeh
+        rows.append(BoundReport("largeh", 0, f"(1/4)(1-1/h)^2(log 2h/(log 2h - 2))^2 at h={h}", None, kernels.largeh_constant(h), None, True, "not-applicable"))
     _write_output(args, rows)
     return EXIT_OK
 
 
-def _kernel_from_args(args) -> kernels.Kernel:
-    if args.kernel == "gamma":
-        return kernels.gamma_kernel()
-    return kernels.fejer_kernel(args.alpha)
-
-
 def cmd_kernel(args) -> int:
-    kern = _kernel_from_args(args)
+    kern = kernels.gamma_kernel() if args.kernel == "gamma" else kernels.fejer_kernel(args.alpha)
     rows: list[BoundReport] = []
     if args.l1:
         rows.append(BoundReport("kernel", 0, f"{kern.name}:l1", None, kernels.line_l1(kern), None, True, "not-applicable"))
@@ -296,12 +300,10 @@ def cmd_kernel(args) -> int:
         lam = math.inf if args.weighted in ("inf", "oo") else float(args.weighted)
         rows.append(BoundReport("kernel", 0, f"{kern.name}:W({args.weighted})", None, kernels.weighted_integral(kern, lam), None, True, "not-applicable"))
     if args.prop62:
-        h = math.inf if args.h in ("inf", "oo") else int(args.h)
-        bc = kernels.prop62_constant(kern, args.lam, h)
+        bc = kernels.prop62_constant(kern, args.lam, args.h)
         rows.append(BoundReport("prop62", 0, f"{kern.name}:c(lam={args.lam:g};h={args.h})", None, bc.c, None, True, "not-applicable"))
     if args.optimize:
-        h = math.inf if args.h in ("inf", "oo") else int(args.h)
-        lam_star, c_star = kernels.optimize_lambda(kern, h)
+        lam_star, c_star = kernels.optimize_lambda(kern, args.h)
         rows.append(BoundReport("prop62", 0, f"{kern.name}:lam*(h={args.h})", None, lam_star, None, True, "not-applicable"))
         rows.append(BoundReport("prop62", 0, f"{kern.name}:c*(h={args.h})", None, c_star, None, True, "not-applicable"))
     if not rows:
@@ -329,16 +331,31 @@ def _primitive_characters(q: int) -> list:
     return chars
 
 
+def _hadamard_row(x: float, chi, rb: float) -> BoundReport:
+    """Lemma 2.3: |Re B(chi)| = rb lies in the window that x gives."""
+    win = ef.hadamard_window(x, chi)
+    return BoundReport("lemma2.3", chi.q, f"x={x:g}:{chi.label}", rb, win.upper, win.upper - rb, True, "pass" if win.contains(rb) else "fail")
+
+
+# The flag each lemma needs besides --x.
+_LEMMA_NEEDS = {"2.2": "q", "2.3": "q", "2.5": "q", "3.1": "m", "5.1": "q"}
+
+
 def cmd_lemma(args) -> int:
+    which = args.which
+    if which != "trig" and not args.x:
+        _progress(f"error: lemma {which} needs --x X1,X2,...")
+        return EXIT_USAGE
+    need = _LEMMA_NEEDS.get(which)
+    if need and getattr(args, need) is None:
+        _progress(f"error: lemma {which} needs --{need}")
+        return EXIT_USAGE
     xs = [float(t) for t in args.x.split(",")] if args.x else []
     rows: list[BoundReport] = []
-    which = args.which
     if which in ("2.1", "2.4", "2.6"):
         for x in xs:
             rows.append(_residual_report_row(ef.lemma_residual(which, x)))
     elif which in ("2.2", "2.3", "2.5"):
-        if args.q is None:
-            raise SystemExit(EXIT_USAGE)
         for chi in _primitive_characters(args.q):
             rb = re_b(chi)
             for x in xs:
@@ -347,14 +364,8 @@ def cmd_lemma(args) -> int:
                 elif which == "2.5":
                     rows.append(_residual_report_row(ef.log_l_residual(x, chi, rb)))
                 else:
-                    win = ef.hadamard_window(x, chi)
-                    ok = win.contains(rb)
-                    rows.append(
-                        BoundReport("lemma2.3", args.q, f"x={x:g}:{chi.label}", rb, win.upper, win.upper - rb, True, "pass" if ok else "fail")
-                    )
+                    rows.append(_hadamard_row(x, chi, rb))
     elif which == "3.1":
-        if args.m is None:
-            raise SystemExit(EXIT_USAGE)
         for x in xs:
             rep = ef.coprime_excess_sums(x, args.m)
             rows.append(
@@ -364,22 +375,18 @@ def cmd_lemma(args) -> int:
                 BoundReport("lemma3.1", args.m, f"x={x:g}:harmonic", rep.harmonic, rep.harmonic_bound, rep.harmonic_bound - rep.harmonic, True, "pass" if rep.harmonic <= rep.harmonic_bound + 1e-12 else "fail")
             )
     elif which == "5.1":
-        if args.q is None:
-            raise SystemExit(EXIT_USAGE)
         for chi in character_group(args.q):
             for x in xs:
                 rep = ef.negative_pattern_minimum(x, chi)
                 rows.append(
                     BoundReport("lemma5.1", args.q, f"x={x:g}:{chi.label}", rep.lhs, rep.alternating, rep.lhs - rep.alternating, True, "pass" if rep.ok else "fail")
                 )
-    elif which == "trig":
+    else:  # trig
         for x in xs or [100.0]:
             rep = ef.two_adic_trig_polynomial(x, grid=args.grid)
             rows.append(
                 BoundReport("trigpoly", 0, f"x={x:g}", rep.minimum, 0.0, rep.minimum, True, "pass" if rep.ok else "fail")
             )
-    else:
-        raise SystemExit(EXIT_USAGE)
     _write_output(args, rows)
     return exit_code(rows)
 
@@ -442,49 +449,52 @@ def _threshold_row(formula: str, q: int, target: str, value: float, at_least: fl
     return BoundReport(formula, q, target, at_least, value, value - at_least, True, "pass" if value >= at_least else "fail")
 
 
-def _reproduce_sections(scale: str, workers: int):
-    quick = scale == "quick"
-    full = scale == "full"
+def _qnr_rows(scale: str, workers: int) -> list[BoundReport]:
+    return run_scan("cor12", list(range(5, 3001)), workers=workers)
 
-    qnr_max = 3000
-    ap_max = 300 if quick else (20000 if full else 2000)
-    sub_range = range(3000, 3031) if quick else range(3000, 3101)
-    class_max = 800 if quick else 10000
-    untwisted_xs = [10.0, 100.0, 1e3, 1e4] if quick else [10.0, 100.0, 1e3, 1e4, 1e5, 1e6]
-    twisted_qmax = 50 if quick else 300
-    twisted_xs = [50.0, 100.0] if quick else [50.0, 100.0, 1e3, 1e4]
-    m_max = 60 if quick else 200
-    m_xs = [10.0, 100.0] if quick else [10.0, 100.0, 1000.0]
 
-    yield "least quadratic non-residue below (log q)^2 (cor12)", run_scan(
-        "cor12", list(range(5, qnr_max + 1)), workers=workers
-    )
+_AP_QMAX = {"quick": 300, "default": 2000, "full": 20000}
 
-    yield f"least prime in progression below (phi log q)^2, q <= {ap_max} (cor15)", run_scan(
-        "cor15", list(range(4, ap_max + 1)), workers=workers
-    )
 
-    yield "least prime off squares below (log q + B)^2 (thm11)", run_scan(
-        "thm11", list(sub_range), workers=workers, subgroup="squares"
-    )
+def _ap_rows(scale: str, workers: int) -> list[BoundReport]:
+    return run_scan("cor15", list(range(4, _AP_QMAX[scale] + 1)), workers=workers)
 
-    yield f"class number formula vs form count, q <= {class_max} (eq13)", run_scan(
-        "eq13", fundamental_q_values(class_max), workers=workers
-    )
 
+def _subgroup_rows(scale: str, workers: int) -> list[BoundReport]:
+    qs = range(3000, 3031) if scale == "quick" else range(3000, 3101)
+    return run_scan("thm11", list(qs), workers=workers, subgroup="squares")
+
+
+_CLASSNUM_QMAX = {"quick": 800, "default": 10000, "full": 10000}
+
+
+def _classnum_rows(scale: str, workers: int) -> list[BoundReport]:
+    return run_scan("eq13", fundamental_q_values(_CLASSNUM_QMAX[scale]), workers=workers)
+
+
+# (lambda, h, c): the paper's kernel choices and the constants they give.
+THM13_CHOICES = ((8.35, 2, 0.42), (6.55, 3, 0.49), (3.9, math.inf, 0.51))
+
+
+def _gamma_constant_rows(scale: str, workers: int) -> list[BoundReport]:
     gamma = kernels.gamma_kernel()
-    rows = []
     l1 = kernels.line_l1(gamma)
-    rows.append(_threshold_row("prop62", 0, "gamma:l1>=0.291", l1, 0.291))
-    rows.append(BoundReport("prop62", 0, "gamma:l1<=0.292", l1, 0.292, 0.292 - l1, True, "pass" if l1 <= 0.292 else "fail"))
-    for lam, h, ref in ((8.35, 2, 0.42), (6.55, 3, 0.49), (3.9, math.inf, 0.51)):
+    rows = [
+        _threshold_row("prop62", 0, "gamma:l1>=0.291", l1, 0.291),
+        BoundReport("prop62", 0, "gamma:l1<=0.292", l1, 0.292, 0.292 - l1, True, "pass" if l1 <= 0.292 else "fail"),
+    ]
+    for lam, h, ref in THM13_CHOICES:
         bc = kernels.prop62_constant(gamma, lam, h)
-        label = "inf" if math.isinf(h) else str(h)
-        rows.append(_tolerance_row("prop62", f"gamma:c(lam={lam:g};h={label})-vs-{ref}", bc.c, ref, 0.01))
-    yield "reflected-Gamma kernel constants (thm13)", rows
+        rows.append(_tolerance_row("prop62", f"gamma:c(lam={lam:g};h={h})-vs-{ref}", bc.c, ref, 0.01))
+    return rows
 
+
+FEJER_ALPHAS = (0.5, 1.0, 2.0, 4.0)
+
+
+def _fejer_rows(scale: str, workers: int) -> list[BoundReport]:
     rows = []
-    for alpha in (0.5, 1.0, 2.0, 4.0):
+    for alpha in FEJER_ALPHAS:
         kern = kernels.fejer_kernel(alpha)
         rows.append(_tolerance_row("fejer", f"l1(alpha={alpha:g})-vs-2alpha", kernels.line_l1(kern), 2 * alpha, 1e-8))
         closed = 4 * alpha - 4 + 4 * math.exp(-alpha)
@@ -493,18 +503,26 @@ def _reproduce_sections(scale: str, workers: int):
             rows.append(
                 _tolerance_row("fejer", f"mellin(alpha={alpha:g};u={u:.3g})", kernels.mellin_numeric_check(kern, u), kern.mellin(u), 1e-6)
             )
-    yield "squared-sine kernel closed forms (sec62)", rows
+    return rows
 
+
+def _inversion_rows(scale: str, workers: int) -> list[BoundReport]:
     rows = []
-    for kern in (gamma, kernels.fejer_kernel(1.0), kernels.fejer_kernel(2.0)):
+    for kern in (kernels.gamma_kernel(), kernels.fejer_kernel(1.0), kernels.fejer_kernel(2.0)):
         w_inf = kernels.weighted_integral(kern, math.inf)
         rows.append(_tolerance_row("inversion", f"{kern.name}:W(inf)-vs-K(1/2)", w_inf, kern.at_half, 1e-6))
-    yield "Mellin inversion anchor (sec61)", rows
+    return rows
 
-    cb = bounds.class_number_bounds(1e11)
-    rows = [_threshold_row("cor16", 10**11, "h-lower>=9052", cb.lower, 9052.0)]
-    yield "class-number headline bound at 1e11 (cor16)", rows
 
+def _class_floor_rows(scale: str, workers: int) -> list[BoundReport]:
+    return [_threshold_row("cor16", 10**11, "h-lower>=9052", bounds.class_number_bounds(1e11).lower, 9052.0)]
+
+
+def _residual_rows(scale: str, workers: int) -> list[BoundReport]:
+    quick = scale == "quick"
+    untwisted_xs = [10.0, 100.0, 1e3, 1e4] if quick else [10.0, 100.0, 1e3, 1e4, 1e5, 1e6]
+    twisted_qmax = 50 if quick else 300
+    twisted_xs = [50.0, 100.0] if quick else [50.0, 100.0, 1e3, 1e4]
     rows = []
     for x in untwisted_xs:
         for lemma in ("2.1", "2.4", "2.6"):
@@ -515,44 +533,70 @@ def _reproduce_sections(scale: str, workers: int):
             logl = math.log(abs(l_at_1(chi).value))
             for x in twisted_xs:
                 rows.append(_residual_report_row(ef.character_log_residual(x, chi, rb)))
-                win = ef.hadamard_window(x, chi)
-                rows.append(
-                    BoundReport("lemma2.3", q, f"x={x:g}:{chi.label}", rb, win.upper, win.upper - rb, True, "pass" if win.contains(rb) else "fail")
-                )
+                rows.append(_hadamard_row(x, chi, rb))
                 rows.append(_residual_report_row(ef.log_l_residual(x, chi, rb, logl)))
-    yield "explicit-formula residuals |theta| <= 1 (sec2)", rows
+    return rows
 
+
+def _coprime_excess_rows(scale: str, workers: int) -> list[BoundReport]:
+    m_max = 60 if scale == "quick" else 200
+    m_xs = [10.0, 100.0] if scale == "quick" else [10.0, 100.0, 1000.0]
     rows = []
     for m in range(3, m_max + 1):
         for x in m_xs:
             rep = ef.coprime_excess_sums(x, m)
             verdict = "pass" if rep.ok else "fail"
             rows.append(BoundReport("lemma3.1", m, f"x={x:g}", max(rep.log_weighted - rep.log_weighted_bound, rep.harmonic - rep.harmonic_bound), 0.0, None, True, verdict))
-    yield "coprime-excess inequalities (lemma31)", rows
+    return rows
 
+
+def _method_floor_rows(scale: str, workers: int) -> list[BoundReport]:
     rows = []
-    lam_grid = (0.5, 1.0, 2.0, 3.9, 6.55, 8.35, 12.0, 20.0)
-    h_grid = (2, 3, 4, 10, 100, math.inf)
-    for kern in (gamma, kernels.fejer_kernel(1.0)):
-        for lam in lam_grid:
-            for h in h_grid:
+    for kern in (kernels.gamma_kernel(), kernels.fejer_kernel(1.0)):
+        for lam in (0.5, 1.0, 2.0, 3.9, 6.55, 8.35, 12.0, 20.0):
+            for h in (2, 3, 4, 10, 100, math.inf):
                 try:
                     bc = kernels.prop62_constant(kern, lam, h)
                 except kernels.NonpositiveDenominatorError:
                     continue
-                floor = kernels.limit_constant(h)
-                label = "inf" if math.isinf(h) else str(h)
-                rows.append(_threshold_row("floor", 0, f"{kern.name}:lam={lam:g};h={label}", bc.c, floor))
-    yield "method floor c >= ((h-1)/(2h-1))^2 (sec61)", rows
+                rows.append(_threshold_row("floor", 0, f"{kern.name}:lam={lam:g};h={h}", bc.c, kernels.limit_constant(h)))
+    return rows
+
+
+class Check(NamedTuple):
+    """One entry of the paper's checklist."""
+
+    id: str
+    title: str  # "{qmax}" stands for qmax[scale]
+    run: Callable[[str, int], list[BoundReport]]  # (scale, workers) -> rows
+    qmax: dict[str, int] | None = None
+
+
+# The checklist, in run order: reproduce-paper runs it at any scale, and
+# tests/test_acceptance.py runs each entry at the default scale.
+CHECKS = (
+    Check("cor12", "least quadratic non-residue below (log q)^2 (cor12)", _qnr_rows),
+    Check("cor15", "least prime in progression below (phi log q)^2, q <= {qmax} (cor15)", _ap_rows, _AP_QMAX),
+    Check("thm11", "least prime off squares below (log q + B)^2 (thm11)", _subgroup_rows),
+    Check("eq13", "class number formula vs form count, q <= {qmax} (eq13)", _classnum_rows, _CLASSNUM_QMAX),
+    Check("thm13", "reflected-Gamma kernel constants (thm13)", _gamma_constant_rows),
+    Check("sec62", "squared-sine kernel closed forms (sec62)", _fejer_rows),
+    Check("sec61-inversion", "Mellin inversion anchor (sec61)", _inversion_rows),
+    Check("cor16", "class-number headline bound at 1e11 (cor16)", _class_floor_rows),
+    Check("sec2", "explicit-formula residuals |theta| <= 1 (sec2)", _residual_rows),
+    Check("lemma31", "coprime-excess inequalities (lemma31)", _coprime_excess_rows),
+    Check("sec61-floor", "method floor c >= ((h-1)/(2h-1))^2 (sec61)", _method_floor_rows),
+)
 
 
 def cmd_reproduce(args) -> int:
     scale = "quick" if args.quick else ("full" if args.full else "default")
     all_reports: list[BoundReport] = []
-    for title, reports in _reproduce_sections(scale, args.workers):
+    for check in CHECKS:
+        reports = check.run(scale, args.workers)
         ok = all(r.verdict in ("pass", "not-applicable") for r in reports)
-        tag = "PASS" if ok else "FAIL"
-        _progress(f"[{tag}] {title} ({len(reports)} checks)")
+        title = check.title.format(qmax=check.qmax[scale]) if check.qmax else check.title
+        _progress(f"[{'PASS' if ok else 'FAIL'}] {title} ({len(reports)} checks)")
         all_reports.extend(reports)
     all_reports = _sorted_reports(all_reports)
     _write_output(args, all_reports)
@@ -585,8 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="range scans of bound vs search")
     p.add_argument("what", choices=sorted(_SCAN_FORMULAS))
     p.add_argument("--q", type=_q_spec, default=None, help="single q or range a..b")
-    p.add_argument("--qmin", type=_exact_int, default=None)
-    p.add_argument("--qmax", type=_exact_int, default=None)
+    p.add_argument("--qmin", type=_modulus, default=None)
+    p.add_argument("--qmax", type=_modulus, default=None)
     p.add_argument("--subgroup", default="squares", help="squares | powers:K | gens:a,b | trivial")
     p.add_argument("--per-class", action="store_true")
     p.add_argument("--ceiling", type=_exact_int, default=None, help="search ceiling override")
@@ -595,8 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="single-shot formula evaluation")
     p.add_argument("what", choices=("thm11", "thm12", "thm14", "cor15", "thm15", "cor16", "sec43", "alpha", "limit", "largeh"))
-    p.add_argument("--q", type=_exact_int, default=None)
-    p.add_argument("--h", default=None)
+    p.add_argument("--q", type=_modulus, default=None)
+    p.add_argument("--h", type=_index_h, default=None, help="index h, or inf")
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
@@ -609,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighted", default=None, help="lambda, or inf")
     p.add_argument("--prop62", action="store_true")
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--h", default="2")
+    p.add_argument("--h", type=_index_h, default="2", help="index h, or inf")
     p.add_argument("--lam", type=float, default=8.35)
     _add_common(p)
     p.set_defaults(func=cmd_kernel)
@@ -617,14 +661,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemma", help="identity residual tables")
     p.add_argument("which", choices=("2.1", "2.2", "2.3", "2.4", "2.5", "2.6", "3.1", "5.1", "trig"))
     p.add_argument("--x", default=None, help="comma separated x values")
-    p.add_argument("--q", type=_exact_int, default=None)
-    p.add_argument("--m", type=_exact_int, default=None)
+    p.add_argument("--q", type=_modulus, default=None)
+    p.add_argument("--m", type=_modulus, default=None)
     p.add_argument("--grid", type=int, default=2001)
     _add_common(p)
     p.set_defaults(func=cmd_lemma)
 
     p = sub.add_parser("lvalue", help="L(1, chi) by independent methods")
-    p.add_argument("--q", type=_exact_int, required=True)
+    p.add_argument("--q", type=_modulus, required=True)
     p.add_argument("--index", type=int, default=None)
     p.add_argument("--tolerance", type=float, default=1e-8, help="agreement tolerance")
     _add_common(p)
@@ -632,8 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classnum", help="class numbers two ways")
     which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--q", type=_exact_int, default=None)
-    which.add_argument("--qmax", type=_exact_int, default=None)
+    which.add_argument("--q", type=_modulus, default=None)
+    which.add_argument("--qmax", type=_modulus, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_classnum)
 

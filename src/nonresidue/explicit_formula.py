@@ -27,7 +27,7 @@ from scipy.special import spence
 
 from .arith import factorize, primes_up_to
 from .characters import DirichletCharacter
-from .lfunctions import CONSTANTS, EULER_GAMMA, HADAMARD_B, l_at_1
+from .lfunctions import EULER_GAMMA, HADAMARD_B, PSI_AT_1, PSI_AT_HALF, l_at_1
 
 __all__ = [
     "DegenerateWindowError",
@@ -338,7 +338,7 @@ def log_l_residual(
     if log_abs_l is None:
         log_abs_l = math.log(abs(l_at_1(chi).value))
     lx = math.log(x)
-    psi_term = CONSTANTS.psi0_at_1 if chi.parity == 1 else CONSTANTS.psi0_at_half
+    psi_term = PSI_AT_1 if chi.parity == 1 else PSI_AT_HALF
     main = (
         loglog_sum(x, chi).real
         + (0.5 * math.log(chi.q / math.pi) + 0.5 * psi_term) / lx

@@ -294,11 +294,6 @@ def mellin_numeric_check(kernel: Kernel, u: float) -> float:
     return val / math.pi
 
 
-def _mellin_limit_at_zero(kernel: Kernel) -> float:
-    # Ktilde(u)/sqrt(u) extended continuously by 0 at u = 0.
-    return 0.0
-
-
 def weighted_integral(kernel: Kernel, lam: float) -> float:
     """W(lambda) = int_0^lambda Ktilde(u) du/sqrt(u); lambda = inf allowed.
 
@@ -315,7 +310,7 @@ def weighted_integral(kernel: Kernel, lam: float) -> float:
 
     def f_low(u: float) -> float:
         if u <= 0.0:
-            return _mellin_limit_at_zero(kernel)
+            return 0.0  # Ktilde(u)/sqrt(u) extended continuously at u = 0
         return kernel.mellin(u) / math.sqrt(u)
 
     val, err = quad(f_low, 0.0, upper1, epsabs=1e-13, epsrel=1e-12, limit=400, points=pts)
@@ -434,7 +429,9 @@ def limit_constant(h) -> float:
 
 
 def largeh_constant(h: float) -> float:
-    """Large-index closed form (1/4)(1 - 1/h)^2 (log 2h / (log 2h - 2))^2."""
+    """Large-index closed form (1/4)(1 - 1/h)^2 (log 2h / (log 2h - 2))^2; 1/4 at infinity."""
+    if math.isinf(h):
+        return 0.25
     if h < 4:
         raise ValueError("closed form applies for h >= 4")
     l2h = math.log(2 * h)

@@ -5,7 +5,7 @@ Contents, all double precision with stated error targets:
 * complex Gamma by a fixed Lanczos coefficient set, reflected below
   Re z = 1/2 (relative error <= 1e-12 on the strip |Re z| <= 2,
   |Im z| <= 60);
-* digamma / trigamma by recurrence shift plus asymptotic series;
+* psi_0 / psi_1 by recurrence shift plus asymptotic series;
 * Hurwitz zeta(s, a) and its s-derivative by Euler-Maclaurin
   (shift N = 30, Bernoulli depth M = 12), plus the two Laurent
   coefficients at s = 1 that the L(1, chi) and L'(1, chi) evaluations
@@ -45,18 +45,15 @@ __all__ = [
     "PoleError",
     "PrincipalCharacterError",
     "RoundingAmbiguousError",
-    "SpecialConstants",
     "class_number_bqf",
     "class_number_via_formula",
     "complex_gamma",
-    "digamma",
-    "digamma_trigamma",
     "hurwitz_zeta",
     "l_and_lprime_at_1",
     "l_at_1",
     "l_of_s",
+    "psi",
     "re_b",
-    "trigamma",
     "zeta_1_plus_it",
 ]
 
@@ -97,18 +94,8 @@ class RoundingAmbiguousError(ArithmeticError):
     """Class-formula value too far from an integer to round safely."""
 
 
-@dataclass(frozen=True)
-class SpecialConstants:
-    euler_gamma: float = EULER_GAMMA
-    hadamard_b: float = HADAMARD_B
-    psi0_at_1: float = -EULER_GAMMA
-    psi1_at_1: float = math.pi**2 / 6
-    psi0_at_half: float = -2 * math.log(2) - EULER_GAMMA
-    psi1_at_half: float = math.pi**2 / 2
-    zeta_2: float = math.pi**2 / 6
-
-
-CONSTANTS = SpecialConstants()
+PSI_AT_1 = -EULER_GAMMA  # psi_0(1)
+PSI_AT_HALF = -2 * math.log(2) - EULER_GAMMA  # psi_0(1/2)
 
 
 # ----------------------------------------------------------------------
@@ -175,11 +162,17 @@ def _psi_asymptotic(y: np.ndarray, order: int) -> np.ndarray:
 _PSI_SHIFT = 12
 
 
-def _psi_array(x: np.ndarray, order: int) -> np.ndarray:
-    """Vectorized psi_0 / psi_1 on positive real arguments."""
+def psi(x, order: int = 0) -> np.ndarray:
+    """psi_0 (order 0) or psi_1 (order 1), elementwise on positive reals.
+
+    Error at most 1e-12 * max(1, |psi|): absolute where |psi| <= 1,
+    relative where psi_1 grows like 1/x^2 near 0.
+    """
+    if order not in (0, 1):
+        raise ValueError("order must be 0 or 1")
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
-        raise ValueError("digamma/trigamma require positive arguments")
+        raise ValueError("psi requires positive arguments")
     y = x + _PSI_SHIFT
     out = _psi_asymptotic(y, order)
     for k in range(_PSI_SHIFT):
@@ -188,21 +181,6 @@ def _psi_array(x: np.ndarray, order: int) -> np.ndarray:
         else:
             out += 1.0 / (x + k) ** 2
     return out
-
-
-def digamma(x: float) -> float:
-    return float(_psi_array(np.asarray([x]), 0)[0])
-
-
-def trigamma(x: float) -> float:
-    return float(_psi_array(np.asarray([x]), 1)[0])
-
-
-def digamma_trigamma(x: float, order: int = 0) -> float:
-    """psi_0(x) for order 0, psi_1(x) for order 1; absolute error <= 1e-12."""
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    return digamma(x) if order == 0 else trigamma(x)
 
 
 # ----------------------------------------------------------------------
@@ -428,7 +406,7 @@ def re_b(chi: DirichletCharacter) -> float:
     """
     _require_primitive_nonprincipal(chi)
     l1, lp = l_and_lprime_at_1(chi)
-    psi_term = CONSTANTS.psi0_at_1 if chi.parity == 1 else CONSTANTS.psi0_at_half
+    psi_term = PSI_AT_1 if chi.parity == 1 else PSI_AT_HALF
     return 0.5 * math.log(chi.q / math.pi) + 0.5 * psi_term + (lp / l1).real
 
 
@@ -488,7 +466,7 @@ def class_number_via_formula(q: int) -> ClassNumberResult:
         raise NotFundamentalError(f"-{q} is not a fundamental discriminant below -4")
     tab = kronecker_character_table(q)
     a = np.arange(1, q, dtype=float) / q
-    lval = -float(np.dot(tab[1:], _psi_array(a, 0))) / q
+    lval = -float(np.dot(tab[1:], psi(a))) / q
     real = math.sqrt(q) / math.pi * lval
     h = round(real)
     dist = abs(real - h)

@@ -1,12 +1,13 @@
 """Least-prime searches.
 
 Least prime outside a subgroup, least k-th power non-residue, least
-quadratic non-residue, least prime in a coset, and least prime in an
-arithmetic progression.  Subgroup scans walk the prime sieve (dense
-predicate); coset and progression searches step candidates and apply the
-deterministic primality test (sparse predicate), so large moduli stay
-cheap.  Results always report minimality: primes are visited in
-increasing order.
+quadratic non-residue, least prime in a coset (a progression is a coset
+of the trivial subgroup), and least prime in every reduced class at once.
+Subgroup scans walk the prime sieve (dense predicate); coset searches
+step candidates and apply the deterministic primality test (sparse
+predicate), so large moduli stay cheap.  Results always report
+minimality: primes are visited in increasing order.  Searches stop at
+the ceiling they are given; bounds derives it from the bound checked.
 """
 
 from __future__ import annotations
@@ -17,20 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_prime, primes_up_to, unit_group_structure
-from .characters import SubgroupSpec, kth_power_subgroup
+from .characters import NonUnitCosetError, SubgroupSpec, kth_power_subgroup
 
 __all__ = [
     "ImproperSubgroupError",
     "SearchResult",
     "least_prime_all_classes",
-    "least_prime_in_ap",
     "least_prime_in_coset",
     "least_prime_outside_subgroup",
     "least_qnr",
     "least_kth_nonresidue",
 ]
-
-COSET_CEILING_FLOOR = 10**9
 
 
 class ImproperSubgroupError(ValueError):
@@ -45,33 +43,11 @@ class SearchResult:
     examined: int
     ceiling: int
 
-    @property
-    def found(self) -> bool:
-        return self.prime is not None
 
-
-def _default_subgroup_ceiling(q: int) -> int:
-    # 4x the explicit subgroup bound, so a verification run terminates
-    # loudly instead of looping when something is wrong.
-    from .bounds import subgroup_bound_quantities
-
-    return max(1000, int(4 * subgroup_bound_quantities(q).bound) + 1)
-
-
-def _default_coset_ceiling(q: int, h: int) -> int:
-    from .bounds import coset_bound
-
-    return max(COSET_CEILING_FLOOR, int(4 * coset_bound(q, h)) + 1)
-
-
-def least_prime_outside_subgroup(
-    q: int, h: SubgroupSpec, ceiling: int | None = None
-) -> SearchResult:
+def least_prime_outside_subgroup(q: int, h: SubgroupSpec, ceiling: int) -> SearchResult:
     """Least prime l with l not dividing q and l mod q outside H."""
     if h.index == 1:
         raise ImproperSubgroupError(f"subgroup is all of (Z/{q}Z)*")
-    if ceiling is None:
-        ceiling = _default_subgroup_ceiling(q)
     target = f"outside:{h.kind}"
     examined = 0
     mask = h.mask
@@ -103,7 +79,7 @@ def least_qnr(q: int) -> SearchResult:
         limit *= 4
 
 
-def least_kth_nonresidue(q: int, k: int, ceiling: int | None = None) -> SearchResult:
+def least_kth_nonresidue(q: int, k: int, ceiling: int) -> SearchResult:
     """Least prime outside the subgroup of k-th powers."""
     h = kth_power_subgroup(q, k)
     if h.index == 1:
@@ -112,16 +88,10 @@ def least_kth_nonresidue(q: int, k: int, ceiling: int | None = None) -> SearchRe
     return SearchResult(q, f"kth-nonresidue:{k}", res.prime, res.examined, res.ceiling)
 
 
-def least_prime_in_coset(
-    q: int, h: SubgroupSpec, a: int, ceiling: int | None = None
-) -> SearchResult:
+def least_prime_in_coset(q: int, h: SubgroupSpec, a: int, ceiling: int) -> SearchResult:
     """Least prime p with p mod q in the coset aH."""
     if math.gcd(a, q) != 1:
-        from .characters import NonUnitCosetError
-
         raise NonUnitCosetError(f"a={a} is not a unit mod {q}")
-    if ceiling is None:
-        ceiling = _default_coset_ceiling(q, max(h.index, 2))
     residues = sorted({a * int(m) % q for m in np.nonzero(h.mask)[0]})
     target = f"coset:a={a % q}:{h.kind}"
     examined = 0
@@ -138,28 +108,6 @@ def least_prime_in_coset(
     return SearchResult(q, target, None, examined, ceiling)
 
 
-def least_prime_in_ap(q: int, a: int, ceiling: int | None = None) -> SearchResult:
-    """Least prime congruent to a mod q, by stepping and primality testing."""
-    if math.gcd(a, q) != 1:
-        from .characters import NonUnitCosetError
-
-        raise NonUnitCosetError(f"a={a} is not a unit mod {q}")
-    if ceiling is None:
-        from .bounds import ap_bound
-
-        ceiling = max(10**6, int(4 * ap_bound(q)) + 1)
-    a %= q
-    n = a if a > 1 else a + q
-    examined = 0
-    target = f"ap:a={a}"
-    while n <= ceiling:
-        examined += 1
-        if is_prime(n):
-            return SearchResult(q, target, n, examined, ceiling)
-        n += q
-    return SearchResult(q, target, None, examined, ceiling)
-
-
 def least_prime_all_classes(q: int, ceiling: int) -> tuple[dict[int, int], list[int]]:
     """Least prime in every reduced class mod q at once.
 
@@ -167,7 +115,7 @@ def least_prime_all_classes(q: int, ceiling: int) -> tuple[dict[int, int], list[
     least prime congruent to a below the ceiling, missing lists classes
     with no prime found.  Backed by one vectorized pass over the sieve,
     so full-range progression scans stay cheap; agreement with the
-    stepping search is a tested property.
+    trivial-coset search is a tested property.
     """
     struct = unit_group_structure(q)
     units = np.nonzero(struct.unit_mask)[0]

@@ -9,13 +9,13 @@ from nonresidue.bounds import (
     class_number_bounds,
     coset_bound,
     coset_representatives,
-    elementary_phi_report,
     l1_value_bounds,
     subgroup_bound_clean_applicable,
     subgroup_bound_quantities,
     verify_ap,
     verify_classnum,
     verify_coset,
+    verify_elementary,
     verify_qnr,
     verify_subgroup,
     verify_subgroup_clean,
@@ -90,9 +90,10 @@ def test_transcription_audits():
         if q <= 10**6:
             assert ap_bound(q) == pytest.approx(alt_ap_bound(q), rel=1e-12)
         # elementary verdicts, log-domain rearrangement
-        rep = elementary_phi_report(q)
-        assert rep.two_omega_below_q37 == (7 * rep.omega * math.log(2) <= 3 * math.log(q))
-        assert rep.phi_at_least_q56 == (6 * math.log(rep.phi) >= 5 * math.log(q))
+        fac = factorize(q)
+        holds = {r.target: r.margin >= 0 for r in verify_elementary(q)}
+        assert holds["2^omega<=q^(3/7)"] == (7 * fac.omega * math.log(2) <= 3 * math.log(q))
+        assert holds["phi>=q^(5/6)"] == (6 * math.log(fac.phi) >= 5 * math.log(q))
     for q in (1e10, 1e11, 1e12):
         vb = l1_value_bounds(q)
         up, rec = alt_l1_bounds(q)
@@ -163,13 +164,12 @@ def test_class_number_bounds():
 
 
 def test_elementary_phi_examples():
-    rep = elementary_phi_report(20001)
-    assert rep.all_hold
-    rep2 = elementary_phi_report(30030)
-    assert rep2.phi == 5760 and rep2.omega == 6
-    assert rep2.all_hold
-    rep3 = elementary_phi_report(2)
-    assert not rep3.phi_at_least_4156
+    assert [r.verdict for r in verify_elementary(20001)] == ["pass"] * 3
+    rows = verify_elementary(30030)
+    assert [r.measured for r in rows] == [5760.0, 64.0, 5760.0]  # phi, 2^omega with omega = 6
+    assert [r.verdict for r in rows] == ["pass"] * 3
+    rows = verify_elementary(2)  # phi(2) = 1 < 4156, reported below the q > 20000 threshold
+    assert rows[0].margin < 0 and rows[0].verdict == "not-applicable"
 
 
 # ----------------------------------------------------------------------

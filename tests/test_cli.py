@@ -200,6 +200,42 @@ def test_flags_a_command_ignores_are_rejected(capsys):
     assert code == EXIT_NOT_FOUND and "not-found" in out
 
 
+def test_moduli_at_or_above_2_63_are_usage_errors(capsys):
+    too_big = str(2**63)
+    for argv in (
+        ["scan", "qnr", "--q", "18446744073709551629"],  # a prime near 2^64
+        ["scan", "qnr", "--q", f"5..{too_big}"],
+        ["scan", "ap", "--qmin", "5", "--qmax", too_big],
+        ["scan", "ap", "--qmin", too_big, "--qmax", "1e19"],
+        ["eval", "thm11", "--q", "1e19"],
+        ["lemma", "3.1", "--m", too_big, "--x", "100"],
+        ["lvalue", "--q", too_big],
+        ["classnum", "--q", too_big],
+    ):
+        code, out = run_main(argv + ["--format", "csv"])
+        assert code == EXIT_USAGE and out == "", argv
+        assert "not below 2^63" in capsys.readouterr().err, argv
+    code, out = run_main(["eval", "thm11", "--q", str(2**63 - 25), "--format", "csv"])  # largest prime below 2^63
+    assert code == EXIT_OK and out.splitlines()[1].split(",")[1] == str(2**63 - 25)
+
+
+def test_h_parsed_once_for_eval_and_kernel(capsys):
+    code, out = run_main(["eval", "thm14", "--q", "20001", "--h", "inf", "--format", "csv"])
+    assert code == EXIT_USAGE and out == ""
+    assert "thm14 needs a finite --h" in capsys.readouterr().err
+    for h in ("inf", "oo"):
+        code, out = run_main(["eval", "largeh", "--h", h, "--format", "csv"])
+        assert code == EXIT_OK
+        assert out.splitlines()[1].split(",")[4] == "0.25"
+    code, out = run_main(["eval", "thm14", "--q", "20001", "--h", "2e0", "--format", "csv"])
+    assert code == EXIT_OK and "at h=2," in out
+    code, out = run_main(["kernel", "gamma", "--prop62", "--h", "inf", "--lam", "3.9", "--format", "csv"])
+    assert code == EXIT_OK and "h=inf" in out
+    for argv in (["eval", "alpha", "--h", "2.5"], ["kernel", "gamma", "--optimize", "--h", "x"]):
+        assert main(argv) == EXIT_USAGE, argv
+        assert "not an integer" in capsys.readouterr().err
+
+
 def test_eval_thm14_requires_h(capsys):
     code, out = run_main(["eval", "thm14", "--q", "20001", "--format", "csv"])
     assert code == EXIT_USAGE and out == ""
@@ -210,6 +246,13 @@ def test_eval_thm14_requires_h(capsys):
 
 def test_runs_with_nothing_to_check_are_usage_errors(capsys):
     for argv, reason in (
+        (["lemma", "2.2", "--q", "5"], "lemma 2.2 needs --x"),
+        (["lemma", "2.1"], "lemma 2.1 needs --x"),
+        (["lemma", "3.1", "--m", "30"], "lemma 3.1 needs --x"),
+        (["lemma", "5.1", "--q", "5", "--x", ""], "lemma 5.1 needs --x"),
+        (["lemma", "2.3", "--x", "100"], "lemma 2.3 needs --q"),
+        (["lemma", "5.1", "--x", "100"], "lemma 5.1 needs --q"),
+        (["lemma", "3.1", "--x", "100"], "lemma 3.1 needs --m"),
         (["lvalue", "--q", "1"], "no primitive character mod 1"),
         (["lvalue", "--q", "2"], "no primitive character mod 2"),
         (["lvalue", "--q", "6"], "no primitive character mod 6"),

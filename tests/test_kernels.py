@@ -172,6 +172,7 @@ def test_largeh_constant():
     h = 1e6
     asym = 0.25 * (1 + 4 / math.log(2 * h))
     assert abs(largeh_constant(h) - asym) < 0.02
+    assert largeh_constant(math.inf) == 0.25  # the limit, as for limit_constant
     with pytest.raises(ValueError):
         largeh_constant(3)
 

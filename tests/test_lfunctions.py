@@ -1,17 +1,19 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
 
 from nonresidue.characters import character_group, primitive_characters
 from nonresidue.lfunctions import (
-    CONSTANTS,
     EULER_GAMMA,
     FINITE_METHOD,
     HADAMARD_B,
     HURWITZ_METHOD,
+    PSI_AT_1,
+    PSI_AT_HALF,
     SERIES_METHOD,
     NotFundamentalError,
     PoleError,
@@ -19,16 +21,14 @@ from nonresidue.lfunctions import (
     class_number_bqf,
     class_number_via_formula,
     complex_gamma,
-    digamma,
-    digamma_trigamma,
     fundamental_q_values,
     hurwitz_laurent_pair,
     hurwitz_zeta,
     l_and_lprime_at_1,
     l_at_1,
     l_of_s,
+    psi,
     re_b,
-    trigamma,
     zeta_1_plus_it,
 )
 
@@ -44,12 +44,27 @@ def test_hadamard_constant_digits():
 
 
 def test_psi_special_values():
-    assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
-    assert trigamma(1.0) == pytest.approx(math.pi**2 / 6, abs=1e-12)
-    assert digamma(0.5) == pytest.approx(-2 * math.log(2) - EULER_GAMMA, abs=1e-12)
-    assert trigamma(0.5) == pytest.approx(math.pi**2 / 2, abs=1e-12)
-    assert digamma_trigamma(2.0, 0) == pytest.approx(1 - EULER_GAMMA, abs=1e-12)
-    assert CONSTANTS.zeta_2 == pytest.approx(math.pi**2 / 6)
+    assert psi(1.0) == pytest.approx(PSI_AT_1, abs=1e-12)
+    assert PSI_AT_1 == -EULER_GAMMA
+    assert psi(1.0, 1) == pytest.approx(math.pi**2 / 6, abs=1e-12)
+    assert psi(0.5) == pytest.approx(PSI_AT_HALF, abs=1e-12)
+    assert PSI_AT_HALF == pytest.approx(-2 * math.log(2) - EULER_GAMMA, abs=1e-15)
+    assert psi(0.5, 1) == pytest.approx(math.pi**2 / 2, abs=1e-12)
+    assert psi(2.0) == pytest.approx(1 - EULER_GAMMA, abs=1e-12)
+    np.testing.assert_array_equal(psi([1.0, 0.5]), [psi(1.0), psi(0.5)])
+    with pytest.raises(ValueError):
+        psi(0.0)
+    with pytest.raises(ValueError):
+        psi(1.0, 2)
+
+
+def test_psi_against_mpmath():
+    xs = np.concatenate([np.geomspace(1e-3, 100.0, 241), np.linspace(0.05, 30.0, 60)])
+    with mpmath.workdps(40):
+        for order in (0, 1):
+            for x, got in zip(xs, psi(xs, order)):
+                want = mpmath.psi(order, mpmath.mpf(float(x)))
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (order, x, got, want)
 
 
 def test_psi_matches_gamma_difference_quotient():
@@ -58,9 +73,9 @@ def test_psi_matches_gamma_difference_quotient():
         dq = (
             cmath.log(complex_gamma(x + h)).real - cmath.log(complex_gamma(x - h)).real
         ) / (2 * h)
-        assert digamma(x) == pytest.approx(dq, abs=1e-6)
-        dq2 = (digamma(x + h) - digamma(x - h)) / (2 * h)
-        assert trigamma(x) == pytest.approx(dq2, abs=1e-6)
+        assert psi(x) == pytest.approx(dq, abs=1e-6)
+        dq2 = (psi(x + h) - psi(x - h)) / (2 * h)
+        assert psi(x, 1) == pytest.approx(dq2, abs=1e-6)
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +178,7 @@ def test_hurwitz_laurent_pair_against_psi_and_difference():
     for q in (5, 12, 50):
         c0, c1 = hurwitz_laurent_pair(q)
         for a in range(1, q + 1):
-            assert c0[a - 1] == pytest.approx(-digamma(a / q), abs=1e-11)
+            assert c0[a - 1] == pytest.approx(-psi(a / q), abs=1e-11)
             # Richardson pass kills the leading eps^2 term of the quotient
             d1, d2 = centered(a / q, 1e-3), centered(a / q, 5e-4)
             assert c1[a - 1] == pytest.approx((4 * d2 - d1) / 3, abs=1e-4)
@@ -263,12 +278,12 @@ def test_re_b_identity_shape():
     # reassemble from its pieces for a real even character
     chi5 = [c for c in primitive_characters(5) if c.is_real][0]
     l1, lp = l_and_lprime_at_1(chi5)
-    expect = 0.5 * math.log(5 / math.pi) + 0.5 * CONSTANTS.psi0_at_half + (lp / l1).real
+    expect = 0.5 * math.log(5 / math.pi) + 0.5 * PSI_AT_HALF + (lp / l1).real
     assert re_b(chi5) == pytest.approx(expect, abs=1e-14)
     chi4 = [c for c in primitive_characters(4)][0]
     assert chi4.parity == 1
     l1, lp = l_and_lprime_at_1(chi4)
-    expect = 0.5 * math.log(4 / math.pi) + 0.5 * CONSTANTS.psi0_at_1 + (lp / l1).real
+    expect = 0.5 * math.log(4 / math.pi) + 0.5 * PSI_AT_1 + (lp / l1).real
     assert re_b(chi4) == pytest.approx(expect, abs=1e-14)
 
 

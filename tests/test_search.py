@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from nonresidue.search import (
     ImproperSubgroupError,
     least_kth_nonresidue,
     least_prime_all_classes,
-    least_prime_in_ap,
     least_prime_in_coset,
     least_prime_outside_subgroup,
     least_qnr,
@@ -49,13 +46,14 @@ def test_coset_examples():
 
 
 def test_ap_examples():
-    assert least_prime_in_ap(4, 3, 10**6).prime == 3
-    assert least_prime_in_ap(8, 1, 10**6).prime == 17
-    assert least_prime_in_ap(5, 4, 10**6).prime == 19
+    # a progression a mod q is the coset of a in the trivial subgroup
+    assert least_prime_in_coset(4, trivial_subgroup(4), 3, 10**6).prime == 3
+    assert least_prime_in_coset(8, trivial_subgroup(8), 1, 10**6).prime == 17
+    assert least_prime_in_coset(5, trivial_subgroup(5), 4, 10**6).prime == 19
 
 
 def test_not_found_below_ceiling():
-    res = least_prime_in_ap(8, 1, 10)
+    res = least_prime_in_coset(8, trivial_subgroup(8), 1, 10)
     assert res.prime is None and res.ceiling == 10
     res2 = least_prime_outside_subgroup(7, kth_power_subgroup(7, 2), 2)
     assert res2.prime is None
@@ -73,17 +71,6 @@ def test_minimality_spot_checks():
             assert q % p == 0 or h.contains(p), (q, p, res.prime)
 
 
-def test_ap_equals_trivial_coset_everywhere():
-    for q in range(3, 301):
-        triv = trivial_subgroup(q)
-        for a in range(1, q):
-            if math.gcd(a, q) != 1:
-                continue
-            ap = least_prime_in_ap(q, a, 10**7)
-            cs = least_prime_in_coset(q, triv, a, 10**7)
-            assert ap.prime == cs.prime, (q, a)
-
-
 def test_qnr_equals_square_subgroup_search():
     for q in map(int, primes_up_to(10**4)):
         if q < 3:
@@ -98,7 +85,7 @@ def test_all_classes_matches_stepping():
         found, missing = least_prime_all_classes(q, 10**7)
         assert not missing
         for a, p in found.items():
-            assert least_prime_in_ap(q, a, 10**7).prime == p
+            assert least_prime_in_coset(q, trivial_subgroup(q), a, 10**7).prime == p
 
 
 def test_coset_partition_of_primes():

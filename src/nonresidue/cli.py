@@ -181,6 +181,30 @@ def _index_h(text: str) -> int | float:
     return math.inf if text in ("inf", "oo") else _exact_int(text)
 
 
+def _real(text: str) -> float:
+    """A float flag; inf may also be written oo."""
+    try:
+        return math.inf if text == "oo" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
+def _alpha(text: str) -> float:
+    """`--alpha`: a finite number > 0."""
+    alpha = _real(text)
+    if not 0 < alpha < math.inf:
+        raise argparse.ArgumentTypeError(f"not a finite number > 0: {text!r}")
+    return alpha
+
+
+def _lambda(text: str) -> float:
+    """`--lam`, `--weighted`: a number > 0, or inf (also oo)."""
+    lam = _real(text)
+    if not lam > 0:
+        raise argparse.ArgumentTypeError(f"not a number > 0 or inf: {text!r}")
+    return lam
+
+
 def _parse_qrange(args) -> range:
     if args.q is not None:
         qs = args.q
@@ -251,6 +275,9 @@ def cmd_eval(args) -> int:
     if name == "thm14" and math.isinf(h):
         _progress("error: thm14 needs a finite --h")
         return EXIT_USAGE
+    if name == "thm14" and h < 2:
+        _progress("error: index h must be at least 2")
+        return EXIT_USAGE
     # targets carry the instantiated formula so single-shot output is
     # self-describing
     if name == "thm11":
@@ -297,8 +324,7 @@ def cmd_kernel(args) -> int:
         closed = kern.mellin(args.mellin)
         rows.append(BoundReport("kernel", 0, f"{kern.name}:mellin({args.mellin:g})", numeric, closed, closed - numeric, True, "pass" if abs(closed - numeric) < 1e-6 else "fail"))
     if args.weighted is not None:
-        lam = math.inf if args.weighted in ("inf", "oo") else float(args.weighted)
-        rows.append(BoundReport("kernel", 0, f"{kern.name}:W({args.weighted})", None, kernels.weighted_integral(kern, lam), None, True, "not-applicable"))
+        rows.append(BoundReport("kernel", 0, f"{kern.name}:W({args.weighted:g})", None, kernels.weighted_integral(kern, args.weighted), None, True, "not-applicable"))
     if args.prop62:
         bc = kernels.prop62_constant(kern, args.lam, args.h)
         rows.append(BoundReport("prop62", 0, f"{kern.name}:c(lam={args.lam:g};h={args.h})", None, bc.c, None, True, "not-applicable"))
@@ -428,7 +454,7 @@ def cmd_classnum(args) -> int:
     elif args.q > 4 and is_fundamental_discriminant(args.q):
         qs = [args.q]
     else:
-        _progress(f"error: -{args.q} is not a fundamental discriminant below -4")
+        _progress(f"error: classnum --q checks only {_SCAN_APPLIES_TO['classnum']}; {args.q} is not one")
         return EXIT_USAGE
     reports = run_scan("eq13", qs, workers=args.workers)
     _write_output(args, reports)
@@ -646,15 +672,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="kernel constants")
     p.add_argument("kernel", choices=("gamma", "fejer"))
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_alpha, default=1.0)
     p.add_argument("--l1", action="store_true")
     p.add_argument("--k-half", action="store_true")
     p.add_argument("--mellin", type=float, default=None)
-    p.add_argument("--weighted", default=None, help="lambda, or inf")
+    p.add_argument("--weighted", type=_lambda, default=None, help="lambda, or inf")
     p.add_argument("--prop62", action="store_true")
     p.add_argument("--optimize", action="store_true")
     p.add_argument("--h", type=_index_h, default="2", help="index h, or inf")
-    p.add_argument("--lam", type=float, default=8.35)
+    p.add_argument("--lam", type=_lambda, default=8.35)
     _add_common(p)
     p.set_defaults(func=cmd_kernel)
 

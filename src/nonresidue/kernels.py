@@ -94,8 +94,8 @@ class Kernel:
 
 def fejer_kernel(alpha: float) -> Kernel:
     """K(s) = ((e^(alpha s) - e^(-alpha s))/s)^2; K(it) = (2 sin(alpha t)/t)^2."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # also rejects nan
+        raise ValueError("alpha must be positive and finite")
 
     def line(t: float) -> float:
         if t == 0.0:
@@ -162,7 +162,7 @@ def _cos_moment_tail(omega: float, t0: float) -> float:
     omega = abs(omega)
     if omega == 0.0:
         return 1.0 / t0
-    si, _ = sici(omega * t0)
+    si = float(sici(omega * t0)[0])
     return math.cos(omega * t0) / t0 - omega * (math.pi / 2 - si)
 
 
@@ -180,7 +180,25 @@ def _gamma_line_breakpoints(kernel: Kernel, upper: float) -> list[float]:
     return zeros
 
 
-_l1_cache: dict[tuple, float] = {}
+# Quadrature results, shared by every call with the same kernel kind and
+# params (kernels that share both are taken to be the same kernel).  An
+# entry is the (value, error estimate) pair a quadrature returned, so a
+# caller still checks the error on every call.  Least recently used
+# entries go first past the cap: one kernel's optimize_lambda sweep over
+# several h stores about 300 entries.
+_QUAD_CACHE_SIZE = 8192
+_quad_cache: dict[tuple, tuple[float, float]] = {}
+
+
+def _cached_quad(key: tuple, compute: Callable[[], tuple[float, float]]) -> tuple[float, float]:
+    """compute()'s (value, error) pair, computed once while key stays cached."""
+    out = _quad_cache.pop(key, None)
+    if out is None:
+        out = compute()
+        if len(_quad_cache) >= _QUAD_CACHE_SIZE:
+            del _quad_cache[next(iter(_quad_cache))]
+    _quad_cache[key] = out  # (re)inserted last: most recently used
+    return out
 
 
 def line_l1(kernel: Kernel) -> float:
@@ -189,11 +207,20 @@ def line_l1(kernel: Kernel) -> float:
     The integrand's inner function changes sign for the reflected-Gamma
     kernel, so the integral is split at its zeros; the squared-sine
     kernel is nonnegative and gets an exact sine-integral tail.
-    """
-    key = kernel._key()
-    if key in _l1_cache:
-        return _l1_cache[key]
 
+    The value and its error budget are cached under ("l1", kind, params)
+    in the module's quadrature cache (at most _QUAD_CACHE_SIZE entries,
+    least recently used dropped first); the error check runs on every
+    call, cached or not.
+    """
+    total, err_budget = _cached_quad(("l1", kernel._key()), lambda: _line_l1_quadrature(kernel))
+    if err_budget > _L1_TOL:
+        raise QuadratureError(f"line L1 error {err_budget:g} exceeds {_L1_TOL:g}")
+    return total
+
+
+def _line_l1_quadrature(kernel: Kernel) -> tuple[float, float]:
+    """line_l1's value and its error budget, before the error check."""
     err_budget = 0.0
     if kernel.kind == "fejer":
         (alpha,) = kernel.params
@@ -234,10 +261,7 @@ def line_l1(kernel: Kernel) -> float:
         val, err = quad(lambda t: abs(kernel.line(t)), 0.0, t1, epsabs=1e-11, limit=2000)
         err_budget += err + kernel.decay / t1 / math.pi
         total = (1 / math.pi) * val
-    if err_budget > _L1_TOL:
-        raise QuadratureError(f"line L1 error {err_budget:g} exceeds {_L1_TOL:g}")
-    _l1_cache[key] = total
-    return total
+    return total, err_budget
 
 
 def mellin_numeric_check(kernel: Kernel, u: float) -> float:
@@ -299,40 +323,58 @@ def weighted_integral(kernel: Kernel, lam: float) -> float:
 
     The piece beyond u = 1 is folded back with Ktilde(u) = Ktilde(1/u) and
     the substitution u = 1/w^2, which removes the endpoint singularity.
+
+    Each piece's quadrature (value, error estimate) is cached in the
+    module's quadrature cache (at most _QUAD_CACHE_SIZE entries, least
+    recently used dropped first), keyed by the kernel's kind and params
+    and the piece's moving endpoint: min(lambda, 1) for the piece on
+    (0, min(lambda, 1)], 1/sqrt(lambda) (0 at lambda = inf) for the folded
+    piece on (1/sqrt(lambda), 1].  So every lambda >= 1 shares the costly
+    low piece, and a lambda seen before costs no quadrature.  Every call
+    adds the same pieces in the same order and checks their error budget,
+    cached or not, so a cached result is the same float.
     """
-    if lam <= 0:
+    if not lam > 0:  # also rejects nan
         raise ValueError("lambda must be positive")
+    key = kernel._key()
+    upper1 = min(lam, 1.0)
+    pieces = [_cached_quad(("low", key, upper1), lambda: _low_piece(kernel, upper1))]
+    if lam > 1.0:
+        w_lo = 0.0 if math.isinf(lam) else 1.0 / math.sqrt(lam)
+        pieces.append(_cached_quad(("folded", key, w_lo), lambda: _folded_piece(kernel, w_lo)))
+
     err_budget = 0.0
     total = 0.0
+    for val, err in pieces:
+        total += val
+        err_budget += err
+    if err_budget > 1e-10:
+        raise QuadratureError(f"weighted integral error {err_budget:g}")
+    return total
 
-    upper1 = min(lam, 1.0)
-    pts = [b for b in kernel.mellin_breaks if 0 < b < upper1] or None
+
+def _low_piece(kernel: Kernel, upper: float) -> tuple[float, float]:
+    """quad's (value, error) for int_0^upper Ktilde(u) du/sqrt(u), upper <= 1."""
+    pts = [b for b in kernel.mellin_breaks if 0 < b < upper] or None
 
     def f_low(u: float) -> float:
         if u <= 0.0:
             return 0.0  # Ktilde(u)/sqrt(u) extended continuously at u = 0
         return kernel.mellin(u) / math.sqrt(u)
 
-    val, err = quad(f_low, 0.0, upper1, epsabs=1e-13, epsrel=1e-12, limit=400, points=pts)
-    total += val
-    err_budget += err
+    return quad(f_low, 0.0, upper, epsabs=1e-13, epsrel=1e-12, limit=400, points=pts)
 
-    if lam > 1.0:
-        w_lo = 0.0 if math.isinf(lam) else 1.0 / math.sqrt(lam)
 
-        def f_high(w: float) -> float:
-            if w <= 0.0:
-                return 0.0
-            return 2.0 * kernel.mellin(w * w) / (w * w)
+def _folded_piece(kernel: Kernel, w_lo: float) -> tuple[float, float]:
+    """quad's (value, error) for int_1^(1/w_lo^2) Ktilde(u) du/sqrt(u), folded to w in (w_lo, 1]."""
+    pts = [math.sqrt(b) for b in kernel.mellin_breaks if w_lo < math.sqrt(b) < 1.0] or None
 
-        pts2 = [math.sqrt(b) for b in kernel.mellin_breaks if w_lo < math.sqrt(b) < 1.0] or None
-        val, err = quad(f_high, w_lo, 1.0, epsabs=1e-13, epsrel=1e-12, limit=400, points=pts2)
-        total += val
-        err_budget += err
+    def f_high(w: float) -> float:
+        if w <= 0.0:
+            return 0.0
+        return 2.0 * kernel.mellin(w * w) / (w * w)
 
-    if err_budget > 1e-10:
-        raise QuadratureError(f"weighted integral error {err_budget:g}")
-    return total
+    return quad(f_high, w_lo, 1.0, epsabs=1e-13, epsrel=1e-12, limit=400, points=pts)
 
 
 # ----------------------------------------------------------------------
@@ -386,6 +428,11 @@ def optimize_lambda(
 
     Unimodality over the feasible region is assumed (observed throughout);
     the coarse grid guards against bracketing a local valley.
+
+    Each c(lambda) reads line_l1 and the pieces of W(lambda) from the
+    module's quadrature cache (see weighted_integral), so a second h on
+    the same kernel and grid reruns only the golden-section steps' folded
+    pieces; every read still checks its quadrature error budget.
     """
 
     def c_of(lam: float) -> float:

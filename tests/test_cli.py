@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import subprocess
@@ -86,6 +87,37 @@ def test_kernel_command():
     assert "0.291" in out
     code, out = run_main(["kernel", "gamma", "--mellin", "1.0", "--format", "csv"])
     assert code == EXIT_OK and "pass" in out
+    code, out = run_main(["kernel", "fejer", "--l1", "--optimize", "--h", "2", "--format", "csv"])
+    values = [float(line.split(",")[4]) for line in out.splitlines()[1:]]  # no np.float64(...) text
+    assert code == EXIT_OK and len(values) == 3 and abs(values[0] - 2.0) < 1e-8
+
+
+def test_kernel_flags_reject_nan_and_nonpositive_values(capsys):
+    for argv, reason in (
+        (["kernel", "gamma", "--weighted", "nan"], "--weighted: not a number > 0 or inf"),
+        (["kernel", "gamma", "--weighted", "0"], "--weighted: not a number > 0 or inf"),
+        (["kernel", "fejer", "--alpha", "nan", "--l1"], "--alpha: not a finite number > 0"),
+        (["kernel", "fejer", "--alpha", "inf", "--l1"], "--alpha: not a finite number > 0"),
+        (["kernel", "fejer", "--alpha", "-1", "--l1"], "--alpha: not a finite number > 0"),
+        (["kernel", "gamma", "--prop62", "--lam", "nan"], "--lam: not a number > 0 or inf"),
+        (["kernel", "gamma", "--prop62", "--lam", "-2"], "--lam: not a number > 0 or inf"),
+    ):
+        code, out = run_main(argv + ["--format", "csv"])
+        assert code == EXIT_USAGE and out == "", argv
+        assert reason in capsys.readouterr().err, argv
+    code, out = run_main(["kernel", "gamma", "--weighted", "oo", "--format", "csv"])
+    assert code == EXIT_OK and "gamma:W(inf),,1.7724538509" in out
+
+
+def test_reproduce_quick_cells_are_plain_numbers():
+    code, out = run_main(["reproduce-paper", "--quick", "--format", "csv"])
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) > 1000
+    for row in rows:
+        for field in ("q", "measured", "bound", "margin"):
+            if row[field]:
+                float(row[field])
 
 
 def test_lemma_command():
@@ -161,6 +193,10 @@ def test_classnum_rejects_missing_or_non_fundamental_q(capsys):
         assert code == EXIT_USAGE, argv
         assert out == ""
         assert "error" in capsys.readouterr().err
+    code, out = run_main(["classnum", "--q", "-3", "--format", "csv"])
+    assert code == EXIT_USAGE and out == ""
+    err = capsys.readouterr().err
+    assert "; -3 is not one" in err and "--3" not in err
     # a range scan still skips non-fundamental q without complaint
     code, out = run_main(["scan", "classnum", "--q", "8..12", "--format", "csv"])
     assert code == EXIT_OK
@@ -240,6 +276,10 @@ def test_eval_thm14_requires_h(capsys):
     code, out = run_main(["eval", "thm14", "--q", "20001", "--format", "csv"])
     assert code == EXIT_USAGE and out == ""
     assert "--h required" in capsys.readouterr().err
+    for h in ("1", "0"):
+        code, out = run_main(["eval", "thm14", "--q", "20001", "--h", h, "--format", "csv"])
+        assert code == EXIT_USAGE and out == ""
+        assert "index h must be at least 2" in capsys.readouterr().err
     code, out = run_main(["eval", "thm14", "--q", "20001", "--h", "2", "--format", "csv"])
     assert code == EXIT_OK and out.splitlines()[1].startswith("thm14,20001,")
 

@@ -1,12 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from nonresidue import kernels
 from nonresidue.kernels import (
     Kernel,
     NoFeasibleLambdaError,
     NonpositiveDenominatorError,
+    QuadratureError,
     alpha_table,
     fejer_kernel,
     gamma_kernel,
@@ -63,6 +66,7 @@ def test_mellin_symmetry_and_positivity():
 def test_fejer_line_l1_closed_form():
     for alpha in (0.5, 1.0, 3.0):
         assert line_l1(fejer_kernel(alpha)) == pytest.approx(2 * alpha, abs=1e-8)
+        assert type(line_l1(fejer_kernel(alpha))) is float
 
 
 def test_gamma_line_l1_value():
@@ -105,6 +109,33 @@ def test_weighted_integral_small_lambda_vanishes():
     assert weighted_integral(g, 1e-8) < 1e-4
     f = fejer_kernel(1.0)
     assert weighted_integral(f, math.exp(-2.0) / 2) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_weighted_integral_rejects_nonpositive_or_nan_lambda():
+    for lam in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            weighted_integral(gamma_kernel(), lam)
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            fejer_kernel(alpha)
+
+
+def test_gamma_weighted_integral_against_mpmath():
+    # W(lam) = int_0^lam (1 - e^(-1/u) - e^(-u)) u^(-1/2) du; with u = t^2 the
+    # integrand 2 (1 - e^(-1/t^2) - e^(-t^2)) is smooth on [0, sqrt(lam)].
+    g = gamma_kernel()
+    with mpmath.workdps(30):
+
+        def f(t):
+            return 2 * (1 - mpmath.exp(-1 / t**2) - mpmath.exp(-(t**2))) if t else mpmath.mpf(0)
+
+        for lam in (1.0, 3.9, 6.55, 8.35, math.inf):
+            top = mpmath.sqrt(lam) if lam < math.inf else mpmath.inf
+            ref = mpmath.quad(f, [0, 1, top])
+            assert abs(weighted_integral(g, lam) - ref) < 1e-11, lam
+        # W(inf) = sqrt(pi); tanh-sinh's infinite tail is good to about 1e-19 here
+        assert abs(ref - mpmath.sqrt(mpmath.pi)) < 1e-17
+    assert abs(weighted_integral(g, math.inf) - math.sqrt(math.pi)) < 1e-11
 
 
 def test_mellin_inversion_anchor():
@@ -214,3 +245,79 @@ def test_custom_kernel_registration():
     for u in (0.5, 1.0, 3.0):
         assert mellin_numeric_check(custom, u) == pytest.approx(custom.mellin(u), abs=1e-6)
     assert weighted_integral(custom, 2.0) == pytest.approx(weighted_integral(base, 2.0), abs=1e-10)
+
+
+# ----------------------------------------------------------------------
+# quadrature cache
+# ----------------------------------------------------------------------
+
+LAMBDAS = (0.5, 1.0, 3.9, 8.35, 20.0, math.inf)
+
+
+def test_warm_and_cold_weighted_integral_are_bit_identical():
+    for kern in (gamma_kernel(), fejer_kernel(1.0), fejer_kernel(2.5)):
+        kernels._quad_cache.clear()
+        cold = []
+        for lam in LAMBDAS:
+            cold.append(weighted_integral(kern, lam))
+            kernels._quad_cache.clear()
+        warm = [weighted_integral(kern, lam) for lam in LAMBDAS]
+        assert [weighted_integral(kern, lam) for lam in LAMBDAS] == warm == cold, kern.name
+        assert all(type(w) is float for w in warm)
+
+
+def test_optimize_lambda_independent_of_cache_state():
+    g = gamma_kernel()
+    hs = (2, 3, math.inf)
+    forward = [optimize_lambda(g, h) for h in hs]
+    reverse = [optimize_lambda(g, h) for h in reversed(hs)][::-1]
+    cleared = []
+    for h in hs:
+        kernels._quad_cache.clear()
+        cleared.append(optimize_lambda(g, h))
+    assert forward == reverse == cleared
+    assert all(type(lam) is float and type(c) is float for lam, c in forward)
+
+
+def test_cached_pieces_still_fail_the_error_budget(monkeypatch):
+    real_quad = kernels.quad
+    calls = []
+
+    def sloppy_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return real_quad(*args, **kwargs)[0], 1e-9
+
+    kernels._quad_cache.clear()
+    monkeypatch.setattr(kernels, "quad", sloppy_quad)
+    try:
+        for repeat in range(2):
+            with pytest.raises(QuadratureError):
+                weighted_integral(gamma_kernel(), 3.9)
+            with pytest.raises(QuadratureError):
+                line_l1(fejer_kernel(1.0))
+            if not repeat:
+                first = len(calls)
+        assert len(calls) == first  # the repeat read every piece from the cache
+    finally:
+        kernels._quad_cache.clear()
+
+
+def test_quadrature_cache_stays_within_its_cap(monkeypatch):
+    real_quad = kernels.quad
+    calls = [0]
+
+    def counted_quad(*args, **kwargs):
+        calls[0] += 1
+        return real_quad(*args, **kwargs)
+
+    kernels._quad_cache.clear()
+    monkeypatch.setattr(kernels, "quad", counted_quad)
+    alphas = [1.0 + 0.05 * k for k in range(40)]
+    for alpha in alphas:
+        optimize_lambda(fejer_kernel(alpha), math.inf)
+        assert len(kernels._quad_cache) <= kernels._QUAD_CACHE_SIZE
+    assert calls[0] > kernels._QUAD_CACHE_SIZE  # the sweep did overflow the cap
+    # least recently used entries went first
+    assert ("l1", fejer_kernel(alphas[-1])._key()) in kernels._quad_cache
+    assert ("l1", fejer_kernel(alphas[0])._key()) not in kernels._quad_cache
+    kernels._quad_cache.clear()

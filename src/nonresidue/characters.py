@@ -136,7 +136,7 @@ class DirichletCharacter:
     def q(self) -> int:
         return self.structure.q
 
-    @property
+    @cached_property
     def is_principal(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
@@ -159,7 +159,7 @@ class DirichletCharacter:
             rank = rank * d + e
         return rank
 
-    @property
+    @cached_property
     def label(self) -> str:
         return f"chi{self.q}.{self.index}"
 
@@ -237,7 +237,7 @@ class DirichletCharacter:
                     cond *= 2 ** (k - v)
         return cond
 
-    @property
+    @cached_property
     def is_primitive(self) -> bool:
         return self.conductor == self.q
 

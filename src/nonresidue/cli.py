@@ -65,11 +65,14 @@ def _report_row(r: BoundReport) -> dict:
 
 def emit_reports(reports: Sequence[BoundReport], fmt: str, stream) -> None:
     if fmt == "csv":
+        # The csv module writes None as "", a float by its float repr and
+        # an int by str; only the bool needs spelling out.
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
-        for r in reports:
-            row = _report_row(r)
-            writer.writerow([_fmt_value(row[f]) for f in CSV_FIELDS])
+        writer.writerows(
+            (r.formula, r.q, r.target, r.measured, r.bound, r.margin, "true" if r.applicable else "false", r.verdict)
+            for r in reports
+        )
     elif fmt == "json":
         for r in reports:
             stream.write(json.dumps(_report_row(r)) + "\n")
@@ -190,7 +193,7 @@ def _real(text: str) -> float:
 
 
 def _alpha(text: str) -> float:
-    """`--alpha`: a finite number > 0."""
+    """`--alpha`, `--mellin`: a finite number > 0."""
     alpha = _real(text)
     if not 0 < alpha < math.inf:
         raise argparse.ArgumentTypeError(f"not a finite number > 0: {text!r}")
@@ -675,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_alpha, default=1.0)
     p.add_argument("--l1", action="store_true")
     p.add_argument("--k-half", action="store_true")
-    p.add_argument("--mellin", type=float, default=None)
+    p.add_argument("--mellin", type=_alpha, default=None)
     p.add_argument("--weighted", type=_lambda, default=None, help="lambda, or inf")
     p.add_argument("--prop62", action="store_true")
     p.add_argument("--optimize", action="store_true")

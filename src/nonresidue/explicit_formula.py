@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import spence
@@ -106,44 +107,74 @@ def _prefix(x: float) -> tuple[_PrimePowerTable, int]:
     return t, int(np.searchsorted(t.n, math.floor(x), side="right"))
 
 
-def _twisted(weights: np.ndarray, n: np.ndarray, chi: DirichletCharacter) -> complex:
-    vals = chi.complex_table[n % chi.q]
-    return complex(np.dot(weights, vals))
+def _weights(kind: str, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, n) over the prime powers n <= x for one sum kind, x > 1."""
+    t, m = _prefix(x)
+    lam, logn, lx = t.lam[:m], t.logn[:m], math.log(x)
+    if kind == "cheb":
+        return lam * (lx - logn), t.n[:m]
+    nf = t.n[:m].astype(float)
+    if kind == "psi":
+        return lam / nf * (1.0 - nf / x), t.n[:m]
+    return lam / (nf * logn) * (lx - logn) / lx, t.n[:m]  # "loglog"
+
+
+def _bin(w: np.ndarray, n: np.ndarray, q: int) -> np.ndarray:
+    """B[r] = sum of w over n = r (mod q); a twisted sum is dot(B, chi)."""
+    return np.bincount(n % q, weights=w, minlength=q)
+
+
+# Binned weights, shared by every character of a modulus: the key is
+# (kind, x, q) and nothing depends on the character.  Least recently used
+# entries go first past the cap; the sec2 checklist needs 12 per modulus
+# (three kinds at four x).
+_BIN_CACHE_SIZE = 256
+_bin_cache: dict[tuple, np.ndarray] = {}
+
+
+def _sum(kind: str, x: float, chi: DirichletCharacter | None):
+    if x <= 1:
+        return 0.0 if chi is None else 0j
+    if chi is None:
+        return float(math.fsum(_weights(kind, x)[0]))
+    key = (kind, x, chi.q)
+    b = _bin_cache.pop(key, None)
+    if b is None:
+        b = _bin(*_weights(kind, x), chi.q)
+        if len(_bin_cache) >= _BIN_CACHE_SIZE:
+            del _bin_cache[next(iter(_bin_cache))]
+    _bin_cache[key] = b  # (re)inserted last: most recently used
+    return complex(np.dot(b, chi.complex_table))
 
 
 def cheb_log_sum(x: float, chi: DirichletCharacter | None = None):
-    """sum_{n<=x} Lambda(n) chi(n) log(x/n); untwisted when chi is None."""
-    if x <= 1:
-        return 0.0 if chi is None else 0j
-    t, m = _prefix(x)
-    w = t.lam[:m] * (math.log(x) - t.logn[:m])
-    if chi is None:
-        return float(math.fsum(w))
-    return _twisted(w, t.n[:m], chi)
+    """sum_{n<=x} Lambda(n) chi(n) log(x/n); untwisted when chi is None.
+
+    Twisted, the weights are binned by n mod q once and kept in the
+    module's bin cache under ("cheb", x, q) (at most _BIN_CACHE_SIZE
+    entries, least recently used dropped first); the sum is their dot
+    product with chi's table.  Untwisted sums are summed with math.fsum
+    and not cached.
+    """
+    return _sum("cheb", x, chi)
 
 
 def weighted_psi_sum(x: float, chi: DirichletCharacter | None = None):
-    """sum_{n<=x} Lambda(n)/n chi(n) (1 - n/x)."""
-    if x <= 1:
-        return 0.0 if chi is None else 0j
-    t, m = _prefix(x)
-    nf = t.n[:m].astype(float)
-    w = t.lam[:m] / nf * (1.0 - nf / x)
-    if chi is None:
-        return float(math.fsum(w))
-    return _twisted(w, t.n[:m], chi)
+    """sum_{n<=x} Lambda(n)/n chi(n) (1 - n/x).
+
+    Binned and cached as cheb_log_sum, under ("psi", x, q); untwisted
+    sums are uncached.
+    """
+    return _sum("psi", x, chi)
 
 
 def loglog_sum(x: float, chi: DirichletCharacter | None = None):
-    """sum_{n<=x} Lambda(n)/(n log n) chi(n) log(x/n)/log(x)."""
-    if x <= 1:
-        return 0.0 if chi is None else 0j
-    t, m = _prefix(x)
-    nf = t.n[:m].astype(float)
-    w = t.lam[:m] / (nf * t.logn[:m]) * (math.log(x) - t.logn[:m]) / math.log(x)
-    if chi is None:
-        return float(math.fsum(w))
-    return _twisted(w, t.n[:m], chi)
+    """sum_{n<=x} Lambda(n)/(n log n) chi(n) log(x/n)/log(x).
+
+    Binned and cached as cheb_log_sum, under ("loglog", x, q); untwisted
+    sums are uncached.
+    """
+    return _sum("loglog", x, chi)
 
 
 # ----------------------------------------------------------------------
@@ -181,11 +212,14 @@ def tail_series(x: float, shape: str) -> float:
     raise ValueError(f"unknown series shape {shape!r}")
 
 
+@lru_cache(maxsize=64)
 def error_terms(x: float, parity: int, family: str) -> float:
     """Closed-form lower-order terms for the two identity families.
 
     family "E" pairs with the (1 - n/x) weights, family "Etilde" with the
     log(x/n) weights; parity selects the even (0) or odd (1) shape.
+    Cached: a checklist asks for the same few (x, parity, family) for
+    every character.
     """
     if x <= 1:
         raise ValueError("error terms need x > 1")
@@ -446,7 +480,7 @@ def negative_pattern_minimum(x: float, chi: DirichletCharacter) -> PatternMinimu
     t, cut = _prefix(x)
     nf = t.n[:cut].astype(float)
     w = t.lam[:cut] * (1.0 / (nf * t.logn[:cut]) - 1.0 / (x * math.log(x)))
-    lhs = _twisted(w, t.n[:cut], chi).real
+    lhs = complex(np.dot(_bin(w, t.n[:cut], chi.q), chi.complex_table)).real
     signs = np.where(t.k[:cut] % 2 == 0, 1.0, -1.0)
     alternating = float(math.fsum(w * signs))
     return PatternMinimumReport(x, chi.label, lhs, alternating)

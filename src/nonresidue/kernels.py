@@ -271,8 +271,8 @@ def mellin_numeric_check(kernel: Kernel, u: float) -> float:
     tails for the squared-sine kernel; agreement with the closed form to
     1e-6 is the tested contract.
     """
-    if u <= 0:
-        raise ValueError("u must be positive")
+    if not 0 < u < math.inf:
+        raise ValueError(f"u must be finite and positive, not {u!r}")
     beta = math.log(u)
     if kernel.kind == "fejer":
         (alpha,) = kernel.params

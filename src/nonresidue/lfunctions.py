@@ -334,9 +334,9 @@ def l_and_lprime_at_1(chi: DirichletCharacter) -> tuple[complex, complex]:
     _require_primitive_nonprincipal(chi)
     q = chi.q
     c0, c1 = hurwitz_laurent_pair(q)
-    vals = _chi_on_1_to_q(chi)
-    l1 = complex(np.dot(vals, c0)) / q
-    lp = complex(np.dot(vals, c1)) / q - math.log(q) * l1
+    vals = chi.complex_table[1:]  # chi(1..q-1); chi(q) = 0 drops a = q
+    l1 = complex(np.dot(vals, c0[:-1])) / q
+    lp = complex(np.dot(vals, c1[:-1])) / q - math.log(q) * l1
     return l1, lp
 
 

@@ -1,16 +1,21 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
+
 from nonresidue.cli import (
+    CSV_FIELDS,
     EXIT_FAIL,
     EXIT_NOT_FOUND,
     EXIT_OK,
     EXIT_USAGE,
+    emit_reports,
     exit_code,
     main,
 )
@@ -101,12 +106,48 @@ def test_kernel_flags_reject_nan_and_nonpositive_values(capsys):
         (["kernel", "fejer", "--alpha", "-1", "--l1"], "--alpha: not a finite number > 0"),
         (["kernel", "gamma", "--prop62", "--lam", "nan"], "--lam: not a number > 0 or inf"),
         (["kernel", "gamma", "--prop62", "--lam", "-2"], "--lam: not a number > 0 or inf"),
+        (["kernel", "gamma", "--mellin", "nan"], "--mellin: not a finite number > 0"),
+        (["kernel", "gamma", "--mellin", "inf"], "--mellin: not a finite number > 0"),
+        (["kernel", "gamma", "--mellin", "0"], "--mellin: not a finite number > 0"),
+        (["kernel", "gamma", "--mellin", "-1"], "--mellin: not a finite number > 0"),
     ):
         code, out = run_main(argv + ["--format", "csv"])
         assert code == EXIT_USAGE and out == "", argv
         assert reason in capsys.readouterr().err, argv
     code, out = run_main(["kernel", "gamma", "--weighted", "oo", "--format", "csv"])
     assert code == EXIT_OK and "gamma:W(inf),,1.7724538509" in out
+
+
+def fmt_cell(v) -> str:
+    """The CSV cell rule: "" for None, true/false for a bool, repr for a
+    float, str for anything else.  A numpy float is written as the plain
+    float it holds, never as its repr `np.float64(...)`."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(float(v))
+    return str(v)
+
+
+def test_csv_cells_follow_the_cell_rule():
+    reports = [
+        BoundReport("cor16", 10**11, "h-lower", None, 1.5, None, False, "not-applicable"),
+        BoundReport("cor12", 1009, "least qnr", 11, 25.3, 14.3, True, "pass"),
+        BoundReport("cor15", 7, "a=3", None, 12.0, None, True, "not-found"),
+        BoundReport("thm11", 13, "gens:2,3", -0.0, math.inf, 1e-300, True, "fail"),
+        BoundReport("kernel", 0, 'say "hi"', np.float64(0.1), np.float64(-2.5e-17), -math.inf, False, "pass"),
+    ]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    for r in reports:
+        writer.writerow([fmt_cell(getattr(r, f)) for f in ("formula", *CSV_FIELDS[1:])])
+    got = io.StringIO()
+    emit_reports(reports, "csv", got)
+    assert got.getvalue() == expected.getvalue()
+    assert got.getvalue().splitlines()[2] == "cor12,1009,least qnr,11,25.3,14.3,true,pass"
 
 
 def test_reproduce_quick_cells_are_plain_numbers():
@@ -117,7 +158,7 @@ def test_reproduce_quick_cells_are_plain_numbers():
     for row in rows:
         for field in ("q", "measured", "bound", "margin"):
             if row[field]:
-                float(row[field])
+                float(row[field])  # a bool cell would be written True and fail here
 
 
 def test_lemma_command():

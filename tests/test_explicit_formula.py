@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from nonresidue import explicit_formula as ef
 from nonresidue.characters import character_group, primitive_characters
 from nonresidue.explicit_formula import (
     character_log_residual,
@@ -246,3 +248,86 @@ def test_trig_polynomial_nonnegative():
     assert dense.ok
     # the grid includes phi = 0 where every cosine deficit vanishes
     assert two_adic_trig_polynomial(100.0, grid=3).minimum == pytest.approx(0.0, abs=1e-15)
+
+
+# ----------------------------------------------------------------------
+# twisted sums: binned by n mod q against the per-character gather
+# ----------------------------------------------------------------------
+
+SUMS = {"cheb": cheb_log_sum, "psi": weighted_psi_sum, "loglog": loglog_sum}
+ORACLE_XS = (1.5, 50.0, 100.0, 1e3, 1e4)
+
+
+def gathered(weights, n, chi) -> complex:
+    """The twisted sum term by term: chi's value at each prime power."""
+    return complex(np.dot(weights, chi.complex_table[n % chi.q]))
+
+
+def oracle_characters():
+    every = [chi for q in range(1, 61) for chi in character_group(q)]
+    return every + [chi for q in (97, 210, 299, 300) for chi in primitive_characters(q)]
+
+
+def test_binned_sums_match_the_gather_oracle():
+    chars = oracle_characters()
+    assert any(chi.is_principal for chi in chars) and any(not chi.is_primitive for chi in chars)
+    for x in ORACLE_XS:
+        for kind, fn in SUMS.items():
+            if x <= 1.5:
+                assert all(fn(x, chi) == 0j for chi in chars)
+                continue
+            w, n = ef._weights(kind, x)
+            # Both orders round; the error grows with the weight mass,
+            # which is about x for cheb_log_sum and about log x otherwise.
+            tol = 1e-12 + 1e-14 * float(np.abs(w).sum())
+            for chi in chars:
+                got = fn(x, chi)
+                assert type(got) is complex
+                assert abs(got - gathered(w, n, chi)) <= tol, (kind, x, chi.label)
+
+
+def test_negative_pattern_minimum_matches_the_gather_oracle():
+    for chi in primitive_characters(97) + character_group(12):
+        for x in (100.0, 1e3):
+            t, cut = ef._prefix(x)
+            nf = t.n[:cut].astype(float)
+            w = t.lam[:cut] * (1.0 / (nf * t.logn[:cut]) - 1.0 / (x * math.log(x)))
+            lhs = negative_pattern_minimum(x, chi).lhs
+            assert lhs == pytest.approx(gathered(w, t.n[:cut], chi).real, abs=1e-12)
+
+
+def test_warm_and_cold_binned_sums_are_bit_identical():
+    chars = primitive_characters(60) + primitive_characters(97)[:5] + character_group(8)
+    cold = []
+    for x in ORACLE_XS:
+        for fn in SUMS.values():
+            for chi in chars:
+                ef._bin_cache.clear()
+                cold.append(fn(x, chi))
+    ef._bin_cache.clear()
+    for _ in range(2):
+        warm = [fn(x, chi) for x in ORACLE_XS for fn in SUMS.values() for chi in chars]
+        assert warm == cold
+    ef._bin_cache.clear()
+
+
+def test_untwisted_sums_bypass_the_bin_cache():
+    ef._bin_cache.clear()
+    for fn in SUMS.values():
+        assert type(fn(1e3)) is float
+    assert not ef._bin_cache
+
+
+def test_bin_cache_stays_within_its_cap():
+    ef._bin_cache.clear()
+    qs = range(3, 3 + ef._BIN_CACHE_SIZE + 20)
+    for q in qs:
+        cheb_log_sum(50.0, character_group(q)[0])
+        assert len(ef._bin_cache) <= ef._BIN_CACHE_SIZE
+        if len(ef._bin_cache) == ef._BIN_CACHE_SIZE - 1:
+            cheb_log_sum(50.0, character_group(3)[0])  # a hit: now most recent
+    # least recently used entries went first
+    assert ("cheb", 50.0, qs[-1]) in ef._bin_cache
+    assert ("cheb", 50.0, 3) in ef._bin_cache
+    assert ("cheb", 50.0, 4) not in ef._bin_cache
+    ef._bin_cache.clear()

@@ -86,6 +86,12 @@ def test_mellin_numeric_agrees_with_closed_form():
     assert mellin_numeric_check(g, 2.0) == pytest.approx(mellin_numeric_check(g, 0.5), abs=1e-8)
 
 
+def test_mellin_numeric_check_rejects_u_not_finite_and_positive():
+    for u in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            mellin_numeric_check(gamma_kernel(), u)
+
+
 def test_mellin_bounded_by_line_l1():
     for kern in (gamma_kernel(), fejer_kernel(0.7), fejer_kernel(2.0)):
         l1 = line_l1(kern)

@@ -15,17 +15,12 @@ from .arith import (
     is_prime,
     primes_up_to,
     unit_group_structure,
-    von_mangoldt,
 )
 from .characters import (
-    CharacterValue,
     DirichletCharacter,
     SubgroupSpec,
-    annihilator,
     character_group,
-    coset_indicator,
     is_fundamental_discriminant,
-    kronecker,
     kth_power_subgroup,
     primitive_characters,
     subgroup_from_generators,

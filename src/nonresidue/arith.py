@@ -22,7 +22,6 @@ __all__ = [
     "is_prime",
     "primes_up_to",
     "unit_group_structure",
-    "von_mangoldt",
 ]
 
 DEFAULT_DLOG_CEILING = 10**7
@@ -174,16 +173,6 @@ def factorize(n: int) -> Factorization:
 
 def euler_phi(n: int) -> int:
     return factorize(n).phi
-
-
-def von_mangoldt(n: int) -> float:
-    """log p if n is a power of the prime p, else 0."""
-    if n < 2:
-        return 0.0
-    fac = factorize(n)
-    if fac.omega == 1:
-        return math.log(fac.factors[0][0])
-    return 0.0
 
 
 def _primitive_root_mod_p(p: int) -> int:

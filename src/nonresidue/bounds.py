@@ -341,7 +341,7 @@ def verify_classnum(q: int) -> BoundReport:
 def verify_elementary(q: int) -> list[BoundReport]:
     """phi(q) >= 4156, 2^omega(q) <= q^(3/7), phi(q) >= q^(5/6).
 
-    Claims stated for q > 20000; evaluated, as not-applicable, anywhere.
+    Claims stated for q > 20000; checked, as not-applicable, anywhere.
     """
     fac = factorize(q)
     phi, two_omega = float(fac.phi), float(2**fac.omega)

@@ -1,37 +1,32 @@
 """Dirichlet characters mod q and subgroup machinery.
 
 Characters are exponent vectors on the cyclic components of (Z/qZ)*.
-Values are exact roots of unity (rational angles); complex doubles are
-materialized only when a character enters an analytic sum.  Also here:
-the fully extended Kronecker symbol, conductors and primitivization,
-subgroups of (Z/qZ)* with membership bitmasks, annihilator character
-groups, and the coset orthogonality indicator computed two independent
-ways.
+A character's values are integer angles mod E = structure.exponent:
+chi(n) = e(angles[n] / E), so exact questions are integer tests (angle 0
+means the value is 1) and complex doubles are a gather from the E-th
+roots of unity, made only when a character enters an analytic sum.  Also
+here: conductors and primitivization, the Kronecker character table of a
+fundamental discriminant, and subgroups of (Z/qZ)* with membership
+bitmasks.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .arith import UnitGroupStructure, factorize, unit_group_structure
 
 __all__ = [
-    "CharacterValue",
     "DirichletCharacter",
     "NonUnitCosetError",
     "SubgroupSpec",
-    "annihilator",
     "character_group",
-    "coset_indicator",
     "is_fundamental_discriminant",
-    "kronecker",
     "kth_power_subgroup",
     "primitive_characters",
     "subgroup_from_generators",
@@ -43,78 +38,9 @@ class NonUnitCosetError(ValueError):
     """Coset representative is not coprime to the modulus."""
 
 
-@dataclass(frozen=True)
-class CharacterValue:
-    """Exact character value: e(num/den) on units, or the zero marker.
-
-    The angle num/den is a fraction of a full turn, reduced, 0 <= num < den.
-    """
-
-    num: int = 0
-    den: int = 1
-    zero: bool = False
-
-    @staticmethod
-    def from_angle(num: int, den: int) -> "CharacterValue":
-        num %= den
-        g = math.gcd(num, den)
-        return CharacterValue(num // g, den // g)
-
-    @property
-    def is_one(self) -> bool:
-        return not self.zero and self.num == 0
-
-    @property
-    def is_real(self) -> bool:
-        return self.zero or self.den <= 2
-
-    def conjugate(self) -> "CharacterValue":
-        if self.zero:
-            return self
-        return CharacterValue.from_angle(-self.num, self.den)
-
-    def __mul__(self, other: "CharacterValue") -> "CharacterValue":
-        if self.zero or other.zero:
-            return ZERO_VALUE
-        den = math.lcm(self.den, other.den)
-        return CharacterValue.from_angle(
-            self.num * (den // self.den) + other.num * (den // other.den), den
-        )
-
-    def to_complex(self) -> complex:
-        if self.zero:
-            return 0j
-        if self.den == 1:
-            return 1 + 0j
-        if self.den == 2:
-            return -1 + 0j
-        if self.den == 4:
-            return 1j if self.num == 1 else -1j
-        return cmath.exp(2j * math.pi * self.num / self.den)
-
-    def real_int(self) -> int:
-        """The value as an integer in {-1, 0, 1}; requires a real value."""
-        if self.zero:
-            return 0
-        if self.den == 1:
-            return 1
-        if self.den == 2:
-            return -1
-        raise ValueError("character value is not real")
-
-
-ZERO_VALUE = CharacterValue(zero=True)
-ONE_VALUE = CharacterValue()
-
-_roots_cache: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=256)
 def _roots_of_unity(n: int) -> np.ndarray:
-    tab = _roots_cache.get(n)
-    if tab is None:
-        tab = np.exp(2j * math.pi * np.arange(n) / n)
-        _roots_cache[n] = tab
-    return tab
+    return np.exp(2j * math.pi * np.arange(n) / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,20 +89,19 @@ class DirichletCharacter:
     def label(self) -> str:
         return f"chi{self.q}.{self.index}"
 
-    def evaluate(self, n: int) -> CharacterValue:
-        q = self.q
-        if q == 1:
-            return ONE_VALUE
-        r = n % q
-        if not self.structure.unit_mask[r]:
-            return ZERO_VALUE
+    @cached_property
+    def angles(self) -> np.ndarray:
+        """chi(n) = e(angles[n] / E), E = structure.exponent, as int64 over
+        residues 0..q-1; -1 marks exactly the residues that are not units."""
         big = self.structure.exponent
-        num = 0
+        out = np.zeros(self.q, dtype=np.int64)
         for (_, d), e, tab in zip(
             self.structure.components, self.exponents, self.structure.dlogs
         ):
-            num += e * (big // d) * int(tab[r])
-        return CharacterValue.from_angle(num, big)
+            out += e * (big // d) * tab
+        out %= big
+        out[~self.structure.unit_mask] = -1
+        return out
 
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
         if self.structure is not other.structure and self.q != other.q:
@@ -198,9 +123,7 @@ class DirichletCharacter:
     @cached_property
     def parity(self) -> int:
         """0 for even characters (chi(-1) = 1), 1 for odd."""
-        if self.q <= 2:
-            return 0
-        return 0 if self.evaluate(self.q - 1).is_one else 1
+        return int(self.angles[self.q - 1] != 0)
 
     @cached_property
     def conductor(self) -> int:
@@ -247,34 +170,25 @@ class DirichletCharacter:
         if cond == self.q:
             return cond, self
         sub = unit_group_structure(cond)
+        big = self.structure.exponent
         exps = []
         for g, d in sub.components:
             n = g
             while math.gcd(n, self.q) != 1:
                 n += cond
-            val = self.evaluate(n)
-            num = val.num * d
-            if num % val.den:
+            num = int(self.angles[n % self.q]) * d
+            if num % big:
                 raise ArithmeticError("conductor does not divide character angle")
-            exps.append((num // val.den) % d)
+            exps.append((num // big) % d)
         induced = DirichletCharacter(sub, tuple(exps))
         return cond, induced
 
     @cached_property
     def complex_table(self) -> np.ndarray:
         """chi as complex doubles over residues 0..q-1 (zeros off units)."""
-        q = self.q
-        big = self.structure.exponent
-        if q == 1:
-            return np.ones(1, dtype=complex)
-        num = np.zeros(q, dtype=np.int64)
-        for (_, d), e, tab in zip(
-            self.structure.components, self.exponents, self.structure.dlogs
-        ):
-            num += e * (big // d) * tab
-        out = np.zeros(q, dtype=complex)
+        out = np.zeros(self.q, dtype=complex)
         units = self.structure.unit_mask
-        out[units] = _roots_of_unity(big)[num[units] % big]
+        out[units] = _roots_of_unity(self.structure.exponent)[self.angles[units]]
         return out
 
 
@@ -288,35 +202,6 @@ def character_group(q: int) -> list[DirichletCharacter]:
 def primitive_characters(q: int) -> list[DirichletCharacter]:
     """Non-principal characters mod q whose conductor is exactly q."""
     return [c for c in character_group(q) if not c.is_principal and c.is_primitive]
-
-
-def kronecker(d: int, n: int) -> int:
-    """Kronecker symbol (d/n), extended to all integer n."""
-    if n == 0:
-        return 1 if abs(d) == 1 else 0
-    if d % 2 == 0 and n % 2 == 0:
-        return 0
-    result = 1
-    if n < 0:
-        n = -n
-        if d < 0:
-            result = -result
-    twos = 0
-    while n % 2 == 0:
-        n //= 2
-        twos += 1
-    if twos % 2 == 1 and d % 8 in (3, 5):
-        result = -result
-    a = d % n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a, n = n % a, a
-    return result if n == 1 else 0
 
 
 def is_fundamental_discriminant(q: int) -> bool:
@@ -401,71 +286,6 @@ def trivial_subgroup(q: int) -> SubgroupSpec:
     mask = np.zeros(q, dtype=bool)
     mask[1 % q] = True
     return SubgroupSpec(q, mask, struct.phi, kind="trivial", generators=(1,))
-
-
-def annihilator(h: SubgroupSpec, chars: list[DirichletCharacter] | None = None) -> list[DirichletCharacter]:
-    """Characters mod q that are 1 on all of H; exactly [G:H] of them."""
-    if chars is None:
-        chars = character_group(h.q)
-    gens = h.generators if h.generators else tuple(h.members())
-    out = [c for c in chars if all(c.evaluate(g).is_one for g in gens)]
-    if len(out) != h.index:
-        raise ArithmeticError(
-            f"annihilator size {len(out)} != index {h.index} for q={h.q}"
-        )
-    return out
-
-
-def exact_root_sum(values) -> int:
-    """Sum of a multiset of exact roots of unity, demanded to be integral.
-
-    The multisets arising from character orthogonality are either all ones
-    or a union of complete cyclic orbits; anything else raises.
-    """
-    vals = [v for v in values if not v.zero]
-    if not vals:
-        return 0
-    if all(v.is_one for v in vals):
-        return len(vals)
-    den = 1
-    for v in vals:
-        den = math.lcm(den, v.den)
-    counts = Counter(v.num * (den // v.den) % den for v in vals)
-    d = len(counts)
-    if den % d:
-        raise ArithmeticError("root multiset is not a union of cyclic orbits")
-    step = den // d
-    orbit = {(k * step) % den for k in range(d)}
-    if set(counts) != orbit or len(set(counts.values())) != 1:
-        raise ArithmeticError("root multiset does not cancel exactly")
-    return 0
-
-
-def coset_indicator(h: SubgroupSpec, a: int, n: int) -> int:
-    """1 if n lies in the coset aH, else 0.
-
-    Evaluated both through the bitmask and through the exact character
-    average over the annihilator group; disagreement raises.
-    """
-    q = h.q
-    if math.gcd(a, q) != 1:
-        raise NonUnitCosetError(f"a={a} is not a unit mod {q}")
-    if math.gcd(n, q) != 1:
-        direct = 0
-    else:
-        direct = int(h.contains(n * pow(a, -1, q)))
-    vals = []
-    for chi in annihilator(h):
-        vals.append(chi.evaluate(a).conjugate() * chi.evaluate(n))
-    total = exact_root_sum(vals)
-    if total not in (0, h.index):
-        raise ArithmeticError("character average is not 0 or h")
-    averaged = total // h.index
-    if averaged != direct:
-        raise ArithmeticError(
-            f"orthogonality average {averaged} disagrees with bitmask {direct}"
-        )
-    return direct
 
 
 # chi_D on residues mod |D| for the 2-part D of -q when 4 | q, keyed by

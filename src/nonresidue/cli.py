@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal, InvalidOperation
@@ -651,8 +652,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes every argument that starts with '-' and a digit for a value, not
+    just plain numbers, so `--q -5..10` parses as `--q=-5..10` does."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="nonresidue", description=__doc__)
+    ap = _Parser(prog="nonresidue", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scan", help="range scans of bound vs search")

@@ -4,7 +4,7 @@ Each identity here has the shape
 
     prime-power sum = main terms + theta * envelope,      |theta| <= 1,
 
-where theta absorbs the zero sums that are never evaluated directly.
+where theta absorbs the zero sums that are never computed directly.
 The evaluators compute both sides and solve for theta, so the residual
 bound becomes a falsifiable desk-scale check instead of an assumption.
 A |theta| > 1 in the tested ranges means a bug (the underlying zero
@@ -39,7 +39,6 @@ __all__ = [
     "coprime_excess_sums",
     "error_terms",
     "hadamard_window",
-    "imprimitivity_gap",
     "lemma_residual",
     "log_l_residual",
     "loglog_sum",
@@ -441,18 +440,6 @@ def coprime_excess_sums(x: float, m: int) -> CoprimeExcessReport:
     bound_log = 0.5 * fac.omega * math.log(x) ** 2
     bound_harm = math.fsum(math.log(p) / (p - 1) for p, _ in fac.factors)
     return CoprimeExcessReport(m, x, lhs_log, bound_log, lhs_harm, bound_harm)
-
-
-def imprimitivity_gap(x: float, chi: DirichletCharacter) -> tuple[float, float]:
-    """|S(x, chi) - S(x, induced primitive)| and its omega bound.
-
-    The gap collects prime powers touching q but not the conductor and is
-    bounded by omega(q / conductor) (log x)^2 / 2.
-    """
-    cond, prim = chi.primitivize()
-    gap = abs(cheb_log_sum(x, chi) - cheb_log_sum(x, prim))
-    bound = 0.5 * factorize(chi.q // cond).omega * math.log(x) ** 2
-    return gap, bound
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,6 @@ __all__ = [
     "hurwitz_zeta",
     "l_and_lprime_at_1",
     "l_at_1",
-    "l_of_s",
     "psi",
     "re_b",
     "zeta_1_plus_it",
@@ -312,18 +311,6 @@ def _require_primitive_nonprincipal(chi: DirichletCharacter) -> None:
         raise ValueError(f"character {chi.label} has conductor {chi.conductor} != {chi.q}")
 
 
-def l_of_s(chi: DirichletCharacter, s) -> complex:
-    """L(s, chi) = q^(-s) sum_a chi(a) zeta(s, a/q) for Re s > 0, s != 1."""
-    q = chi.q
-    vals = _chi_on_1_to_q(chi)
-    total = 0j
-    for a in range(1, q + 1):
-        v = vals[a - 1]
-        if v != 0:
-            total += v * hurwitz_zeta(complex(s), a / q)
-    return complex(q) ** (-complex(s)) * total
-
-
 def l_and_lprime_at_1(chi: DirichletCharacter) -> tuple[complex, complex]:
     """(L(1, chi), L'(1, chi)) through the Laurent data at s = 1.
 
@@ -346,12 +333,10 @@ def _l1_finite_real_odd(chi: DirichletCharacter) -> float:
     q = chi.q
     if not (chi.is_real and chi.parity == 1 and q > 4):
         raise ValueError("finite formula needs a real odd primitive character, q > 4")
-    total = 0
-    for a in range(1, (q + 1) // 2):
-        v = chi.evaluate(a)
-        if not v.zero:
-            total += v.real_int()
-    chi2 = chi.evaluate(2).real_int() if q % 2 else 0
+    # a real character's angles are 0 (value 1), E/2 (value -1) or -1 (value 0)
+    half = chi.angles[1 : (q + 1) // 2]
+    total = int(np.count_nonzero(half == 0)) - int(np.count_nonzero(half > 0))
+    chi2 = (-1 if chi.angles[2] else 1) if q % 2 else 0
     return math.pi * total / ((2 - chi2) * math.sqrt(q))
 
 
@@ -459,7 +444,7 @@ def class_number_bqf(q: int) -> ClassNumberResult:
 def class_number_via_formula(q: int) -> ClassNumberResult:
     """h(-q) = (sqrt(q)/pi) L(1, chi_{-q}), rounded with its distance kept.
 
-    chi_{-q} is evaluated through the Kronecker symbol so scans stay free
+    chi_{-q} is read from the Kronecker character table so scans stay free
     of unit-group tables; L(1) comes from -1/q sum chi(a) psi_0(a/q).
     """
     if q <= 4 or not is_fundamental_discriminant(q):

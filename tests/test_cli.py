@@ -70,6 +70,11 @@ def test_usage_errors():
     assert main(["scan", "qnr"]) == EXIT_USAGE  # no range
     assert main(["nonsense"]) == EXIT_USAGE
     assert main(["lemma", "2.2", "--x", "100"]) == EXIT_USAGE  # missing --q
+    # a range starting below 0 is the value of --q, not an unknown option
+    code, out = run_main(["scan", "qnr", "--q", "-5..10", "--format", "csv"])
+    assert (code, out) == run_main(["scan", "qnr", "--q=-5..10", "--format", "csv"])
+    assert code == EXIT_OK
+    assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == ["5", "7"]
 
 
 def test_eval_commands():

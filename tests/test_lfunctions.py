@@ -26,7 +26,6 @@ from nonresidue.lfunctions import (
     hurwitz_zeta,
     l_and_lprime_at_1,
     l_at_1,
-    l_of_s,
     psi,
     re_b,
     zeta_1_plus_it,
@@ -254,6 +253,18 @@ def test_l_at_1_rejects_bad_input():
     imprimitive = [c for c in character_group(6) if not c.is_principal][0]
     with pytest.raises(ValueError):
         l_at_1(imprimitive)
+
+
+def l_of_s(chi, s) -> complex:
+    """L(s, chi) = q^(-s) sum_a chi(a) zeta(s, a/q) for Re s > 0, s != 1."""
+    q = chi.q
+    tab = chi.complex_table
+    total = 0j
+    for a in range(1, q + 1):
+        v = tab[a % q]
+        if v != 0:
+            total += v * hurwitz_zeta(complex(s), a / q)
+    return complex(q) ** (-complex(s)) * total
 
 
 def test_lprime_matches_numeric_derivative():

@@ -32,15 +32,12 @@ from .lfunctions import (
     class_number_bqf,
     class_number_via_formula,
     complex_gamma,
-    hurwitz_zeta,
     l_at_1,
     psi,
     re_b,
-    zeta_1_plus_it,
 )
 from .search import (
     SearchResult,
-    least_kth_nonresidue,
     least_prime_in_coset,
     least_prime_outside_subgroup,
     least_qnr,

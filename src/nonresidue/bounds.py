@@ -68,6 +68,11 @@ class BoundReport:
     verdict: str  # pass | fail | not-applicable | not-found
 
     @staticmethod
+    def value(formula: str, q: int, target: str, value: float, applicable: bool = True) -> "BoundReport":
+        """A row that reports a value in the bound column and checks nothing."""
+        return BoundReport(formula, q, target, None, value, None, applicable, "not-applicable")
+
+    @staticmethod
     def from_comparison(
         formula: str,
         q: int,

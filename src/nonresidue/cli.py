@@ -286,32 +286,30 @@ def cmd_eval(args) -> int:
     # self-describing
     if name == "thm11":
         vals = bounds.subgroup_bound_quantities(q)
-        rows.append(BoundReport("thm11", q, f"(log q + B)^2 with A={vals.a_term!r};B={vals.b_term!r}", None, vals.bound, None, q >= 3000, "not-applicable"))
+        rows.append(BoundReport.value("thm11", q, f"(log q + B)^2 with A={vals.a_term!r};B={vals.b_term!r}", vals.bound, q >= 3000))
     elif name == "thm12":
-        rows.append(
-            BoundReport("thm12", q, "(log q)^2 when no prime below it divides q", None, math.log(q) ** 2, None, bounds.subgroup_bound_clean_applicable(q), "not-applicable")
-        )
+        rows.append(BoundReport.value("thm12", q, "(log q)^2 when no prime below it divides q", math.log(q) ** 2, bounds.subgroup_bound_clean_applicable(q)))
     elif name == "thm14":
-        rows.append(BoundReport("thm14", q, f"((h-1)log q + 3(h+1) + 2.5(loglog q)^2)^2 at h={h}", None, bounds.coset_bound(q, h), None, q >= 20000, "not-applicable"))
+        rows.append(BoundReport.value("thm14", q, f"((h-1)log q + 3(h+1) + 2.5(loglog q)^2)^2 at h={h}", bounds.coset_bound(q, h), q >= 20000))
     elif name == "cor15":
-        rows.append(BoundReport("cor15", q, "(phi(q) log q)^2", None, bounds.ap_bound(q), None, q > 3, "not-applicable"))
+        rows.append(BoundReport.value("cor15", q, "(phi(q) log q)^2", bounds.ap_bound(q), q > 3))
     elif name == "thm15":
         vb = bounds.l1_value_bounds(q)
-        rows.append(BoundReport("thm15", q, "2e^g(loglog q - log2 + 1/2 + 1/loglog q)", None, vb.upper, None, q >= 1e10, "not-applicable"))
-        rows.append(BoundReport("thm15", q, "12e^g/pi^2 (... + 14 loglog q/log q) for 1/|L|", None, vb.reciprocal_upper, None, q >= 1e10, "not-applicable"))
+        rows.append(BoundReport.value("thm15", q, "2e^g(loglog q - log2 + 1/2 + 1/loglog q)", vb.upper, q >= 1e10))
+        rows.append(BoundReport.value("thm15", q, "12e^g/pi^2 (... + 14 loglog q/log q) for 1/|L|", vb.reciprocal_upper, q >= 1e10))
     elif name == "cor16":
         cb = bounds.class_number_bounds(q)
-        rows.append(BoundReport("cor16", q, "h-lower: pi/(12e^g) sqrt(q)/(core + 14 loglog q/log q)", None, cb.lower, None, q >= 1e10, "not-applicable"))
-        rows.append(BoundReport("cor16", q, "h-upper: 2e^g/pi sqrt(q) core", None, cb.upper, None, q >= 1e10, "not-applicable"))
-        rows.append(BoundReport("cor16", q, "h-lower-floor", None, float(cb.lower_floor), None, q >= 1e10, "not-applicable"))
+        rows.append(BoundReport.value("cor16", q, "h-lower: pi/(12e^g) sqrt(q)/(core + 14 loglog q/log q)", cb.lower, q >= 1e10))
+        rows.append(BoundReport.value("cor16", q, "h-upper: 2e^g/pi sqrt(q) core", cb.upper, q >= 1e10))
+        rows.append(BoundReport.value("cor16", q, "h-lower-floor", float(cb.lower_floor), q >= 1e10))
     elif name == "sec43":
         rows.extend(bounds.verify_elementary(q))
     elif name == "alpha":
-        rows.append(BoundReport("alpha", 0, f"headline constant at h={h}", None, kernels.alpha_table(h), None, True, "not-applicable"))
+        rows.append(BoundReport.value("alpha", 0, f"headline constant at h={h}", kernels.alpha_table(h)))
     elif name == "limit":
-        rows.append(BoundReport("limit", 0, f"((h-1)/(2h-1))^2 at h={h}", None, kernels.limit_constant(h), None, True, "not-applicable"))
+        rows.append(BoundReport.value("limit", 0, f"((h-1)/(2h-1))^2 at h={h}", kernels.limit_constant(h)))
     else:  # largeh
-        rows.append(BoundReport("largeh", 0, f"(1/4)(1-1/h)^2(log 2h/(log 2h - 2))^2 at h={h}", None, kernels.largeh_constant(h), None, True, "not-applicable"))
+        rows.append(BoundReport.value("largeh", 0, f"(1/4)(1-1/h)^2(log 2h/(log 2h - 2))^2 at h={h}", kernels.largeh_constant(h)))
     _write_output(args, rows)
     return EXIT_OK
 
@@ -320,22 +318,22 @@ def cmd_kernel(args) -> int:
     kern = kernels.gamma_kernel() if args.kernel == "gamma" else kernels.fejer_kernel(args.alpha)
     rows: list[BoundReport] = []
     if args.l1:
-        rows.append(BoundReport("kernel", 0, f"{kern.name}:l1", None, kernels.line_l1(kern), None, True, "not-applicable"))
+        rows.append(BoundReport.value("kernel", 0, f"{kern.name}:l1", kernels.line_l1(kern)))
     if args.k_half:
-        rows.append(BoundReport("kernel", 0, f"{kern.name}:K(1/2)", None, kern.at_half, None, True, "not-applicable"))
+        rows.append(BoundReport.value("kernel", 0, f"{kern.name}:K(1/2)", kern.at_half))
     if args.mellin is not None:
         numeric = kernels.mellin_numeric_check(kern, args.mellin)
         closed = kern.mellin(args.mellin)
         rows.append(BoundReport("kernel", 0, f"{kern.name}:mellin({args.mellin:g})", numeric, closed, closed - numeric, True, "pass" if abs(closed - numeric) < 1e-6 else "fail"))
     if args.weighted is not None:
-        rows.append(BoundReport("kernel", 0, f"{kern.name}:W({args.weighted:g})", None, kernels.weighted_integral(kern, args.weighted), None, True, "not-applicable"))
+        rows.append(BoundReport.value("kernel", 0, f"{kern.name}:W({args.weighted:g})", kernels.weighted_integral(kern, args.weighted)))
     if args.prop62:
-        bc = kernels.prop62_constant(kern, args.lam, args.h)
-        rows.append(BoundReport("prop62", 0, f"{kern.name}:c(lam={args.lam:g};h={args.h})", None, bc.c, None, True, "not-applicable"))
+        c = kernels.prop62_constant(kern, args.lam, args.h)
+        rows.append(BoundReport.value("prop62", 0, f"{kern.name}:c(lam={args.lam:g};h={args.h})", c))
     if args.optimize:
         lam_star, c_star = kernels.optimize_lambda(kern, args.h)
-        rows.append(BoundReport("prop62", 0, f"{kern.name}:lam*(h={args.h})", None, lam_star, None, True, "not-applicable"))
-        rows.append(BoundReport("prop62", 0, f"{kern.name}:c*(h={args.h})", None, c_star, None, True, "not-applicable"))
+        rows.append(BoundReport.value("prop62", 0, f"{kern.name}:lam*(h={args.h})", lam_star))
+        rows.append(BoundReport.value("prop62", 0, f"{kern.name}:c*(h={args.h})", c_star))
     if not rows:
         _progress("error: nothing requested; pass --l1/--k-half/--mellin/--weighted/--prop62/--optimize")
         return EXIT_USAGE
@@ -514,8 +512,8 @@ def _gamma_constant_rows(scale: str, workers: int) -> list[BoundReport]:
         BoundReport("prop62", 0, "gamma:l1<=0.292", l1, 0.292, 0.292 - l1, True, "pass" if l1 <= 0.292 else "fail"),
     ]
     for lam, h, ref in THM13_CHOICES:
-        bc = kernels.prop62_constant(gamma, lam, h)
-        rows.append(_tolerance_row("prop62", f"gamma:c(lam={lam:g};h={h})-vs-{ref}", bc.c, ref, 0.01))
+        c = kernels.prop62_constant(gamma, lam, h)
+        rows.append(_tolerance_row("prop62", f"gamma:c(lam={lam:g};h={h})-vs-{ref}", c, ref, 0.01))
     return rows
 
 
@@ -586,10 +584,10 @@ def _method_floor_rows(scale: str, workers: int) -> list[BoundReport]:
         for lam in (0.5, 1.0, 2.0, 3.9, 6.55, 8.35, 12.0, 20.0):
             for h in (2, 3, 4, 10, 100, math.inf):
                 try:
-                    bc = kernels.prop62_constant(kern, lam, h)
+                    c = kernels.prop62_constant(kern, lam, h)
                 except kernels.NonpositiveDenominatorError:
                     continue
-                rows.append(_threshold_row("floor", 0, f"{kern.name}:lam={lam:g};h={h}", bc.c, kernels.limit_constant(h)))
+                rows.append(_threshold_row("floor", 0, f"{kern.name}:lam={lam:g};h={h}", c, kernels.limit_constant(h)))
     return rows
 
 

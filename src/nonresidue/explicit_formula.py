@@ -123,12 +123,12 @@ def _bin(w: np.ndarray, n: np.ndarray, q: int) -> np.ndarray:
     return np.bincount(n % q, weights=w, minlength=q)
 
 
-# Binned weights, shared by every character of a modulus: the key is
-# (kind, x, q) and nothing depends on the character.  Least recently used
-# entries go first past the cap; the sec2 checklist needs 12 per modulus
-# (three kinds at four x).
-_BIN_CACHE_SIZE = 256
-_bin_cache: dict[tuple, np.ndarray] = {}
+# The sec2 checklist needs 12 entries per modulus (three kinds at four x).
+@lru_cache(maxsize=256)
+def _binned_weights(kind: str, x: float, q: int) -> np.ndarray:
+    """One kind's weights binned mod q, shared by every character mod q.
+    Cached; do not mutate."""
+    return _bin(*_weights(kind, x), q)
 
 
 def _sum(kind: str, x: float, chi: DirichletCharacter | None):
@@ -136,24 +136,15 @@ def _sum(kind: str, x: float, chi: DirichletCharacter | None):
         return 0.0 if chi is None else 0j
     if chi is None:
         return float(math.fsum(_weights(kind, x)[0]))
-    key = (kind, x, chi.q)
-    b = _bin_cache.pop(key, None)
-    if b is None:
-        b = _bin(*_weights(kind, x), chi.q)
-        if len(_bin_cache) >= _BIN_CACHE_SIZE:
-            del _bin_cache[next(iter(_bin_cache))]
-    _bin_cache[key] = b  # (re)inserted last: most recently used
-    return complex(np.dot(b, chi.complex_table))
+    return complex(np.dot(_binned_weights(kind, x, chi.q), chi.complex_table))
 
 
 def cheb_log_sum(x: float, chi: DirichletCharacter | None = None):
     """sum_{n<=x} Lambda(n) chi(n) log(x/n); untwisted when chi is None.
 
-    Twisted, the weights are binned by n mod q once and kept in the
-    module's bin cache under ("cheb", x, q) (at most _BIN_CACHE_SIZE
-    entries, least recently used dropped first); the sum is their dot
-    product with chi's table.  Untwisted sums are summed with math.fsum
-    and not cached.
+    Twisted, the weights are binned by n mod q once per (kind, x, q) and
+    cached; the sum is their dot product with chi's table.  Untwisted
+    sums are summed with math.fsum and not cached.
     """
     return _sum("cheb", x, chi)
 
@@ -161,8 +152,7 @@ def cheb_log_sum(x: float, chi: DirichletCharacter | None = None):
 def weighted_psi_sum(x: float, chi: DirichletCharacter | None = None):
     """sum_{n<=x} Lambda(n)/n chi(n) (1 - n/x).
 
-    Binned and cached as cheb_log_sum, under ("psi", x, q); untwisted
-    sums are uncached.
+    Binned and cached as cheb_log_sum; untwisted sums are uncached.
     """
     return _sum("psi", x, chi)
 
@@ -170,8 +160,7 @@ def weighted_psi_sum(x: float, chi: DirichletCharacter | None = None):
 def loglog_sum(x: float, chi: DirichletCharacter | None = None):
     """sum_{n<=x} Lambda(n)/(n log n) chi(n) log(x/n)/log(x).
 
-    Binned and cached as cheb_log_sum, under ("loglog", x, q); untwisted
-    sums are uncached.
+    Binned and cached as cheb_log_sum; untwisted sums are uncached.
     """
     return _sum("loglog", x, chi)
 

@@ -1,7 +1,7 @@
 """Even analytic kernels, their Mellin transforms, and the bound constants.
 
 A kernel K is even and holomorphic on a vertical strip with
-|K(it)| <= decay/(1 + t^2); its Mellin transform
+|K(it)| = O(1/(1 + t^2)); its Mellin transform
 Ktilde(u) = (1/2 pi i) int K(s) u^s ds satisfies Ktilde(u) = Ktilde(1/u)
 and is nonnegative.  Three derived numbers drive everything:
 
@@ -19,14 +19,13 @@ limit c = lambda (line_l1 / W)^2 available as a first-class input.
 Two kernels are built in: the squared-sine family with parameter alpha
 (Mellin transform max(0, 2 alpha - |log u|)) and the reflected-Gamma
 kernel -(Gamma(s) + Gamma(-s)) (Mellin transform 1 - e^(-1/u) - e^(-u)).
-A third kernel can be registered by constructing Kernel directly with a
-line evaluator, closed-form Mellin transform, and decay certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -37,7 +36,6 @@ from scipy.special import sici
 from .lfunctions import EULER_GAMMA, complex_gamma
 
 __all__ = [
-    "BoundConstant",
     "Kernel",
     "NoFeasibleLambdaError",
     "NonpositiveDenominatorError",
@@ -67,19 +65,27 @@ class NoFeasibleLambdaError(ArithmeticError):
     """No lambda in the bracket gives a positive denominator."""
 
 
-@dataclass(frozen=True, eq=False)
+_KINDS = ("fejer", "gamma")
+
+
+@dataclass(frozen=True)
 class Kernel:
-    """Even kernel with line evaluator and closed-form Mellin transform."""
+    """Even kernel with line evaluator and closed-form Mellin transform.
+
+    Kernels with the same kind and params compare equal, so they share
+    the quadrature caches below.
+    """
 
     kind: str
     params: tuple
-    at_half: float
-    at_zero: float
-    strip: float
-    decay: float  # |K(it)| <= decay / (1 + t^2)
-    line: Callable[[float], float]
-    mellin: Callable[[float], float]
-    mellin_breaks: tuple[float, ...] = ()
+    at_half: float = field(compare=False)
+    line: Callable[[float], float] = field(compare=False)
+    mellin: Callable[[float], float] = field(compare=False)
+    mellin_breaks: tuple[float, ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {_KINDS}")
 
     @property
     def name(self) -> str:
@@ -87,9 +93,6 @@ class Kernel:
             inner = ";".join(f"{p:g}" for p in self.params)
             return f"{self.kind}({inner})"
         return self.kind
-
-    def _key(self):
-        return (self.kind, self.params)
 
 
 def fejer_kernel(alpha: float) -> Kernel:
@@ -112,9 +115,6 @@ def fejer_kernel(alpha: float) -> Kernel:
         kind="fejer",
         params=(alpha,),
         at_half=4 * half * half,
-        at_zero=4 * alpha * alpha,
-        strip=1.0,
-        decay=max(8.0, 8 * alpha * alpha),
         line=line,
         mellin=mellin,
         mellin_breaks=(math.exp(-2 * alpha), math.exp(2 * alpha)),
@@ -140,9 +140,6 @@ def gamma_kernel() -> Kernel:
         kind="gamma",
         params=(),
         at_half=at_half,
-        at_zero=2 * EULER_GAMMA,
-        strip=0.4,
-        decay=8.0,
         line=line,
         mellin=mellin,
     )
@@ -180,45 +177,21 @@ def _gamma_line_breakpoints(kernel: Kernel, upper: float) -> list[float]:
     return zeros
 
 
-# Quadrature results, shared by every call with the same kernel kind and
-# params (kernels that share both are taken to be the same kernel).  An
-# entry is the (value, error estimate) pair a quadrature returned, so a
-# caller still checks the error on every call.  Least recently used
-# entries go first past the cap: one kernel's optimize_lambda sweep over
-# several h stores about 300 entries.
-_QUAD_CACHE_SIZE = 8192
-_quad_cache: dict[tuple, tuple[float, float]] = {}
-
-
-def _cached_quad(key: tuple, compute: Callable[[], tuple[float, float]]) -> tuple[float, float]:
-    """compute()'s (value, error) pair, computed once while key stays cached."""
-    out = _quad_cache.pop(key, None)
-    if out is None:
-        out = compute()
-        if len(_quad_cache) >= _QUAD_CACHE_SIZE:
-            del _quad_cache[next(iter(_quad_cache))]
-    _quad_cache[key] = out  # (re)inserted last: most recently used
-    return out
-
-
 def line_l1(kernel: Kernel) -> float:
     """(1/2 pi) int_R |K(it)| dt with certified truncation error <= 1e-9.
 
     The integrand's inner function changes sign for the reflected-Gamma
     kernel, so the integral is split at its zeros; the squared-sine
-    kernel is nonnegative and gets an exact sine-integral tail.
-
-    The value and its error budget are cached under ("l1", kind, params)
-    in the module's quadrature cache (at most _QUAD_CACHE_SIZE entries,
-    least recently used dropped first); the error check runs on every
-    call, cached or not.
+    kernel is nonnegative and gets an exact sine-integral tail.  The
+    quadrature is cached per kernel; the error check runs on every call.
     """
-    total, err_budget = _cached_quad(("l1", kernel._key()), lambda: _line_l1_quadrature(kernel))
+    total, err_budget = _line_l1_quadrature(kernel)
     if err_budget > _L1_TOL:
         raise QuadratureError(f"line L1 error {err_budget:g} exceeds {_L1_TOL:g}")
     return total
 
 
+@lru_cache(maxsize=64)
 def _line_l1_quadrature(kernel: Kernel) -> tuple[float, float]:
     """line_l1's value and its error budget, before the error check."""
     err_budget = 0.0
@@ -242,26 +215,18 @@ def _line_l1_quadrature(kernel: Kernel) -> tuple[float, float]:
             pieces.append(val)
             err_budget += err
         tail = 1.0 / t1 - _cos_moment_tail(omega, t1)
-        total = (2 / math.pi) * (math.fsum(pieces) + tail)
-    elif kernel.kind == "gamma":
-        t1 = _GAMMA_LINE_CUTOFF
-        edges = [0.0] + _gamma_line_breakpoints(kernel, t1) + [t1]
-        pieces = []
-        for a, b in zip(edges, edges[1:]):
-            val, err = quad(kernel.line, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)
-            pieces.append(abs(val))
-            err_budget += err
-        # |Gamma(it)|^2 = pi/(t sinh(pi t)): the remaining mass past 60 is
-        # below 1e-40, absorbed into the error budget.
-        err_budget += 1e-40
-        total = (1 / math.pi) * math.fsum(pieces)
-    else:
-        # Generic route: nonnegative assumption not available, integrate |K|.
-        t1 = 2000.0
-        val, err = quad(lambda t: abs(kernel.line(t)), 0.0, t1, epsabs=1e-11, limit=2000)
-        err_budget += err + kernel.decay / t1 / math.pi
-        total = (1 / math.pi) * val
-    return total, err_budget
+        return (2 / math.pi) * (math.fsum(pieces) + tail), err_budget
+    t1 = _GAMMA_LINE_CUTOFF
+    edges = [0.0] + _gamma_line_breakpoints(kernel, t1) + [t1]
+    pieces = []
+    for a, b in zip(edges, edges[1:]):
+        val, err = quad(kernel.line, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)
+        pieces.append(abs(val))
+        err_budget += err
+    # |Gamma(it)|^2 = pi/(t sinh(pi t)): the remaining mass past 60 is
+    # below 1e-40, absorbed into the error budget.
+    err_budget += 1e-40
+    return (1 / math.pi) * math.fsum(pieces), err_budget
 
 
 def mellin_numeric_check(kernel: Kernel, u: float) -> float:
@@ -303,7 +268,7 @@ def mellin_numeric_check(kernel: Kernel, u: float) -> float:
             raise QuadratureError(f"Mellin check error {err_budget:g}")
         return (math.fsum(pieces) + tail) / math.pi
 
-    t1 = _GAMMA_LINE_CUTOFF if kernel.kind == "gamma" else 500.0
+    t1 = _GAMMA_LINE_CUTOFF
 
     def integrand(t: float) -> float:
         return kernel.line(t) * math.cos(beta * t)
@@ -324,24 +289,19 @@ def weighted_integral(kernel: Kernel, lam: float) -> float:
     The piece beyond u = 1 is folded back with Ktilde(u) = Ktilde(1/u) and
     the substitution u = 1/w^2, which removes the endpoint singularity.
 
-    Each piece's quadrature (value, error estimate) is cached in the
-    module's quadrature cache (at most _QUAD_CACHE_SIZE entries, least
-    recently used dropped first), keyed by the kernel's kind and params
-    and the piece's moving endpoint: min(lambda, 1) for the piece on
-    (0, min(lambda, 1)], 1/sqrt(lambda) (0 at lambda = inf) for the folded
-    piece on (1/sqrt(lambda), 1].  So every lambda >= 1 shares the costly
-    low piece, and a lambda seen before costs no quadrature.  Every call
-    adds the same pieces in the same order and checks their error budget,
-    cached or not, so a cached result is the same float.
+    Each piece's quadrature (value, error estimate) is cached per kernel
+    and moving endpoint: min(lambda, 1) for the piece on (0, min(lambda, 1)],
+    1/sqrt(lambda) (0 at lambda = inf) for the folded piece on
+    (1/sqrt(lambda), 1].  So every lambda >= 1 shares the costly low
+    piece, and a lambda seen before costs no quadrature.  Every call adds
+    the same pieces in the same order and checks their error budget, so
+    a cached result is the same float.
     """
     if not lam > 0:  # also rejects nan
         raise ValueError("lambda must be positive")
-    key = kernel._key()
-    upper1 = min(lam, 1.0)
-    pieces = [_cached_quad(("low", key, upper1), lambda: _low_piece(kernel, upper1))]
+    pieces = [_low_piece(kernel, min(lam, 1.0))]
     if lam > 1.0:
-        w_lo = 0.0 if math.isinf(lam) else 1.0 / math.sqrt(lam)
-        pieces.append(_cached_quad(("folded", key, w_lo), lambda: _folded_piece(kernel, w_lo)))
+        pieces.append(_folded_piece(kernel, 0.0 if math.isinf(lam) else 1.0 / math.sqrt(lam)))
 
     err_budget = 0.0
     total = 0.0
@@ -353,6 +313,7 @@ def weighted_integral(kernel: Kernel, lam: float) -> float:
     return total
 
 
+@lru_cache(maxsize=64)
 def _low_piece(kernel: Kernel, upper: float) -> tuple[float, float]:
     """quad's (value, error) for int_0^upper Ktilde(u) du/sqrt(u), upper <= 1."""
     pts = [b for b in kernel.mellin_breaks if 0 < b < upper] or None
@@ -365,6 +326,8 @@ def _low_piece(kernel: Kernel, upper: float) -> tuple[float, float]:
     return quad(f_low, 0.0, upper, epsabs=1e-13, epsrel=1e-12, limit=400, points=pts)
 
 
+# One kernel-opt pass over 17 kernels and six h stores about 4,600.
+@lru_cache(maxsize=8192)
 def _folded_piece(kernel: Kernel, w_lo: float) -> tuple[float, float]:
     """quad's (value, error) for int_1^(1/w_lo^2) Ktilde(u) du/sqrt(u), folded to w in (w_lo, 1]."""
     pts = [math.sqrt(b) for b in kernel.mellin_breaks if w_lo < math.sqrt(b) < 1.0] or None
@@ -382,16 +345,7 @@ def _folded_piece(kernel: Kernel, w_lo: float) -> tuple[float, float]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundConstant:
-    h: float  # index, math.inf allowed
-    lam: float
-    kernel: str
-    c: float
-    denominator: float
-
-
-def prop62_constant(kernel: Kernel, lam: float, h) -> BoundConstant:
+def prop62_constant(kernel: Kernel, lam: float, h) -> float:
     """Constant c with X <= (c + o(1)) (log q)^2 for index h at this lambda.
 
     c = lambda ((h-1) L1 / (h W - K(1/2)/2))^2; at h = infinity the ratio
@@ -400,20 +354,15 @@ def prop62_constant(kernel: Kernel, lam: float, h) -> BoundConstant:
     l1 = line_l1(kernel)
     w = weighted_integral(kernel, lam)
     if math.isinf(h):
-        denom = w
-        if denom <= 0:
+        if w <= 0:
             raise NonpositiveDenominatorError("W(lambda) <= 0")
-        c = lam * (l1 / w) ** 2
-    else:
-        if h < 2:
-            raise ValueError("index h must be at least 2")
-        denom = h * w - kernel.at_half / 2
-        if denom <= 0:
-            raise NonpositiveDenominatorError(
-                f"h W(lambda) - K(1/2)/2 = {denom:g} <= 0 at lambda={lam:g}"
-            )
-        c = lam * ((h - 1) * l1 / denom) ** 2
-    return BoundConstant(h=float(h), lam=lam, kernel=kernel.name, c=c, denominator=denom)
+        return lam * (l1 / w) ** 2
+    if h < 2:
+        raise ValueError("index h must be at least 2")
+    denom = h * w - kernel.at_half / 2
+    if denom <= 0:
+        raise NonpositiveDenominatorError(f"h W(lambda) - K(1/2)/2 = {denom:g} <= 0 at lambda={lam:g}")
+    return lam * ((h - 1) * l1 / denom) ** 2
 
 
 def optimize_lambda(
@@ -430,14 +379,14 @@ def optimize_lambda(
     the coarse grid guards against bracketing a local valley.
 
     Each c(lambda) reads line_l1 and the pieces of W(lambda) from the
-    module's quadrature cache (see weighted_integral), so a second h on
-    the same kernel and grid reruns only the golden-section steps' folded
-    pieces; every read still checks its quadrature error budget.
+    quadrature caches (see weighted_integral), so a second h on the same
+    kernel and grid reruns only the golden-section steps' folded pieces;
+    every read still checks its quadrature error budget.
     """
 
     def c_of(lam: float) -> float:
         try:
-            return prop62_constant(kernel, lam, h).c
+            return prop62_constant(kernel, lam, h)
         except NonpositiveDenominatorError:
             return math.inf
 

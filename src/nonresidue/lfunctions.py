@@ -5,17 +5,16 @@ Contents, all double precision with stated error targets:
 * complex Gamma by a fixed Lanczos coefficient set, reflected below
   Re z = 1/2 (relative error <= 1e-12 on the strip |Re z| <= 2,
   |Im z| <= 60);
-* psi_0 / psi_1 by recurrence shift plus asymptotic series;
-* Hurwitz zeta(s, a) and its s-derivative by Euler-Maclaurin
-  (shift N = 30, Bernoulli depth M = 12), plus the two Laurent
-  coefficients at s = 1 that the L(1, chi) and L'(1, chi) evaluations
-  need after the character sum kills the pole;
+* psi_0 by recurrence shift plus asymptotic series;
+* the two Laurent coefficients of Hurwitz zeta(s, a/q) at s = 1, by
+  Euler-Maclaurin (shift N = 30, Bernoulli depth M = 12), which the
+  L(1, chi) and L'(1, chi) evaluations need after the character sum
+  kills the pole;
 * L(1, chi) by three routes: the Hurwitz route, the finite character-sum
   formula for real odd characters, and a tail-corrected Dirichlet
   series used only as an independent oracle;
 * the Hadamard real-part constant |Re B(chi)| recovered from
   L'/L(1, chi);
-* zeta(1 + it);
 * class numbers h(-q) by reduced-form counting and by the class number
   formula h(-q) = (sqrt(q)/pi) L(1, chi_{-q}).
 """
@@ -48,12 +47,10 @@ __all__ = [
     "class_number_bqf",
     "class_number_via_formula",
     "complex_gamma",
-    "hurwitz_zeta",
     "l_and_lprime_at_1",
     "l_at_1",
     "psi",
     "re_b",
-    "zeta_1_plus_it",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -140,116 +137,36 @@ def complex_gamma(z: complex) -> complex:
     return math.sqrt(2 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * series
 
 
-def _psi_asymptotic(y: np.ndarray, order: int) -> np.ndarray:
-    """psi_order(y) for y >= 12 by the Bernoulli asymptotic series."""
-    inv2 = 1.0 / (y * y)
-    if order == 0:
-        out = np.log(y) - 0.5 / y
-        term = np.ones_like(y)
-        for j, b in enumerate(_BERNOULLI[:8], start=1):
-            term = term * inv2
-            out -= b / (2 * j) * term
-        return out
-    out = 1.0 / y + 0.5 * inv2
-    term = 1.0 / y
-    for b in _BERNOULLI[:8]:
-        term = term * inv2
-        out += b * term
-    return out
-
-
 _PSI_SHIFT = 12
 
 
-def psi(x, order: int = 0) -> np.ndarray:
-    """psi_0 (order 0) or psi_1 (order 1), elementwise on positive reals.
+def psi(x) -> np.ndarray:
+    """psi_0 elementwise on positive reals, error <= 1e-12 * max(1, |psi|).
 
-    Error at most 1e-12 * max(1, |psi|): absolute where |psi| <= 1,
-    relative where psi_1 grows like 1/x^2 near 0.
+    Shifted up by 12 with psi(x) = psi(x + 1) - 1/x, then the Bernoulli
+    asymptotic series.
     """
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("psi requires positive arguments")
     y = x + _PSI_SHIFT
-    out = _psi_asymptotic(y, order)
+    inv2 = 1.0 / (y * y)
+    out = np.log(y) - 0.5 / y
+    term = np.ones_like(y)
+    for j, b in enumerate(_BERNOULLI[:8], start=1):
+        term = term * inv2
+        out -= b / (2 * j) * term
     for k in range(_PSI_SHIFT):
-        if order == 0:
-            out -= 1.0 / (x + k)
-        else:
-            out += 1.0 / (x + k) ** 2
+        out -= 1.0 / (x + k)
     return out
 
 
 # ----------------------------------------------------------------------
-# Hurwitz zeta by Euler-Maclaurin
+# Hurwitz zeta Laurent data at s = 1, by Euler-Maclaurin
 # ----------------------------------------------------------------------
 
 _EM_SHIFT = 30
 _EM_DEPTH = 12
-
-
-def hurwitz_zeta(s, a: float, derivative_order: int = 0):
-    """zeta(s, a) or its s-derivative, Re s > 0, 0 < a <= 1.
-
-    Absolute error <= 1e-12 for moderate |Im s| (the shift grows with the
-    imaginary part so the Bernoulli tail keeps converging).
-    """
-    if derivative_order not in (0, 1):
-        raise ValueError("derivative_order must be 0 or 1")
-    if not 0 < a <= 1:
-        raise ValueError("a must lie in (0, 1]")
-    sc = complex(s)
-    if sc == 1:
-        raise PoleError("Hurwitz zeta has a pole at s = 1")
-    if sc.real <= 0:
-        raise ValueError("Euler-Maclaurin evaluation needs Re s > 0")
-
-    n_shift = max(_EM_SHIFT, int(abs(sc.imag)) + 10)
-    base = np.arange(n_shift) + a
-    big = n_shift + a
-    log_base = np.log(base)
-    log_big = math.log(big)
-
-    powers = np.exp(-sc * log_base)  # (k+a)^(-s)
-    head = powers.sum()
-    tail_main = big ** (1 - sc) / (sc - 1)
-    tail_half = 0.5 * big ** (-sc)
-
-    # Bernoulli corrections: B_2j/(2j)! * s(s+1)...(s+2j-2) * big^(-s-2j+1)
-    corr = 0j
-    corr_d = 0j
-    rising = sc  # product s(s+1)...(s+i)
-    rising_dlog = 1.0 / sc  # derivative of log rising product
-    fact = 1.0
-    power_big = big ** (-sc - 1)
-    for j in range(1, _EM_DEPTH + 1):
-        two_j = 2 * j
-        fact *= (two_j - 1) * two_j
-        b_over_fact = _BERNOULLI[j - 1] / fact
-        term = b_over_fact * rising * power_big
-        corr += term
-        if derivative_order == 1:
-            corr_d += term * (rising_dlog - log_big)
-        if j < _EM_DEPTH:
-            nxt0 = sc + two_j - 1
-            nxt1 = sc + two_j
-            rising = rising * nxt0 * nxt1
-            rising_dlog = rising_dlog + 1.0 / nxt0 + 1.0 / nxt1
-            power_big = power_big / (big * big)
-
-    if derivative_order == 0:
-        result = head + tail_main + tail_half + corr
-    else:
-        head_d = -(log_base * powers).sum()
-        tail_main_d = tail_main * (-log_big - 1.0 / (sc - 1))
-        tail_half_d = -log_big * tail_half
-        result = head_d + tail_main_d + tail_half_d + corr_d
-
-    if isinstance(s, (int, float)):
-        return result.real
-    return result
 
 
 @lru_cache(maxsize=2048)
@@ -340,31 +257,33 @@ def _l1_finite_real_odd(chi: DirichletCharacter) -> float:
     return math.pi * total / ((2 - chi2) * math.sqrt(q))
 
 
-def _l1_dirichlet_series(chi: DirichletCharacter) -> tuple[complex, float]:
-    """Tail-corrected partial sum of sum chi(n)/n; independent oracle.
+@lru_cache(maxsize=16)
+def _series_weights(q: int) -> tuple[np.ndarray, int]:
+    """(W, blocks) with the tail-corrected sum chi(n)/n = dot(chi(1..q), W).
 
     Terms are grouped in blocks of q; the block function g(k) decays like
     k^(-2), and the truncated tail is restored by Euler-Maclaurin in the
-    block index.
+    block index.  Every piece is linear in the character's values, so W_j
+    holds the head 1/j, the blocks sum_k 1/(kq + j) and the three tail
+    terms at the edge.  Cached; do not mutate.
     """
-    q = chi.q
-    vals = _chi_on_1_to_q(chi)  # chi(1..q), chi(q) = 0
     j = np.arange(1, q + 1, dtype=float)
-    head = complex(np.dot(vals, 1.0 / j))
     blocks = max(600, 300_000 // q)
-    k = np.arange(1, blocks + 1, dtype=float)[:, None]
-    denom = k * q + j[None, :]
-    body = complex((vals[None, :] / denom).sum())
+    k = np.arange(1, blocks + 1, dtype=float)
+    body = (1.0 / (j[:, None] + q * k[None, :])).sum(axis=1)  # pairwise along rows
+    edge = (blocks + 1) * q + j
+    tail = -np.log(edge) / q + 0.5 / edge + q / (12.0 * edge**2)
+    return 1.0 / j + body + tail, blocks
 
-    x_edge = float(blocks + 1)
-    edge = x_edge * q + j
-    integral = -complex(np.dot(vals, np.log(edge))) / q
-    g_edge = complex(np.dot(vals, 1.0 / edge))
-    gp_edge = -q * complex(np.dot(vals, 1.0 / edge**2))
-    tail = integral + 0.5 * g_edge - gp_edge / 12.0
+
+def _l1_dirichlet_series(chi: DirichletCharacter) -> tuple[complex, float]:
+    """Tail-corrected partial sum of sum chi(n)/n; independent oracle."""
+    q = chi.q
+    weights, blocks = _series_weights(q)
+    vals = _chi_on_1_to_q(chi)  # chi(1..q), chi(q) = 0
     # next Euler-Maclaurin term is ~ g'''(edge)/720
-    est = 6 * q**3 * float(np.abs(vals).sum()) / (x_edge * q) ** 4 / 720 + 1e-14
-    return head + body + tail, est
+    est = 6 * q**3 * float(np.abs(vals).sum()) / ((blocks + 1.0) * q) ** 4 / 720 + 1e-14
+    return complex(np.dot(vals, weights)), est
 
 
 def l_at_1(chi: DirichletCharacter, method: str = HURWITZ_METHOD) -> LValueResult:
@@ -393,13 +312,6 @@ def re_b(chi: DirichletCharacter) -> float:
     l1, lp = l_and_lprime_at_1(chi)
     psi_term = PSI_AT_1 if chi.parity == 1 else PSI_AT_HALF
     return 0.5 * math.log(chi.q / math.pi) + 0.5 * psi_term + (lp / l1).real
-
-
-def zeta_1_plus_it(t: float) -> complex:
-    """zeta(1 + it) for real t != 0."""
-    if t == 0:
-        raise PoleError("zeta pole at s = 1")
-    return complex(hurwitz_zeta(1 + 1j * t, 1.0))
 
 
 # ----------------------------------------------------------------------

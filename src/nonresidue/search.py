@@ -1,8 +1,9 @@
 """Least-prime searches.
 
-Least prime outside a subgroup, least k-th power non-residue, least
-quadratic non-residue, least prime in a coset (a progression is a coset
-of the trivial subgroup), and least prime in every reduced class at once.
+Least prime outside a subgroup (outside the k-th powers it is the least
+k-th power non-residue), least quadratic non-residue, least prime in a
+coset (a progression is a coset of the trivial subgroup), and least
+prime in every reduced class at once.
 Subgroup scans walk the prime sieve (dense predicate); coset searches
 step candidates and apply the deterministic primality test (sparse
 predicate), so large moduli stay cheap.  Results always report
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_prime, primes_up_to, unit_group_structure
-from .characters import NonUnitCosetError, SubgroupSpec, kth_power_subgroup
+from .characters import NonUnitCosetError, SubgroupSpec
 
 __all__ = [
     "ImproperSubgroupError",
@@ -27,7 +28,6 @@ __all__ = [
     "least_prime_in_coset",
     "least_prime_outside_subgroup",
     "least_qnr",
-    "least_kth_nonresidue",
 ]
 
 
@@ -77,15 +77,6 @@ def least_qnr(q: int) -> SearchResult:
         if limit > q:  # cannot happen for prime q; guards a broken caller
             raise ArithmeticError(f"no non-residue found below {limit} for q={q}")
         limit *= 4
-
-
-def least_kth_nonresidue(q: int, k: int, ceiling: int) -> SearchResult:
-    """Least prime outside the subgroup of k-th powers."""
-    h = kth_power_subgroup(q, k)
-    if h.index == 1:
-        raise ImproperSubgroupError(f"k-th powers fill (Z/{q}Z)* for k={k}")
-    res = least_prime_outside_subgroup(q, h, ceiling)
-    return SearchResult(q, f"kth-nonresidue:{k}", res.prime, res.examined, res.ceiling)
 
 
 def least_prime_in_coset(q: int, h: SubgroupSpec, a: int, ceiling: int) -> SearchResult:

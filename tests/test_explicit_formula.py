@@ -314,32 +314,41 @@ def test_warm_and_cold_binned_sums_are_bit_identical():
     for x in ORACLE_XS:
         for fn in SUMS.values():
             for chi in chars:
-                ef._bin_cache.clear()
+                ef._binned_weights.cache_clear()
                 cold.append(fn(x, chi))
-    ef._bin_cache.clear()
+    ef._binned_weights.cache_clear()
     for _ in range(2):
         warm = [fn(x, chi) for x in ORACLE_XS for fn in SUMS.values() for chi in chars]
         assert warm == cold
-    ef._bin_cache.clear()
+    ef._binned_weights.cache_clear()
 
 
 def test_untwisted_sums_bypass_the_bin_cache():
-    ef._bin_cache.clear()
+    ef._binned_weights.cache_clear()
     for fn in SUMS.values():
         assert type(fn(1e3)) is float
-    assert not ef._bin_cache
+    info = ef._binned_weights.cache_info()
+    assert info.hits == info.misses == info.currsize == 0
 
 
 def test_bin_cache_stays_within_its_cap():
-    ef._bin_cache.clear()
-    qs = range(3, 3 + ef._BIN_CACHE_SIZE + 20)
+    ef._binned_weights.cache_clear()
+    cap = ef._binned_weights.cache_info().maxsize
+    qs = range(3, 3 + cap + 20)
     for q in qs:
         cheb_log_sum(50.0, character_group(q)[0])
-        assert len(ef._bin_cache) <= ef._BIN_CACHE_SIZE
-        if len(ef._bin_cache) == ef._BIN_CACHE_SIZE - 1:
+        assert ef._binned_weights.cache_info().currsize <= cap
+        if ef._binned_weights.cache_info().currsize == cap - 1:
             cheb_log_sum(50.0, character_group(3)[0])  # a hit: now most recent
-    # least recently used entries went first
-    assert ("cheb", 50.0, qs[-1]) in ef._bin_cache
-    assert ("cheb", 50.0, 3) in ef._bin_cache
-    assert ("cheb", 50.0, 4) not in ef._bin_cache
-    ef._bin_cache.clear()
+    assert ef._binned_weights.cache_info().misses == len(qs)
+
+    # least recently used entries went first: q = 3 and the last q are hits,
+    # q = 4 is computed again
+    def misses_after(q):
+        cheb_log_sum(50.0, character_group(q)[0])
+        return ef._binned_weights.cache_info().misses
+
+    assert misses_after(qs[-1]) == len(qs)
+    assert misses_after(3) == len(qs)
+    assert misses_after(4) == len(qs) + 1
+    ef._binned_weights.cache_clear()

@@ -69,9 +69,26 @@ def test_fejer_line_l1_closed_form():
         assert type(line_l1(fejer_kernel(alpha))) is float
 
 
-def test_gamma_line_l1_value():
+@pytest.fixture(scope="module")
+def mp_gamma_l1():
+    """(1/pi) int_0^inf |-2 Re Gamma(it)| dt in mpmath at 20 digits, split
+    at the sign changes of Re Gamma(it), each refined with findroot."""
+    with mpmath.workdps(20):
+
+        def f(t):
+            return -2 * mpmath.re(mpmath.gamma(mpmath.mpc(0, t))) if t else 2 * mpmath.euler
+
+        grid = [mpmath.mpf(k) / 20 for k in range(1, 40 * 20)]  # past t = 40 the mass is < 1e-25
+        vals = [f(t) for t in grid]
+        zeros = [mpmath.findroot(f, (a, b), solver="anderson") for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]) if fa * fb < 0]
+        edges = [mpmath.mpf(0)] + zeros + [mpmath.inf]
+        return +sum(abs(mpmath.quad(f, [a, b])) for a, b in zip(edges, edges[1:])) / mpmath.pi
+
+
+def test_gamma_line_l1_value(mp_gamma_l1):
     l1 = line_l1(gamma_kernel())
     assert 0.291 <= l1 <= 0.292
+    assert abs(l1 - mp_gamma_l1) < 1e-12
 
 
 def test_mellin_numeric_agrees_with_closed_form():
@@ -126,18 +143,23 @@ def test_weighted_integral_rejects_nonpositive_or_nan_lambda():
             fejer_kernel(alpha)
 
 
-def test_gamma_weighted_integral_against_mpmath():
+def mp_gamma_w(lam: float) -> mpmath.mpf:
+    """The Gamma kernel's W(lam) in mpmath at the working precision."""
+
     # W(lam) = int_0^lam (1 - e^(-1/u) - e^(-u)) u^(-1/2) du; with u = t^2 the
     # integrand 2 (1 - e^(-1/t^2) - e^(-t^2)) is smooth on [0, sqrt(lam)].
+    def f(t):
+        return 2 * (1 - mpmath.exp(-1 / t**2) - mpmath.exp(-(t**2))) if t else mpmath.mpf(0)
+
+    top = mpmath.sqrt(lam) if lam < math.inf else mpmath.inf
+    return mpmath.quad(f, [0, 1, top])
+
+
+def test_gamma_weighted_integral_against_mpmath():
     g = gamma_kernel()
     with mpmath.workdps(30):
-
-        def f(t):
-            return 2 * (1 - mpmath.exp(-1 / t**2) - mpmath.exp(-(t**2))) if t else mpmath.mpf(0)
-
         for lam in (1.0, 3.9, 6.55, 8.35, math.inf):
-            top = mpmath.sqrt(lam) if lam < math.inf else mpmath.inf
-            ref = mpmath.quad(f, [0, 1, top])
+            ref = mp_gamma_w(lam)
             assert abs(weighted_integral(g, lam) - ref) < 1e-11, lam
         # W(inf) = sqrt(pi); tanh-sinh's infinite tail is good to about 1e-19 here
         assert abs(ref - mpmath.sqrt(mpmath.pi)) < 1e-17
@@ -159,9 +181,22 @@ def test_mellin_inversion_anchor():
 
 def test_prop62_headline_constants():
     g = gamma_kernel()
-    assert prop62_constant(g, 8.35, 2).c == pytest.approx(0.42, abs=0.01)
-    assert prop62_constant(g, 6.55, 3).c == pytest.approx(0.49, abs=0.01)
-    assert prop62_constant(g, 3.9, math.inf).c == pytest.approx(0.51, abs=0.01)
+    assert prop62_constant(g, 8.35, 2) == pytest.approx(0.42, abs=0.01)
+    assert prop62_constant(g, 6.55, 3) == pytest.approx(0.49, abs=0.01)
+    assert prop62_constant(g, 3.9, math.inf) == pytest.approx(0.51, abs=0.01)
+
+
+def test_prop62_headline_constants_against_mpmath(mp_gamma_l1):
+    # c = lam ((h-1) L1 / (h W - K(1/2)/2))^2 with K(1/2) = sqrt(pi)
+    g = gamma_kernel()
+    with mpmath.workdps(30):
+        for lam, h in ((8.35, 2), (6.55, 3), (3.9, math.inf)):
+            w = mp_gamma_w(lam)
+            if math.isinf(h):
+                want = lam * (mp_gamma_l1 / w) ** 2
+            else:
+                want = lam * ((h - 1) * mp_gamma_l1 / (h * w - mpmath.sqrt(mpmath.pi) / 2)) ** 2
+            assert abs(prop62_constant(g, lam, h) / want - 1) < 1e-10, (lam, h)
 
 
 def test_prop62_denominator_guard():
@@ -177,7 +212,7 @@ def test_optimizer_matches_reference_choices():
     for h, lam_ref in ((2, 8.35), (3, 6.55), (math.inf, 3.9)):
         lam_star, c_star = optimize_lambda(g, h)
         assert abs(lam_star - lam_ref) < 0.25, (h, lam_star)
-        ref_c = prop62_constant(g, lam_ref, h).c
+        ref_c = prop62_constant(g, lam_ref, h)
         assert c_star <= ref_c + 1e-9
         assert c_star >= ref_c - 0.005  # the stated choices are near-optimal
 
@@ -217,7 +252,7 @@ def test_largeh_constant():
 def test_fejer_choice_against_largeh_closed_form():
     for h in (1000, 10000, 100000):
         alpha = 0.5 * math.log(2 * h)
-        c = prop62_constant(fejer_kernel(alpha), 1.0, h).c
+        c = prop62_constant(fejer_kernel(alpha), 1.0, h)
         ref = largeh_constant(h)
         assert c <= ref * (1 + 10 / math.sqrt(h))
         assert c <= ref + 1e-9  # dropped denominator terms are positive
@@ -229,44 +264,42 @@ def test_floor_over_grid():
         for lam in (0.5, 2.0, 8.35, 20.0):
             for h in (2, 3, 10, math.inf):
                 try:
-                    bc = prop62_constant(kern, lam, h)
+                    c = prop62_constant(kern, lam, h)
                 except NonpositiveDenominatorError:
                     continue
-                assert bc.c >= limit_constant(h) - 1e-12, (kern.name, lam, h)
+                assert c >= limit_constant(h) - 1e-12, (kern.name, lam, h)
 
 
-def test_custom_kernel_registration():
-    # a third kernel goes through the generic numeric Mellin path
+def test_kernels_are_keyed_by_kind_and_params():
+    assert fejer_kernel(1.0) == fejer_kernel(1.0) != fejer_kernel(1.5)
+    assert hash(gamma_kernel()) == hash(gamma_kernel())
     base = gamma_kernel()
-    custom = Kernel(
-        kind="reflected-gamma-copy",
-        params=(),
-        at_half=base.at_half,
-        at_zero=base.at_zero,
-        strip=base.strip,
-        decay=base.decay,
-        line=base.line,
-        mellin=base.mellin,
-    )
-    for u in (0.5, 1.0, 3.0):
-        assert mellin_numeric_check(custom, u) == pytest.approx(custom.mellin(u), abs=1e-6)
-    assert weighted_integral(custom, 2.0) == pytest.approx(weighted_integral(base, 2.0), abs=1e-10)
+    with pytest.raises(ValueError):
+        Kernel(kind="reflected-gamma-copy", params=(), at_half=base.at_half, line=base.line, mellin=base.mellin)
 
 
 # ----------------------------------------------------------------------
 # quadrature cache
 # ----------------------------------------------------------------------
 
+QUAD_CACHES = (kernels._line_l1_quadrature, kernels._low_piece, kernels._folded_piece)
+
+
+def clear_quad_caches():
+    for cache in QUAD_CACHES:
+        cache.cache_clear()
+
+
 LAMBDAS = (0.5, 1.0, 3.9, 8.35, 20.0, math.inf)
 
 
 def test_warm_and_cold_weighted_integral_are_bit_identical():
     for kern in (gamma_kernel(), fejer_kernel(1.0), fejer_kernel(2.5)):
-        kernels._quad_cache.clear()
+        clear_quad_caches()
         cold = []
         for lam in LAMBDAS:
             cold.append(weighted_integral(kern, lam))
-            kernels._quad_cache.clear()
+            clear_quad_caches()
         warm = [weighted_integral(kern, lam) for lam in LAMBDAS]
         assert [weighted_integral(kern, lam) for lam in LAMBDAS] == warm == cold, kern.name
         assert all(type(w) is float for w in warm)
@@ -279,7 +312,7 @@ def test_optimize_lambda_independent_of_cache_state():
     reverse = [optimize_lambda(g, h) for h in reversed(hs)][::-1]
     cleared = []
     for h in hs:
-        kernels._quad_cache.clear()
+        clear_quad_caches()
         cleared.append(optimize_lambda(g, h))
     assert forward == reverse == cleared
     assert all(type(lam) is float and type(c) is float for lam, c in forward)
@@ -293,7 +326,7 @@ def test_cached_pieces_still_fail_the_error_budget(monkeypatch):
         calls.append(args[1:3])
         return real_quad(*args, **kwargs)[0], 1e-9
 
-    kernels._quad_cache.clear()
+    clear_quad_caches()
     monkeypatch.setattr(kernels, "quad", sloppy_quad)
     try:
         for repeat in range(2):
@@ -305,25 +338,25 @@ def test_cached_pieces_still_fail_the_error_budget(monkeypatch):
                 first = len(calls)
         assert len(calls) == first  # the repeat read every piece from the cache
     finally:
-        kernels._quad_cache.clear()
+        clear_quad_caches()
 
 
-def test_quadrature_cache_stays_within_its_cap(monkeypatch):
-    real_quad = kernels.quad
-    calls = [0]
-
-    def counted_quad(*args, **kwargs):
-        calls[0] += 1
-        return real_quad(*args, **kwargs)
-
-    kernels._quad_cache.clear()
-    monkeypatch.setattr(kernels, "quad", counted_quad)
-    alphas = [1.0 + 0.05 * k for k in range(40)]
+def test_quadrature_cache_stays_within_its_cap():
+    clear_quad_caches()
+    alphas = [1.0 + 0.05 * k for k in range(70)]
     for alpha in alphas:
         optimize_lambda(fejer_kernel(alpha), math.inf)
-        assert len(kernels._quad_cache) <= kernels._QUAD_CACHE_SIZE
-    assert calls[0] > kernels._QUAD_CACHE_SIZE  # the sweep did overflow the cap
+        for cache in QUAD_CACHES:
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
+    folded = kernels._folded_piece.cache_info()
+    assert folded.misses > folded.maxsize  # the sweep did overflow the largest cap
     # least recently used entries went first
-    assert ("l1", fejer_kernel(alphas[-1])._key()) in kernels._quad_cache
-    assert ("l1", fejer_kernel(alphas[0])._key()) not in kernels._quad_cache
-    kernels._quad_cache.clear()
+    l1 = kernels._line_l1_quadrature
+    assert l1.cache_info().misses == len(alphas) > l1.cache_info().maxsize
+    hits = l1.cache_info().hits
+    l1(fejer_kernel(alphas[-1]))
+    assert l1.cache_info().hits == hits + 1
+    l1(fejer_kernel(alphas[0]))
+    assert l1.cache_info().hits == hits + 1
+    clear_quad_caches()

@@ -9,7 +9,6 @@ from nonresidue.characters import (
 )
 from nonresidue.search import (
     ImproperSubgroupError,
-    least_kth_nonresidue,
     least_prime_all_classes,
     least_prime_in_coset,
     least_prime_outside_subgroup,
@@ -30,11 +29,12 @@ def test_least_qnr_examples():
 
 
 def test_kth_nonresidue():
-    assert least_kth_nonresidue(7, 3, 100).prime == 2  # cubes mod 7 are {1, 6}
+    # the least k-th power non-residue is the least prime outside the k-th powers
+    assert least_prime_outside_subgroup(7, kth_power_subgroup(7, 3), 100).prime == 2  # cubes mod 7 are {1, 6}
     assert set(kth_power_subgroup(7, 3).members()) == {1, 6}
     with pytest.raises(ImproperSubgroupError):
-        least_kth_nonresidue(7, 5, 100)  # gcd(5, 6) = 1, powers cover the group
-    assert least_kth_nonresidue(13, 2, 100).prime == 2
+        least_prime_outside_subgroup(7, kth_power_subgroup(7, 5), 100)  # gcd(5, 6) = 1, powers cover the group
+    assert least_prime_outside_subgroup(13, kth_power_subgroup(13, 2), 100).prime == 2
 
 
 def test_coset_examples():

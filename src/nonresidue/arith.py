@@ -24,7 +24,7 @@ __all__ = [
     "unit_group_structure",
 ]
 
-DEFAULT_DLOG_CEILING = 10**7
+DLOG_CEILING = 10**7
 
 # Witness set proving primality for every n < 3.3e24, far past 2^63.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -33,7 +33,7 @@ _TRIAL_LIMIT = 10**5
 
 
 class ModulusTooLargeError(ValueError):
-    """Raised when a unit-group table would exceed the configured ceiling."""
+    """Raised when a unit-group table would exceed DLOG_CEILING."""
 
 
 def is_prime(n: int) -> bool:
@@ -287,7 +287,7 @@ def _crt_lift(residue: int, pk: int, q: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def unit_group_structure(q: int, ceiling: int = DEFAULT_DLOG_CEILING) -> UnitGroupStructure:
+def unit_group_structure(q: int) -> UnitGroupStructure:
     """Cyclic decomposition of (Z/qZ)*: generators, orders and unit mask.
 
     Odd prime powers contribute one component generated by the smallest
@@ -298,8 +298,8 @@ def unit_group_structure(q: int, ceiling: int = DEFAULT_DLOG_CEILING) -> UnitGro
     """
     if q < 1:
         raise ValueError("modulus must be positive")
-    if q > ceiling:
-        raise ModulusTooLargeError(f"q={q} exceeds dlog-table ceiling {ceiling}")
+    if q > DLOG_CEILING:
+        raise ModulusTooLargeError(f"q={q} exceeds dlog-table ceiling {DLOG_CEILING}")
 
     gens: list[tuple[int, int]] = []
     blocks: list[tuple[int, int, tuple[int, ...]]] = []

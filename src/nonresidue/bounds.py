@@ -54,6 +54,7 @@ __all__ = [
 AP_THRESHOLD = 4  # progression bound stated for q > 3
 SUBGROUP_THRESHOLD = 3000
 COSET_THRESHOLD = 20000
+LVALUE_THRESHOLD = 10**10  # thm15 and cor16 are stated for q >= 1e10
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,10 @@ SUBGROUP_CEILING_FLOOR = 1000
 
 
 def subgroup_bound_clean_applicable(q: int) -> bool:
-    """No prime below (log q)^2 divides q (the clean (log q)^2 branch)."""
+    """q >= SUBGROUP_THRESHOLD and no prime below (log q)^2 divides q (the
+    clean (log q)^2 branch)."""
+    if q < SUBGROUP_THRESHOLD:
+        return False
     cut = math.log(q) ** 2
     for p in map(int, primes_up_to(int(cut) + 1)):
         if p < cut and q % p == 0:
@@ -251,9 +255,8 @@ def verify_subgroup_clean(q: int, subgroup: str = "squares", ceiling: int | None
     if ceiling is None:
         ceiling = _search_ceiling(subgroup_bound_quantities(q).bound, SUBGROUP_CEILING_FLOOR)
     res = least_prime_outside_subgroup(q, h, ceiling)
-    applicable = q >= SUBGROUP_THRESHOLD and subgroup_bound_clean_applicable(q)
     return BoundReport.from_comparison(
-        "thm12", q, res.target, res.prime, bound, applicable=applicable
+        "thm12", q, res.target, res.prime, bound, applicable=subgroup_bound_clean_applicable(q)
     )
 
 
@@ -266,7 +269,7 @@ def verify_ap(q: int, per_class: bool = False, ceiling: int | None = None) -> li
     if ceiling is None:
         ceiling = _search_ceiling(bound, AP_CEILING_FLOOR)
     found, missing = least_prime_all_classes(q, ceiling)
-    applicable = q > AP_THRESHOLD - 1
+    applicable = q >= AP_THRESHOLD
     # a class with no prime below the ceiling gives a not-found row
     if per_class:
         return [
@@ -283,19 +286,15 @@ def verify_ap(q: int, per_class: bool = False, ceiling: int | None = None) -> li
     ]
 
 
-def verify_coset(
-    q: int, subgroup: str = "squares", ceiling: int | None = None, reps: Iterable[int] | None = None
-) -> list[BoundReport]:
+def verify_coset(q: int, subgroup: str = "squares", ceiling: int | None = None) -> list[BoundReport]:
     """Least prime in each coset aH against the coset bound (1e9 short branch)."""
     h = _subgroup_for(q, subgroup)
     bound = coset_bound(q, h.index)
     applicable = q >= COSET_THRESHOLD and h.index > 1
     if ceiling is None:
         ceiling = _search_ceiling(bound, COSET_DIRECT_BRANCH)
-    if reps is None:
-        reps = coset_representatives(h)
     out = []
-    for a in reps:
+    for a in coset_representatives(h):
         res = least_prime_in_coset(q, h, a, ceiling)
         if res.prime is not None and res.prime <= COSET_DIRECT_BRANCH:
             effective = max(bound, float(COSET_DIRECT_BRANCH))

@@ -4,7 +4,9 @@ Subcommands: scan | eval | kernel | lemma | lvalue | classnum |
 reproduce-paper.  Reports go to stdout (or --out) as CSV, JSON lines, or
 a human table; progress and checklists go to stderr.  Exit status: 0 all
 pass or not-applicable, 2 at least one fail, 3 not-found without fails,
-1 usage error.  Output is byte-deterministic for a fixed configuration:
+1 usage error.  Options follow the variant (`scan qnr --q 7`), and each
+variant takes only the flags it reads.  Output is byte-deterministic for
+a fixed configuration:
 rows are merge-sorted by (q, target) and floats use shortest round-trip
 formatting, so the worker count never changes the bytes.
 """
@@ -23,7 +25,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import bounds, explicit_formula as ef, kernels
 from .bounds import BoundReport
-from .characters import character_group, is_fundamental_discriminant, primitive_characters
+from .characters import character_group, primitive_characters
 from .lfunctions import (
     FINITE_METHOD,
     HURWITZ_METHOD,
@@ -171,13 +173,18 @@ def _modulus(text: str) -> int:
     return n
 
 
+def _one_q(text: str) -> range:
+    """`classnum --q`: a single q, as the range a scan reads."""
+    q = _modulus(text)
+    return range(q, q + 1)
+
+
 def _q_spec(text: str) -> range:
     """`--q` of a scan: a single q, or an inclusive range a..b."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         return range(_modulus(lo), _modulus(hi) + 1)
-    q = _modulus(text)
-    return range(q, q + 1)
+    return _one_q(text)
 
 
 def _index_h(text: str) -> int | float:
@@ -209,6 +216,14 @@ def _lambda(text: str) -> float:
     return lam
 
 
+def _xs(text: str) -> list[float]:
+    """`--x`: comma separated numbers."""
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma separated list of numbers: {text!r}") from None
+
+
 def _parse_qrange(args) -> range:
     if args.q is not None:
         qs = args.q
@@ -223,19 +238,16 @@ def _parse_qrange(args) -> range:
     return qs
 
 
-_SCAN_FORMULAS = {
-    "qnr": "cor12",
-    "subgroup": "thm11",
-    "subgroup-clean": "thm12",
-    "ap": "cor15",
-    "coset": "thm14",
-    "classnum": "eq13",
-    "elementary": "sec43",
+# scan variant -> (formula, the flags it reads besides --q/--qmin/--qmax/--workers)
+_SCANS = {
+    "qnr": ("cor12", ""),
+    "subgroup": ("thm11", "subgroup ceiling"),
+    "subgroup-clean": ("thm12", "subgroup ceiling"),
+    "ap": ("cor15", "per-class ceiling"),
+    "coset": ("thm14", "subgroup ceiling"),
+    "classnum": ("eq13", ""),
+    "elementary": ("sec43", ""),
 }
-
-
-# Scans whose search takes no ceiling.
-_UNBOUNDED_SCANS = ("qnr", "classnum", "elementary")
 
 # What a q must be for the scans that skip every other q.
 _SCAN_APPLIES_TO = {
@@ -245,37 +257,23 @@ _SCAN_APPLIES_TO = {
 
 
 def cmd_scan(args) -> int:
-    formula = _SCAN_FORMULAS[args.what]
-    if args.ceiling is not None and args.what in _UNBOUNDED_SCANS:
-        _progress(f"error: scan {args.what} takes no --ceiling")
-        return EXIT_USAGE
+    """`scan VARIANT`, and `classnum` as the classnum scan from q = 5."""
+    formula = _SCANS[args.what][0]
     qs = _parse_qrange(args)
-    kwargs = {}
-    if formula in ("thm11", "thm12", "thm14"):
-        kwargs["subgroup"] = args.subgroup
-    if formula == "cor15":
-        kwargs["per_class"] = args.per_class
-    if args.ceiling is not None:
-        kwargs["ceiling"] = args.ceiling
+    kwargs = {k: v for k, v in vars(args).items() if k in ("subgroup", "per_class", "ceiling") and v is not None}
     reports = run_scan(formula, qs, workers=args.workers, **kwargs)
     if not reports:
         needs = _SCAN_APPLIES_TO.get(args.what, "applicable q")
-        _progress(f"error: scan {args.what} checks only {needs}; there is none in {qs.start}..{qs.stop - 1}")
+        _progress(f"error: the {args.what} scan checks only {needs}; there is none in {qs.start}..{qs.stop - 1}")
         return EXIT_USAGE
     _write_output(args, reports)
     return exit_code(reports)
 
 
 def cmd_eval(args) -> int:
-    q, h = args.q, args.h
-    rows: list[BoundReport] = []
     name = args.what
-    if name in ("thm11", "thm12", "thm14", "cor15", "thm15", "cor16", "sec43") and q is None:
-        _progress("error: --q required")
-        return EXIT_USAGE
-    if name in ("thm14", "alpha", "limit", "largeh") and h is None:
-        _progress("error: --h required")
-        return EXIT_USAGE
+    q, h = getattr(args, "q", None), getattr(args, "h", None)  # each variant declares what it reads
+    rows: list[BoundReport] = []
     if name == "thm14" and math.isinf(h):
         _progress("error: thm14 needs a finite --h")
         return EXIT_USAGE
@@ -286,22 +284,22 @@ def cmd_eval(args) -> int:
     # self-describing
     if name == "thm11":
         vals = bounds.subgroup_bound_quantities(q)
-        rows.append(BoundReport.value("thm11", q, f"(log q + B)^2 with A={vals.a_term!r};B={vals.b_term!r}", vals.bound, q >= 3000))
+        rows.append(BoundReport.value("thm11", q, f"(log q + B)^2 with A={vals.a_term!r};B={vals.b_term!r}", vals.bound, q >= bounds.SUBGROUP_THRESHOLD))
     elif name == "thm12":
         rows.append(BoundReport.value("thm12", q, "(log q)^2 when no prime below it divides q", math.log(q) ** 2, bounds.subgroup_bound_clean_applicable(q)))
     elif name == "thm14":
-        rows.append(BoundReport.value("thm14", q, f"((h-1)log q + 3(h+1) + 2.5(loglog q)^2)^2 at h={h}", bounds.coset_bound(q, h), q >= 20000))
+        rows.append(BoundReport.value("thm14", q, f"((h-1)log q + 3(h+1) + 2.5(loglog q)^2)^2 at h={h}", bounds.coset_bound(q, h), q >= bounds.COSET_THRESHOLD))
     elif name == "cor15":
-        rows.append(BoundReport.value("cor15", q, "(phi(q) log q)^2", bounds.ap_bound(q), q > 3))
+        rows.append(BoundReport.value("cor15", q, "(phi(q) log q)^2", bounds.ap_bound(q), q >= bounds.AP_THRESHOLD))
     elif name == "thm15":
-        vb = bounds.l1_value_bounds(q)
-        rows.append(BoundReport.value("thm15", q, "2e^g(loglog q - log2 + 1/2 + 1/loglog q)", vb.upper, q >= 1e10))
-        rows.append(BoundReport.value("thm15", q, "12e^g/pi^2 (... + 14 loglog q/log q) for 1/|L|", vb.reciprocal_upper, q >= 1e10))
+        vb, stated = bounds.l1_value_bounds(q), q >= bounds.LVALUE_THRESHOLD
+        rows.append(BoundReport.value("thm15", q, "2e^g(loglog q - log2 + 1/2 + 1/loglog q)", vb.upper, stated))
+        rows.append(BoundReport.value("thm15", q, "12e^g/pi^2 (... + 14 loglog q/log q) for 1/|L|", vb.reciprocal_upper, stated))
     elif name == "cor16":
-        cb = bounds.class_number_bounds(q)
-        rows.append(BoundReport.value("cor16", q, "h-lower: pi/(12e^g) sqrt(q)/(core + 14 loglog q/log q)", cb.lower, q >= 1e10))
-        rows.append(BoundReport.value("cor16", q, "h-upper: 2e^g/pi sqrt(q) core", cb.upper, q >= 1e10))
-        rows.append(BoundReport.value("cor16", q, "h-lower-floor", float(cb.lower_floor), q >= 1e10))
+        cb, stated = bounds.class_number_bounds(q), q >= bounds.LVALUE_THRESHOLD
+        rows.append(BoundReport.value("cor16", q, "h-lower: pi/(12e^g) sqrt(q)/(core + 14 loglog q/log q)", cb.lower, stated))
+        rows.append(BoundReport.value("cor16", q, "h-upper: 2e^g/pi sqrt(q) core", cb.upper, stated))
+        rows.append(BoundReport.value("cor16", q, "h-lower-floor", float(cb.lower_floor), stated))
     elif name == "sec43":
         rows.extend(bounds.verify_elementary(q))
     elif name == "alpha":
@@ -315,7 +313,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    kern = kernels.gamma_kernel() if args.kernel == "gamma" else kernels.fejer_kernel(args.alpha)
+    # The one flag rule argparse cannot state: --h is read by --prop62 and
+    # --optimize, --lam by --prop62 alone.
+    if (args.h is not None and not (args.prop62 or args.optimize)) or (args.lam is not None and not args.prop62):
+        _progress("error: --h needs --prop62 or --optimize, and --lam needs --prop62")
+        return EXIT_USAGE
+    h = 2 if args.h is None else args.h
+    lam = 8.35 if args.lam is None else args.lam
+    kern = kernels.gamma_kernel() if args.what == "gamma" else kernels.fejer_kernel(args.alpha)
     rows: list[BoundReport] = []
     if args.l1:
         rows.append(BoundReport.value("kernel", 0, f"{kern.name}:l1", kernels.line_l1(kern)))
@@ -328,12 +333,12 @@ def cmd_kernel(args) -> int:
     if args.weighted is not None:
         rows.append(BoundReport.value("kernel", 0, f"{kern.name}:W({args.weighted:g})", kernels.weighted_integral(kern, args.weighted)))
     if args.prop62:
-        c = kernels.prop62_constant(kern, args.lam, args.h)
-        rows.append(BoundReport.value("prop62", 0, f"{kern.name}:c(lam={args.lam:g};h={args.h})", c))
+        c = kernels.prop62_constant(kern, lam, h)
+        rows.append(BoundReport.value("prop62", 0, f"{kern.name}:c(lam={lam:g};h={h})", c))
     if args.optimize:
-        lam_star, c_star = kernels.optimize_lambda(kern, args.h)
-        rows.append(BoundReport.value("prop62", 0, f"{kern.name}:lam*(h={args.h})", lam_star))
-        rows.append(BoundReport.value("prop62", 0, f"{kern.name}:c*(h={args.h})", c_star))
+        lam_star, c_star = kernels.optimize_lambda(kern, h)
+        rows.append(BoundReport.value("prop62", 0, f"{kern.name}:lam*(h={h})", lam_star))
+        rows.append(BoundReport.value("prop62", 0, f"{kern.name}:c*(h={h})", c_star))
     if not rows:
         _progress("error: nothing requested; pass --l1/--k-half/--mellin/--weighted/--prop62/--optimize")
         return EXIT_USAGE
@@ -365,20 +370,8 @@ def _hadamard_row(x: float, chi, rb: float) -> BoundReport:
     return BoundReport("lemma2.3", chi.q, f"x={x:g}:{chi.label}", rb, win.upper, win.upper - rb, True, "pass" if win.contains(rb) else "fail")
 
 
-# The flag each lemma needs besides --x.
-_LEMMA_NEEDS = {"2.2": "q", "2.3": "q", "2.5": "q", "3.1": "m", "5.1": "q"}
-
-
 def cmd_lemma(args) -> int:
-    which = args.which
-    if which != "trig" and not args.x:
-        _progress(f"error: lemma {which} needs --x X1,X2,...")
-        return EXIT_USAGE
-    need = _LEMMA_NEEDS.get(which)
-    if need and getattr(args, need) is None:
-        _progress(f"error: lemma {which} needs --{need}")
-        return EXIT_USAGE
-    xs = [float(t) for t in args.x.split(",")] if args.x else []
+    which, xs = args.what, args.x
     rows: list[BoundReport] = []
     if which in ("2.1", "2.4", "2.6"):
         for x in xs:
@@ -410,7 +403,7 @@ def cmd_lemma(args) -> int:
                     BoundReport("lemma5.1", args.q, f"x={x:g}:{chi.label}", rep.lhs, rep.alternating, rep.lhs - rep.alternating, True, "pass" if rep.ok else "fail")
                 )
     else:  # trig
-        for x in xs or [100.0]:
+        for x in xs:
             rep = ef.two_adic_trig_polynomial(x, grid=args.grid)
             rows.append(
                 BoundReport("trigpoly", 0, f"x={x:g}", rep.minimum, 0.0, rep.minimum, True, "pass" if rep.ok else "fail")
@@ -429,7 +422,11 @@ def cmd_lvalue(args) -> int:
             return EXIT_USAGE
     rows: list[BoundReport] = []
     tol = args.tolerance
-    for chi in chars:
+    # Pop each character once its rows are built, so that its cached
+    # tables (24 q bytes) go with it rather than adding up to 24 q^2.
+    chars.reverse()
+    while chars:
+        chi = chars.pop()
         base = l_at_1(chi, HURWITZ_METHOD)
         series = l_at_1(chi, SERIES_METHOD)
         gap = abs(base.value - series.value)
@@ -445,22 +442,6 @@ def cmd_lvalue(args) -> int:
             )
     _write_output(args, rows)
     return exit_code(rows)
-
-
-def cmd_classnum(args) -> int:
-    if args.qmax is not None:
-        qs = fundamental_q_values(args.qmax)
-        if not qs:
-            _progress(f"error: no fundamental discriminant -q with 4 < q <= {args.qmax}")
-            return EXIT_USAGE
-    elif args.q > 4 and is_fundamental_discriminant(args.q):
-        qs = [args.q]
-    else:
-        _progress(f"error: classnum --q checks only {_SCAN_APPLIES_TO['classnum']}; {args.q} is not one")
-        return EXIT_USAGE
-    reports = run_scan("eq13", qs, workers=args.workers)
-    _write_output(args, reports)
-    return exit_code(reports)
 
 
 # ----------------------------------------------------------------------
@@ -618,12 +599,11 @@ CHECKS = (
 
 
 def cmd_reproduce(args) -> int:
-    scale = "quick" if args.quick else ("full" if args.full else "default")
     all_reports: list[BoundReport] = []
     for check in CHECKS:
-        reports = check.run(scale, args.workers)
+        reports = check.run(args.scale, args.workers)
         ok = all(r.verdict in ("pass", "not-applicable") for r in reports)
-        title = check.title.format(qmax=check.qmax[scale]) if check.qmax else check.title
+        title = check.title.format(qmax=check.qmax[args.scale]) if check.qmax else check.title
         _progress(f"[{'PASS' if ok else 'FAIL'}] {title} ({len(reports)} checks)")
         all_reports.extend(reports)
     all_reports = _sorted_reports(all_reports)
@@ -644,85 +624,104 @@ def _write_output(args, reports: Sequence[BoundReport]) -> None:
         emit_reports(reports, args.format, sys.stdout)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json", "human"), default="human")
     p.add_argument("--out", default=None, help="write reports to this path instead of stdout")
-    p.add_argument("--workers", type=int, default=1)
 
 
 class _Parser(argparse.ArgumentParser):
     """Takes every argument that starts with '-' and a digit for a value, not
-    just plain numbers, so `--q -5..10` parses as `--q=-5..10` does."""
+    just plain numbers, so `--q -5..10` parses as `--q=-5..10` does.  Takes
+    no abbreviated option: `--h` on a variant without it is not `--help`."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"-\d")
+
+
+# The flags of the commands with variants.  A variant's spec names the
+# flags its code reads, a trailing "!" marking those it needs; a flag it
+# would ignore is not declared, so argparse rejects it.
+_FLAGS = {
+    "q": dict(type=_modulus),
+    "h": dict(type=_index_h, help="index h, or inf"),
+    "x": dict(type=_xs, default=[100.0], help="comma separated x values"),
+    "m": dict(type=_modulus),
+    "grid": dict(type=int, default=2001),
+    "alpha": dict(type=_alpha, default=1.0),
+    **dict.fromkeys(("l1", "k-half", "prop62", "optimize"), dict(action="store_true")),
+    "mellin": dict(type=_alpha),
+    "weighted": dict(type=_lambda, help="lambda, or inf"),
+    "lam": dict(type=_lambda, help="lambda, or inf; 8.35 when omitted"),
+}
+_SCAN_FLAGS = {
+    "q": dict(type=_q_spec, help="single q or range a..b"),
+    "qmin": dict(type=_modulus),
+    "qmax": dict(type=_modulus),
+    "workers": dict(type=int, default=1),
+    "subgroup": dict(default="squares", help="squares | powers:K | gens:a,b | trivial"),
+    "per-class": dict(action="store_true"),
+    "ceiling": dict(type=_exact_int, help="search ceiling override"),
+}
+_EVALS = {
+    **dict.fromkeys(("thm11", "thm12", "cor15", "thm15", "cor16", "sec43"), "q!"),
+    "thm14": "q! h!",
+    **dict.fromkeys(("alpha", "limit", "largeh"), "h!"),
+}
+_LEMMAS = {
+    **dict.fromkeys(("2.1", "2.4", "2.6"), "x!"),
+    **dict.fromkeys(("2.2", "2.3", "2.5", "5.1"), "x! q!"),
+    "3.1": "x! m!",
+    "trig": "x grid",
+}
+_KERNEL_READS = "l1 k-half mellin weighted prop62 optimize h lam"
+_KERNELS = {"gamma": _KERNEL_READS, "fejer": "alpha " + _KERNEL_READS}
+
+
+def _add_variants(sub, command: str, help: str, func, specs: dict[str, str], flags: dict[str, dict]) -> None:
+    """`command VARIANT [options]`: one sub-parser per entry of specs."""
+    variants = sub.add_parser(command, help=help).add_subparsers(dest="what", required=True)
+    for name, spec in specs.items():
+        p = variants.add_parser(name)
+        for token in spec.split():
+            flag = token.rstrip("!")
+            p.add_argument(f"--{flag}", required=token.endswith("!"), **flags[flag])
+        _add_output(p)
+        p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="nonresidue", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("scan", help="range scans of bound vs search")
-    p.add_argument("what", choices=sorted(_SCAN_FORMULAS))
-    p.add_argument("--q", type=_q_spec, default=None, help="single q or range a..b")
-    p.add_argument("--qmin", type=_modulus, default=None)
-    p.add_argument("--qmax", type=_modulus, default=None)
-    p.add_argument("--subgroup", default="squares", help="squares | powers:K | gens:a,b | trivial")
-    p.add_argument("--per-class", action="store_true")
-    p.add_argument("--ceiling", type=_exact_int, default=None, help="search ceiling override")
-    _add_common(p)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("eval", help="single-shot formula evaluation")
-    p.add_argument("what", choices=("thm11", "thm12", "thm14", "cor15", "thm15", "cor16", "sec43", "alpha", "limit", "largeh"))
-    p.add_argument("--q", type=_modulus, default=None)
-    p.add_argument("--h", type=_index_h, default=None, help="index h, or inf")
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("kernel", help="kernel constants")
-    p.add_argument("kernel", choices=("gamma", "fejer"))
-    p.add_argument("--alpha", type=_alpha, default=1.0)
-    p.add_argument("--l1", action="store_true")
-    p.add_argument("--k-half", action="store_true")
-    p.add_argument("--mellin", type=_alpha, default=None)
-    p.add_argument("--weighted", type=_lambda, default=None, help="lambda, or inf")
-    p.add_argument("--prop62", action="store_true")
-    p.add_argument("--optimize", action="store_true")
-    p.add_argument("--h", type=_index_h, default="2", help="index h, or inf")
-    p.add_argument("--lam", type=_lambda, default=8.35)
-    _add_common(p)
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("lemma", help="identity residual tables")
-    p.add_argument("which", choices=("2.1", "2.2", "2.3", "2.4", "2.5", "2.6", "3.1", "5.1", "trig"))
-    p.add_argument("--x", default=None, help="comma separated x values")
-    p.add_argument("--q", type=_modulus, default=None)
-    p.add_argument("--m", type=_modulus, default=None)
-    p.add_argument("--grid", type=int, default=2001)
-    _add_common(p)
-    p.set_defaults(func=cmd_lemma)
+    scans = {what: "q qmin qmax workers " + reads for what, (_, reads) in _SCANS.items()}
+    _add_variants(sub, "scan", "range scans of bound vs search", cmd_scan, scans, _SCAN_FLAGS)
+    _add_variants(sub, "eval", "single-shot formula evaluation", cmd_eval, _EVALS, _FLAGS)
+    _add_variants(sub, "kernel", "kernel constants", cmd_kernel, _KERNELS, _FLAGS)
+    _add_variants(sub, "lemma", "identity residual tables", cmd_lemma, _LEMMAS, _FLAGS)
 
     p = sub.add_parser("lvalue", help="L(1, chi) by independent methods")
     p.add_argument("--q", type=_modulus, required=True)
     p.add_argument("--index", type=int, default=None)
     p.add_argument("--tolerance", type=float, default=1e-8, help="agreement tolerance")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=cmd_lvalue)
 
-    p = sub.add_parser("classnum", help="class numbers two ways")
+    p = sub.add_parser("classnum", help="class numbers two ways (the classnum scan from q = 5)")
     which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--q", type=_modulus, default=None)
+    which.add_argument("--q", type=_one_q, default=None)
     which.add_argument("--qmax", type=_modulus, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_classnum)
+    p.add_argument("--workers", type=int, default=1)
+    _add_output(p)
+    p.set_defaults(func=cmd_scan, what="classnum", qmin=5)
 
     p = sub.add_parser("reproduce-paper", help="run the bundled verification checklist")
-    p.add_argument("--quick", action="store_true", help="desk-scale ranges")
-    p.add_argument("--full", action="store_true", help="extended ranges (q <= 20000 progressions)")
-    _add_common(p)
-    p.set_defaults(func=cmd_reproduce)
+    scale = p.add_mutually_exclusive_group()
+    scale.add_argument("--quick", dest="scale", action="store_const", const="quick", help="desk-scale ranges")
+    scale.add_argument("--full", dest="scale", action="store_const", const="full", help="extended ranges (q <= 20000 progressions)")
+    p.add_argument("--workers", type=int, default=1)
+    _add_output(p)
+    p.set_defaults(func=cmd_reproduce, scale="default")
 
     return ap
 

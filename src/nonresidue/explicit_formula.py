@@ -315,8 +315,8 @@ class ThetaWindow:
     upper: float
     bracket: float
 
-    def contains(self, value: float, tol: float = 1e-9) -> bool:
-        return self.lower - tol <= value <= self.upper + tol
+    def contains(self, value: float) -> bool:
+        return self.lower - 1e-9 <= value <= self.upper + 1e-9
 
 
 def hadamard_window(x: float, chi: DirichletCharacter) -> ThetaWindow:

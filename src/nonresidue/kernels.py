@@ -365,14 +365,12 @@ def prop62_constant(kernel: Kernel, lam: float, h) -> float:
     return lam * ((h - 1) * l1 / denom) ** 2
 
 
-def optimize_lambda(
-    kernel: Kernel,
-    h,
-    lo: float = 1.0,
-    hi: float = 20.0,
-    grid: int = 200,
-    tol: float = 1e-3,
-) -> tuple[float, float]:
+# optimize_lambda searches lambda in [_LAMBDA_LO, _LAMBDA_HI] on a grid of
+# _LAMBDA_GRID points, then by golden section down to a bracket _LAMBDA_TOL wide.
+_LAMBDA_LO, _LAMBDA_HI, _LAMBDA_GRID, _LAMBDA_TOL = 1.0, 20.0, 200, 1e-3
+
+
+def optimize_lambda(kernel: Kernel, h) -> tuple[float, float]:
     """Grid bracketing plus golden-section refinement of c(lambda).
 
     Unimodality over the feasible region is assumed (observed throughout);
@@ -390,19 +388,19 @@ def optimize_lambda(
         except NonpositiveDenominatorError:
             return math.inf
 
-    lams = np.linspace(lo, hi, grid)
+    lams = np.linspace(_LAMBDA_LO, _LAMBDA_HI, _LAMBDA_GRID)
     costs = [c_of(float(l)) for l in lams]
     best = int(np.argmin(costs))
     if math.isinf(costs[best]):
-        raise NoFeasibleLambdaError(f"no feasible lambda in [{lo}, {hi}]")
+        raise NoFeasibleLambdaError(f"no feasible lambda in [{_LAMBDA_LO}, {_LAMBDA_HI}]")
     a = float(lams[max(0, best - 1)])
-    b = float(lams[min(grid - 1, best + 1)])
+    b = float(lams[min(_LAMBDA_GRID - 1, best + 1)])
 
     invphi = (math.sqrt(5) - 1) / 2
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = c_of(x1), c_of(x2)
-    while b - a > tol:
+    while b - a > _LAMBDA_TOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)

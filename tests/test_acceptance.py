@@ -72,7 +72,7 @@ def test_criterion_04_headline_constants_and_optimality():
     results = []
     for lam, h, ref in THM13_CHOICES:
         c = prop62_constant(g, lam, h)
-        lam_star, c_star = optimize_lambda(g, h, lo=1.0, hi=20.0)
+        lam_star, c_star = optimize_lambda(g, h)
         assert c_star >= c - 0.005, (h, c_star, c)
         results.append(f"h={h}: c={c:.4f} (ref {ref}), c*={c_star:.4f} at {lam_star:.2f}")
     _announce(4, "; ".join(results))

@@ -8,6 +8,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from nonresidue.cli import (
     CSV_FIELDS,
@@ -15,6 +16,7 @@ from nonresidue.cli import (
     EXIT_NOT_FOUND,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     emit_reports,
     exit_code,
     main,
@@ -234,15 +236,18 @@ def test_console_entry_point_subprocess():
 
 
 def test_classnum_rejects_missing_or_non_fundamental_q(capsys):
-    for argv in (["classnum"], ["classnum", "--q", "12"], ["classnum", "--q", "4"], ["classnum", "--q", "3"]):
-        code, out = run_main(argv + ["--format", "csv"])
-        assert code == EXIT_USAGE, argv
+    code, out = run_main(["classnum", "--format", "csv"])
+    assert code == EXIT_USAGE and out == ""
+    assert "one of the arguments --q --qmax is required" in capsys.readouterr().err
+    for q in ("12", "4", "3"):
+        code, out = run_main(["classnum", "--q", q, "--format", "csv"])
+        assert code == EXIT_USAGE, q
         assert out == ""
-        assert "error" in capsys.readouterr().err
+        assert f"fundamental discriminant; there is none in {q}..{q}" in capsys.readouterr().err
     code, out = run_main(["classnum", "--q", "-3", "--format", "csv"])
     assert code == EXIT_USAGE and out == ""
     err = capsys.readouterr().err
-    assert "; -3 is not one" in err and "--3" not in err
+    assert "there is none in -3..-3" in err and "--3" not in err
     # a range scan still skips non-fundamental q without complaint
     code, out = run_main(["scan", "classnum", "--q", "8..12", "--format", "csv"])
     assert code == EXIT_OK
@@ -266,17 +271,18 @@ def test_integer_flags_are_parsed_exactly(capsys):
 
 
 def test_flags_a_command_ignores_are_rejected(capsys):
-    for argv in (
-        ["classnum", "--q", "23", "--ceiling", "10"],
-        ["eval", "alpha", "--h", "2", "--tolerance", "1e-3"],
-        ["kernel", "gamma", "--l1", "--ceiling", "10"],
-        ["scan", "subgroup", "--q", "3001", "--tolerance", "1e-3"],
+    for argv, flag in (
+        (["classnum", "--q", "23", "--ceiling", "10"], "--ceiling"),
+        (["eval", "alpha", "--h", "2", "--tolerance", "1e-3"], "--tolerance"),
+        (["kernel", "gamma", "--l1", "--ceiling", "10"], "--ceiling"),
+        (["scan", "subgroup", "--q", "3001", "--tolerance", "1e-3"], "--tolerance"),
+        (["scan", "qnr", "--q", "23", "--ceiling", "100"], "--ceiling"),
+        (["scan", "classnum", "--q", "23", "--ceiling", "100"], "--ceiling"),
+        (["scan", "elementary", "--q", "23", "--ceiling", "100"], "--ceiling"),
     ):
-        assert main(argv) == EXIT_USAGE, argv
-        assert "unrecognized arguments" in capsys.readouterr().err
-    for what in ("qnr", "classnum", "elementary"):
-        assert main(["scan", what, "--q", "23", "--ceiling", "100"]) == EXIT_USAGE, what
-        assert "takes no --ceiling" in capsys.readouterr().err
+        code, out = run_main(argv)
+        assert code == EXIT_USAGE and out == "", argv
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, argv
     assert main(["scan", "ap", "--q", "7", "--ceiling", "10.5"]) == EXIT_USAGE
     code, out = run_main(["scan", "ap", "--q", "7", "--ceiling", "1e1", "--format", "csv"])
     assert code == EXIT_NOT_FOUND and "not-found" in out
@@ -321,7 +327,7 @@ def test_h_parsed_once_for_eval_and_kernel(capsys):
 def test_eval_thm14_requires_h(capsys):
     code, out = run_main(["eval", "thm14", "--q", "20001", "--format", "csv"])
     assert code == EXIT_USAGE and out == ""
-    assert "--h required" in capsys.readouterr().err
+    assert "the following arguments are required: --h" in capsys.readouterr().err
     for h in ("1", "0"):
         code, out = run_main(["eval", "thm14", "--q", "20001", "--h", h, "--format", "csv"])
         assert code == EXIT_USAGE and out == ""
@@ -332,13 +338,13 @@ def test_eval_thm14_requires_h(capsys):
 
 def test_runs_with_nothing_to_check_are_usage_errors(capsys):
     for argv, reason in (
-        (["lemma", "2.2", "--q", "5"], "lemma 2.2 needs --x"),
-        (["lemma", "2.1"], "lemma 2.1 needs --x"),
-        (["lemma", "3.1", "--m", "30"], "lemma 3.1 needs --x"),
-        (["lemma", "5.1", "--q", "5", "--x", ""], "lemma 5.1 needs --x"),
-        (["lemma", "2.3", "--x", "100"], "lemma 2.3 needs --q"),
-        (["lemma", "5.1", "--x", "100"], "lemma 5.1 needs --q"),
-        (["lemma", "3.1", "--x", "100"], "lemma 3.1 needs --m"),
+        (["lemma", "2.2", "--q", "5"], "lemma 2.2: error: the following arguments are required: --x"),
+        (["lemma", "2.1"], "lemma 2.1: error: the following arguments are required: --x"),
+        (["lemma", "3.1", "--m", "30"], "lemma 3.1: error: the following arguments are required: --x"),
+        (["lemma", "5.1", "--q", "5", "--x", ""], "argument --x: not a comma separated list of numbers: ''"),
+        (["lemma", "2.3", "--x", "100"], "lemma 2.3: error: the following arguments are required: --q"),
+        (["lemma", "5.1", "--x", "100"], "lemma 5.1: error: the following arguments are required: --q"),
+        (["lemma", "3.1", "--x", "100"], "lemma 3.1: error: the following arguments are required: --m"),
         (["lvalue", "--q", "1"], "no primitive character mod 1"),
         (["lvalue", "--q", "2"], "no primitive character mod 2"),
         (["lvalue", "--q", "6"], "no primitive character mod 6"),
@@ -351,3 +357,63 @@ def test_runs_with_nothing_to_check_are_usage_errors(capsys):
         assert code == EXIT_USAGE, argv
         assert out == "", argv
         assert reason in capsys.readouterr().err, argv
+
+
+# Each variant with a valid invocation of it and the flags it would ignore
+# that another variant of the command reads: 63 pairs (scan 10, eval 19,
+# lemma 30, kernel 3, lvalue 1).
+_UNREAD = {
+    **{("scan", v): (["--q", "23"], ["--subgroup gens:2", "--per-class"]) for v in ("qnr", "classnum", "elementary")},
+    ("scan", "ap"): (["--q", "23"], ["--subgroup gens:2"]),
+    **{("scan", v): (["--q", "23"], ["--per-class"]) for v in ("subgroup", "subgroup-clean", "coset")},
+    **{("eval", v): (["--q", "3001"], ["--h 3", "--workers 2"]) for v in ("thm11", "thm12", "cor15", "thm15", "cor16", "sec43")},
+    ("eval", "thm14"): (["--q", "20001", "--h", "2"], ["--workers 2"]),
+    **{("eval", v): (["--h", "2"], ["--q 7", "--workers 2"]) for v in ("alpha", "limit", "largeh")},
+    **{("lemma", v): (["--x", "100"], ["--q 7", "--m 30", "--grid 3", "--workers 2"]) for v in ("2.1", "2.4", "2.6")},
+    **{("lemma", v): (["--x", "100", "--q", "5"], ["--m 30", "--grid 3", "--workers 2"]) for v in ("2.2", "2.3", "2.5", "5.1")},
+    ("lemma", "3.1"): (["--x", "100", "--m", "30"], ["--q 7", "--grid 3", "--workers 2"]),
+    ("lemma", "trig"): ([], ["--q 7", "--m 30", "--workers 2"]),
+    ("kernel", "gamma"): (["--l1"], ["--alpha 3", "--workers 2"]),
+    ("kernel", "fejer"): (["--l1"], ["--workers 2"]),
+    ("lvalue",): (["--q", "5"], ["--workers 2"]),
+}
+_UNREAD_PAIRS = [(list(cmd), base, flag.split()) for cmd, (base, flags) in _UNREAD.items() for flag in flags]
+
+
+@pytest.mark.parametrize(
+    "cmd, base, flag", _UNREAD_PAIRS, ids=[" ".join(c + f[:1]) for c, _, f in _UNREAD_PAIRS]
+)
+def test_every_flag_a_variant_would_ignore_is_a_usage_error(cmd, base, flag, capsys):
+    build_parser().parse_args(cmd + base)  # the variant's own flags parse
+    code, out = run_main(cmd + base + flag)
+    assert code == EXIT_USAGE and out == ""
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["reproduce-paper", "--quick", "--full"], "--full"),
+        (["kernel", "gamma", "--l1", "--h", "3"], "--h"),
+        (["kernel", "gamma", "--optimize", "--lam", "5"], "--lam"),
+    ],
+)
+def test_flags_read_only_with_another_are_usage_errors(argv, flag, capsys):
+    code, out = run_main(argv)
+    assert code == EXIT_USAGE and out == ""
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["101", "3001"])
+def test_eval_and_scan_agree_on_thm12_applicability(q):
+    rows = []
+    for argv in (["eval", "thm12"], ["scan", "subgroup-clean"]):
+        code, out = run_main(argv + ["--q", q, "--format", "csv"])
+        assert code == EXIT_OK, argv
+        rows.append(out.splitlines()[1].split(",")[6])
+    assert rows[0] == rows[1] == ("true" if q == "3001" else "false")
+
+
+def test_options_follow_the_variant():
+    assert main(["scan", "--q", "7", "qnr"]) == EXIT_USAGE
+    assert run_main(["scan", "qnr", "--q", "7", "--format", "csv"])[0] == EXIT_OK

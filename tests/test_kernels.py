@@ -204,7 +204,7 @@ def test_prop62_denominator_guard():
     with pytest.raises(NonpositiveDenominatorError):
         prop62_constant(g, 0.05, 2)
     with pytest.raises(NoFeasibleLambdaError):
-        optimize_lambda(g, 2, lo=0.01, hi=0.05, grid=10)
+        optimize_lambda(fejer_kernel(4.5), 2)  # h W(lambda) <= K(1/2)/2 at every grid point of [1, 20]
 
 
 def test_optimizer_matches_reference_choices():

@@ -33,7 +33,7 @@ _TRIAL_LIMIT = 10**5
 
 
 class ModulusTooLargeError(ValueError):
-    """Raised when a unit-group table would exceed DLOG_CEILING."""
+    """Raised when an O(q) table (unit group, subgroup mask) would exceed DLOG_CEILING."""
 
 
 def is_prime(n: int) -> bool:
@@ -151,18 +151,18 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"cannot factor {n}")
     m = n
     found: dict[int, int] = {}
-    for p in map(int, primes_up_to(min(_TRIAL_LIMIT, math.isqrt(m) + 1))):
-        if p * p > m:
-            break
+    # One remainder over the primes <= min(_TRIAL_LIMIT, sqrt n).  No factor
+    # left is below the limit, and a composite has one below its square root,
+    # so a cofactor below _TRIAL_LIMIT^2 (or below n < _TRIAL_LIMIT^2) is prime.
+    ps = primes_up_to(min(_TRIAL_LIMIT, math.isqrt(n)))
+    for p in map(int, ps[n % ps == 0]):
         while m % p == 0:
             found[p] = found.get(p, 0) + 1
             m //= p
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
+        if m < _TRIAL_LIMIT**2 or is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue
         d = _pollard_rho(m)
@@ -244,21 +244,6 @@ class UnitGroupStructure:
                 full.reshape(-1, pk)[:] = t
                 tables.append(full)
         return tuple(tables)
-
-    def is_unit(self, n: int) -> bool:
-        return bool(self.unit_mask[n % self.q])
-
-    def dlog(self, n: int) -> tuple[int, ...]:
-        r = n % self.q
-        if not self.unit_mask[r]:
-            raise ValueError(f"{n} is not a unit mod {self.q}")
-        return tuple(int(t[r]) for t in self.dlogs)
-
-    def from_exponents(self, exps) -> int:
-        out = 1 % self.q
-        for (g, d), e in zip(self.components, exps):
-            out = out * pow(g, e % d, self.q) % self.q
-        return out
 
 
 def _powers(g: int, n: int, pk: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .arith import euler_phi, factorize, is_prime, primes_up_to
+from .arith import euler_phi, factorize, is_prime
 from .characters import (
     SubgroupSpec,
     is_fundamental_discriminant,
@@ -134,13 +134,7 @@ SUBGROUP_CEILING_FLOOR = 1000
 def subgroup_bound_clean_applicable(q: int) -> bool:
     """q >= SUBGROUP_THRESHOLD and no prime below (log q)^2 divides q (the
     clean (log q)^2 branch)."""
-    if q < SUBGROUP_THRESHOLD:
-        return False
-    cut = math.log(q) ** 2
-    for p in map(int, primes_up_to(int(cut) + 1)):
-        if p < cut and q % p == 0:
-            return False
-    return True
+    return q >= SUBGROUP_THRESHOLD and all(p >= math.log(q) ** 2 for p, _ in factorize(q).factors)
 
 
 def coset_bound(q: int, h: int) -> float:
@@ -238,26 +232,26 @@ def verify_qnr(q: int) -> BoundReport:
 
 def verify_subgroup(q: int, subgroup: str = "squares", ceiling: int | None = None) -> BoundReport:
     """Least prime off H against (log q + B(q))^2."""
+    return _verify_off_subgroup(q, subgroup, ceiling, clean=False)
+
+
+def verify_subgroup_clean(q: int, subgroup: str = "squares", ceiling: int | None = None) -> BoundReport:
+    """Least prime off H against the clean (log q)^2 branch."""
+    return _verify_off_subgroup(q, subgroup, ceiling, clean=True)
+
+
+def _verify_off_subgroup(q: int, subgroup: str, ceiling: int | None, clean: bool) -> BoundReport:
+    """One search up to 4x (log q + B(q))^2, against thm12's clean branch or thm11."""
     vals = subgroup_bound_quantities(q)
     h = _subgroup_for(q, subgroup)
     if ceiling is None:
         ceiling = _search_ceiling(vals.bound, SUBGROUP_CEILING_FLOOR)
     res = least_prime_outside_subgroup(q, h, ceiling)
-    return BoundReport.from_comparison(
-        "thm11", q, res.target, res.prime, vals.bound, applicable=q >= SUBGROUP_THRESHOLD
-    )
-
-
-def verify_subgroup_clean(q: int, subgroup: str = "squares", ceiling: int | None = None) -> BoundReport:
-    """Least prime off H against the clean (log q)^2 branch."""
-    bound = math.log(q) ** 2
-    h = _subgroup_for(q, subgroup)
-    if ceiling is None:
-        ceiling = _search_ceiling(subgroup_bound_quantities(q).bound, SUBGROUP_CEILING_FLOOR)
-    res = least_prime_outside_subgroup(q, h, ceiling)
-    return BoundReport.from_comparison(
-        "thm12", q, res.target, res.prime, bound, applicable=subgroup_bound_clean_applicable(q)
-    )
+    if clean:
+        formula, bound, applicable = "thm12", math.log(q) ** 2, subgroup_bound_clean_applicable(q)
+    else:
+        formula, bound, applicable = "thm11", vals.bound, q >= SUBGROUP_THRESHOLD
+    return BoundReport.from_comparison(formula, q, res.target, res.prime, bound, applicable)
 
 
 def verify_ap(q: int, per_class: bool = False, ceiling: int | None = None) -> list[BoundReport]:
@@ -311,9 +305,9 @@ def verify_coset(q: int, subgroup: str = "squares", ceiling: int | None = None) 
 def coset_representatives(h: SubgroupSpec) -> list[int]:
     """Smallest member of each coset of H, ascending."""
     q = h.q
+    members = h.members()  # ModulusTooLargeError above DLOG_CEILING, before the O(q) list
     seen = [False] * q
     reps = []
-    members = h.members()
     for a in range(1, q):
         if seen[a] or math.gcd(a, q) != 1:
             continue

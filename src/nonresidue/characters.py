@@ -5,21 +5,20 @@ A character's values are integer angles mod E = structure.exponent:
 chi(n) = e(angles[n] / E), so exact questions are integer tests (angle 0
 means the value is 1) and complex doubles are a gather from the E-th
 roots of unity, made only when a character enters an analytic sum.  Also
-here: conductors and primitivization, the Kronecker character table of a
-fundamental discriminant, and subgroups of (Z/qZ)* with membership
-bitmasks.
+here: conductors, the Kronecker character table of a fundamental
+discriminant, and subgroups of (Z/qZ)* with membership by exponent tests.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import UnitGroupStructure, factorize, unit_group_structure
+from .arith import DLOG_CEILING, ModulusTooLargeError, UnitGroupStructure, factorize, unit_group_structure
 
 __all__ = [
     "DirichletCharacter",
@@ -103,23 +102,6 @@ class DirichletCharacter:
         out[~self.structure.unit_mask] = -1
         return out
 
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if self.structure is not other.structure and self.q != other.q:
-            raise ValueError("character product requires a common modulus")
-        exps = tuple(
-            (a + b) % d
-            for (a, b, (_, d)) in zip(
-                self.exponents, other.exponents, self.structure.components
-            )
-        )
-        return DirichletCharacter(self.structure, exps)
-
-    def conjugate(self) -> "DirichletCharacter":
-        exps = tuple(
-            (-e) % d for e, (_, d) in zip(self.exponents, self.structure.components)
-        )
-        return DirichletCharacter(self.structure, exps)
-
     @cached_property
     def parity(self) -> int:
         """0 for even characters (chi(-1) = 1), 1 for odd."""
@@ -164,25 +146,6 @@ class DirichletCharacter:
     def is_primitive(self) -> bool:
         return self.conductor == self.q
 
-    def primitivize(self) -> tuple[int, "DirichletCharacter"]:
-        """(conductor, inducing primitive character)."""
-        cond = self.conductor
-        if cond == self.q:
-            return cond, self
-        sub = unit_group_structure(cond)
-        big = self.structure.exponent
-        exps = []
-        for g, d in sub.components:
-            n = g
-            while math.gcd(n, self.q) != 1:
-                n += cond
-            num = int(self.angles[n % self.q]) * d
-            if num % big:
-                raise ArithmeticError("conductor does not divide character angle")
-            exps.append((num // big) % d)
-        induced = DirichletCharacter(sub, tuple(exps))
-        return cond, induced
-
     @cached_property
     def complex_table(self) -> np.ndarray:
         """chi as complex doubles over residues 0..q-1 (zeros off units)."""
@@ -218,74 +181,112 @@ def is_fundamental_discriminant(q: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SubgroupSpec:
-    """Subgroup H of (Z/qZ)* with membership bitmask and index h = [G:H]."""
+    """Subgroup H of (Z/qZ)* of index h = [G:H].
+
+    k-th powers and {1} are exponent tests: n is in H when n^e = 1 (mod m)
+    for each (m, e) in `tests`, with no O(q) table.  A subgroup given by
+    generators carries its bitmask `mask`; for the other kinds `mask` is
+    built on first read (coset search, `members`), for q <= DLOG_CEILING.
+    """
 
     q: int
-    mask: np.ndarray
     index: int
     kind: str
-    generators: tuple[int, ...] = ()
-
-    @property
-    def size(self) -> int:
-        return int(self.mask.sum())
+    tests: tuple[tuple[int, int], ...] = ()
 
     def contains(self, n: int) -> bool:
-        return bool(self.mask[n % self.q])
+        if self.kind == "generators":
+            return bool(self.mask[n % self.q])
+        for m, e in self.tests:  # not all(): searches call this once per prime
+            if pow(n, e, m) != 1:
+                return False
+        return True
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Membership of residues 0..q-1, each test tiled over a (q/m, m) view."""
+        if self.q > DLOG_CEILING:
+            raise ModulusTooLargeError(f"q={self.q} exceeds dlog-table ceiling {DLOG_CEILING}")
+        out = np.ones(self.q, dtype=bool)
+        for m, e in self.tests:
+            out.reshape(-1, m)[:] &= _power_table(m, e) == 1
+        return out
 
     def members(self) -> list[int]:
         return [int(r) for r in np.nonzero(self.mask)[0]]
 
 
-def _close_under_products(q: int, seeds: list[int]) -> np.ndarray:
-    mask = np.zeros(q, dtype=bool)
-    mask[1 % q] = True
-    frontier = [1 % q]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in seeds:
-                v = m * g % q
-                if not mask[v]:
-                    mask[v] = True
-                    nxt.append(v)
-        frontier = nxt
-    return mask
+def _power_table(m: int, e: int) -> np.ndarray:
+    """r^e mod m for r = 0..m-1, square and multiply in place in int64
+    (m <= DLOG_CEILING, so products fit): two arrays of size m."""
+    base = np.arange(m, dtype=np.int64)
+    out = np.ones(m, dtype=np.int64)
+    while e:
+        if e & 1:
+            out *= base
+            out %= m
+        base *= base
+        base %= m
+        e >>= 1
+    return out
 
 
 def kth_power_subgroup(q: int, k: int) -> SubgroupSpec:
-    """H = {x^k : x a unit mod q}."""
-    struct = unit_group_structure(q)
-    mask = np.zeros(q, dtype=bool)
-    if k == 2:
-        units = np.nonzero(struct.unit_mask)[0].astype(np.int64)
-        mask[(units * units) % q] = True
-    else:
-        for r in np.nonzero(struct.unit_mask)[0]:
-            mask[pow(int(r), k, q)] = True
-    gens = tuple(pow(g, k, q) for g, _ in struct.components)
-    size = int(mask.sum())
-    return SubgroupSpec(q, mask, struct.phi // size, kind=f"powers:{k}", generators=gens)
+    """H = {x^k : x a unit mod q}, tested at each prime power p^a || q.
+
+    Odd p: (Z/p^aZ)* is cyclic of order phi, so the k-th powers are the n
+    with n^(phi/g) = 1, g = gcd(k, phi), of index g.  p = 2: (Z/2^aZ)* is
+    <-1> x <5>, <5> = {n = 1 mod 4} of order 2^(a-2); for even k the k-th
+    powers are the n = 1 (mod 4) with n^(2^(a-2)/g') = 1, g' =
+    gcd(k, 2^(a-2)), of index 2 g'; for odd k or a = 1, all odd n.
+    """
+    tests: list[tuple[int, int]] = []
+    index = 1
+    for p, a in factorize(q).factors:
+        pa = p**a
+        if p != 2:
+            phi = pa // p * (p - 1)
+            g = math.gcd(k, phi)
+            tests.append((pa, phi // g))
+            index *= g
+        elif k % 2 or a == 1:
+            tests.append((2, 1))
+        else:
+            tests.append((4, 1))
+            index *= 2
+            if a >= 3:
+                g = math.gcd(k, pa // 4)
+                tests.append((pa, pa // 4 // g))
+                index *= g
+    return SubgroupSpec(q, index, f"powers:{k}", tuple(tests))
 
 
 def subgroup_from_generators(q: int, gens) -> SubgroupSpec:
+    """H = <gens>, one generator g at a time: H<g> is the union of the
+    cosets g^j H for j below the least j with g^j in H."""
     gens = [g % q for g in gens]
     for g in gens:
         if math.gcd(g, q) != 1:
             raise ValueError(f"generator {g} is not a unit mod {q}")
     struct = unit_group_structure(q)
-    mask = _close_under_products(q, gens)
+    mask = np.zeros(q, dtype=bool)
+    mask[1 % q] = True
+    for g in gens:
+        members, x = np.flatnonzero(mask), g
+        while not mask[x]:
+            mask[members * x % q] = True
+            x = x * g % q
     size = int(mask.sum())
     if struct.phi % size:
         raise ArithmeticError("subgroup size does not divide phi(q)")
-    return SubgroupSpec(q, mask, struct.phi // size, kind="generators", generators=tuple(gens))
+    h = SubgroupSpec(q, struct.phi // size, "generators")
+    vars(h)["mask"] = mask  # the bitmask is this kind's membership rule
+    return h
 
 
 def trivial_subgroup(q: int) -> SubgroupSpec:
-    struct = unit_group_structure(q)
-    mask = np.zeros(q, dtype=bool)
-    mask[1 % q] = True
-    return SubgroupSpec(q, mask, struct.phi, kind="trivial", generators=(1,))
+    """H = {1}, the 0-th powers: its tests read n = 1 modulo each p^a || q."""
+    return replace(kth_power_subgroup(q, 0), kind="trivial")
 
 
 # chi_D on residues mod |D| for the 2-part D of -q when 4 | q, keyed by

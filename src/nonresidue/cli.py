@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -127,6 +128,8 @@ def _scan_task(payload) -> list[BoundReport]:
 def run_scan(formula: str, qs: Sequence[int], workers: int = 1, **kwargs) -> list[BoundReport]:
     payloads = [(formula, q, kwargs) for q in qs]
     out: list[BoundReport] = []
+    # the pool starts every worker at once: no more than CPUs or moduli
+    workers = min(workers, os.cpu_count() or 1, len(payloads))
     if workers <= 1 or len(payloads) < 4:
         for p in payloads:
             out.extend(_scan_task(p))
@@ -179,6 +182,11 @@ def _one_q(text: str) -> range:
     return range(q, q + 1)
 
 
+def _classnum_qmax(text: str) -> range:
+    """`classnum --qmax N`: the range 5..N."""
+    return range(5, _modulus(text) + 1)
+
+
 def _q_spec(text: str) -> range:
     """`--q` of a scan: a single q, or an inclusive range a..b."""
     if ".." in text:
@@ -200,8 +208,16 @@ def _real(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
+def _workers(text: str) -> int:
+    """`--workers`: an integer >= 1."""
+    n = _exact_int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"not an integer >= 1: {text!r}")
+    return n
+
+
 def _alpha(text: str) -> float:
-    """`--alpha`, `--mellin`: a finite number > 0."""
+    """`--alpha`, `--mellin`, `--tolerance`: a finite number > 0."""
     alpha = _real(text)
     if not 0 < alpha < math.inf:
         raise argparse.ArgumentTypeError(f"not a finite number > 0: {text!r}")
@@ -225,12 +241,14 @@ def _xs(text: str) -> list[float]:
 
 
 def _parse_qrange(args) -> range:
-    if args.q is not None:
+    """`--q` (a range already), or `--qmin` with `--qmax`; never both."""
+    qmin, qmax = vars(args).get("qmin"), vars(args).get("qmax")
+    if args.q is not None and qmin is None and qmax is None:
         qs = args.q
-    elif args.qmin is not None and args.qmax is not None:
-        qs = range(args.qmin, args.qmax + 1)
+    elif args.q is None and qmin is not None and qmax is not None:
+        qs = range(qmin, qmax + 1)
     else:
-        _progress("error: pass --q Q, --q A..B, or --qmin A --qmax B")
+        _progress("error: pass one of --q Q, --q A..B, or --qmin A --qmax B")
         raise SystemExit(EXIT_USAGE)
     if not qs:
         _progress("error: empty q range")
@@ -257,7 +275,7 @@ _SCAN_APPLIES_TO = {
 
 
 def cmd_scan(args) -> int:
-    """`scan VARIANT`, and `classnum` as the classnum scan from q = 5."""
+    """`scan VARIANT`, and `classnum` as the classnum scan."""
     formula = _SCANS[args.what][0]
     qs = _parse_qrange(args)
     kwargs = {k: v for k, v in vars(args).items() if k in ("subgroup", "per_class", "ceiling") and v is not None}
@@ -658,7 +676,7 @@ _SCAN_FLAGS = {
     "q": dict(type=_q_spec, help="single q or range a..b"),
     "qmin": dict(type=_modulus),
     "qmax": dict(type=_modulus),
-    "workers": dict(type=int, default=1),
+    "workers": dict(type=_workers, default=1),
     "subgroup": dict(default="squares", help="squares | powers:K | gens:a,b | trivial"),
     "per-class": dict(action="store_true"),
     "ceiling": dict(type=_exact_int, help="search ceiling override"),
@@ -703,23 +721,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lvalue", help="L(1, chi) by independent methods")
     p.add_argument("--q", type=_modulus, required=True)
     p.add_argument("--index", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=1e-8, help="agreement tolerance")
+    p.add_argument("--tolerance", type=_alpha, default=1e-8, help="agreement tolerance")
     _add_output(p)
     p.set_defaults(func=cmd_lvalue)
 
-    p = sub.add_parser("classnum", help="class numbers two ways (the classnum scan from q = 5)")
+    p = sub.add_parser("classnum", help="class numbers two ways (the classnum scan of Q, or of 5..N)")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--q", type=_one_q, default=None)
-    which.add_argument("--qmax", type=_modulus, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    which.add_argument("--qmax", dest="q", type=_classnum_qmax, metavar="N")
+    p.add_argument("--workers", type=_workers, default=1)
     _add_output(p)
-    p.set_defaults(func=cmd_scan, what="classnum", qmin=5)
+    p.set_defaults(func=cmd_scan, what="classnum")
 
     p = sub.add_parser("reproduce-paper", help="run the bundled verification checklist")
     scale = p.add_mutually_exclusive_group()
     scale.add_argument("--quick", dest="scale", action="store_const", const="quick", help="desk-scale ranges")
     scale.add_argument("--full", dest="scale", action="store_const", const="full", help="extended ranges (q <= 20000 progressions)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     _add_output(p)
     p.set_defaults(func=cmd_reproduce, scale="default")
 

@@ -4,11 +4,12 @@ Least prime outside a subgroup (outside the k-th powers it is the least
 k-th power non-residue), least quadratic non-residue, least prime in a
 coset (a progression is a coset of the trivial subgroup), and least
 prime in every reduced class at once.
-Subgroup scans walk the prime sieve (dense predicate); coset searches
-step candidates and apply the deterministic primality test (sparse
-predicate), so large moduli stay cheap.  Results always report
-minimality: primes are visited in increasing order.  Searches stop at
-the ceiling they are given; bounds derives it from the bound checked.
+Subgroup scans walk the prime sieve and test membership by exponent
+(dense predicate); coset searches step candidates and apply the
+deterministic primality test (sparse predicate), so large moduli stay
+cheap.  Results always report minimality: primes are visited in
+increasing order.  Searches stop at the ceiling they are given; bounds
+derives it from the bound checked.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_prime, primes_up_to, unit_group_structure
-from .characters import NonUnitCosetError, SubgroupSpec
+from .arith import factorize, is_prime, primes_up_to, unit_group_structure
+from .characters import NonUnitCosetError, SubgroupSpec, kth_power_subgroup
 
 __all__ = [
     "ImproperSubgroupError",
@@ -45,45 +46,45 @@ class SearchResult:
 
 
 def least_prime_outside_subgroup(q: int, h: SubgroupSpec, ceiling: int) -> SearchResult:
-    """Least prime l with l not dividing q and l mod q outside H."""
+    """Least prime l <= ceiling with l not dividing q and l mod q outside H.
+
+    The sieve is read in stretches growing 4x from 64, so a search that
+    ends early never sieves toward a far ceiling; membership is h.contains.
+    """
     if h.index == 1:
         raise ImproperSubgroupError(f"subgroup is all of (Z/{q}Z)*")
     target = f"outside:{h.kind}"
     examined = 0
-    mask = h.mask
-    for p in map(int, primes_up_to(ceiling)):
-        if q % p == 0:
-            continue
-        examined += 1
-        if not mask[p % q]:
-            return SearchResult(q, target, p, examined, ceiling)
-    return SearchResult(q, target, None, examined, ceiling)
+    done = 0
+    limit = 64
+    while True:
+        limit = min(limit, ceiling)
+        ps = primes_up_to(limit)
+        for p in map(int, ps[done:]):
+            if q % p == 0:
+                continue
+            examined += 1
+            if not h.contains(p):
+                return SearchResult(q, target, p, examined, ceiling)
+        if limit >= ceiling:
+            return SearchResult(q, target, None, examined, ceiling)
+        done = len(ps)
+        limit *= 4
 
 
 def least_qnr(q: int) -> SearchResult:
-    """Least prime quadratic non-residue mod an odd prime q."""
-    if q < 3 or q % 2 == 0 or not is_prime(q):
+    """Least prime quadratic non-residue mod an odd prime q: the least prime
+    off the squares.  One lies below q, so q is the ceiling."""
+    if q < 3 or factorize(q).factors != ((q, 1),):
         raise ValueError("least_qnr expects an odd prime modulus")
-    half = (q - 1) // 2
-    limit = 64
-    examined = 0
-    while True:
-        for p in map(int, primes_up_to(limit)):
-            if p == q:
-                continue
-            examined += 1
-            if pow(p, half, q) == q - 1:
-                return SearchResult(q, "qnr", p, examined, limit)
-        if limit > q:  # cannot happen for prime q; guards a broken caller
-            raise ArithmeticError(f"no non-residue found below {limit} for q={q}")
-        limit *= 4
+    return least_prime_outside_subgroup(q, kth_power_subgroup(q, 2), q)
 
 
 def least_prime_in_coset(q: int, h: SubgroupSpec, a: int, ceiling: int) -> SearchResult:
     """Least prime p with p mod q in the coset aH."""
     if math.gcd(a, q) != 1:
         raise NonUnitCosetError(f"a={a} is not a unit mod {q}")
-    residues = sorted({a * int(m) % q for m in np.nonzero(h.mask)[0]})
+    residues = sorted({a * m % q for m in h.members()})
     target = f"coset:a={a % q}:{h.kind}"
     examined = 0
     base = 0

@@ -50,6 +50,14 @@ def test_factorize_examples():
     assert factorize(3000).factors == tuple(trial_division(3000))
 
 
+def test_factorize_at_the_trial_division_edges():
+    # Trial division stops at the largest prime below 10^5 (99991); a cofactor
+    # below 10^10 is then prime without a primality test, and above it is not
+    # assumed to be.  100003 is the least prime above 10^5.
+    for n in (99991**2, 99991 * 100003, 100003**2, 10**10 - 3, 10**10 + 3, 99991 * 100003 * 7):
+        assert factorize(n).factors == tuple(trial_division(n)), n
+
+
 def test_factorize_invariants_random():
     rng = np.random.default_rng(7)
     for n in rng.integers(2, 10**12, size=60):
@@ -164,6 +172,19 @@ def test_unit_group_examples():
     assert s4.components == ((3, 2),)
 
 
+def dlog(s, n: int) -> tuple[int, ...]:
+    """Exponents of the unit n on the components of s, read from its tables."""
+    return tuple(int(t[n % s.q]) for t in s.dlogs)
+
+
+def from_exponents(s, exps) -> int:
+    """prod_j g_j^e_j mod q: the inverse of dlog on the units."""
+    out = 1 % s.q
+    for (g, d), e in zip(s.components, exps):
+        out = out * pow(g, e % d, s.q) % s.q
+    return out
+
+
 def test_unit_group_invariants_all_small_q():
     for q in range(3, 2001):
         s = unit_group_structure(q)
@@ -174,7 +195,7 @@ def test_unit_group_invariants_all_small_q():
         units = np.nonzero(s.unit_mask)[0]
         assert len(units) == s.phi
         for n in map(int, units):
-            assert s.from_exponents(s.dlog(n)) == n, (q, n)
+            assert from_exponents(s, dlog(s, n)) == n, (q, n)
 
 
 def reference_tables(struct):
@@ -238,11 +259,11 @@ def test_dlog_round_trip(q, ns):
     s = unit_group_structure.__wrapped__(q)
     for n in ns:
         if math.gcd(n, q) == 1:
-            exps = s.dlog(n)
+            exps = dlog(s, n)
             assert all(0 <= e < d for e, (_, d) in zip(exps, s.components)), (q, n)
-            assert s.from_exponents(exps) == n % q, (q, n)
+            assert from_exponents(s, exps) == n % q, (q, n)
         else:
-            assert not s.is_unit(n)
+            assert not s.unit_mask[n % q]
         # A component's table reads -1 exactly where n shares its prime.
         for p, _, idxs in s.prime_blocks:
             for j in idxs:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonresidue.arith import euler_phi, primes_up_to, unit_group_structure
+from nonresidue.arith import ModulusTooLargeError, euler_phi, primes_up_to, unit_group_structure
 from nonresidue.characters import (
     DirichletCharacter,
     NonUnitCosetError,
@@ -72,10 +72,35 @@ def real_value(chi: DirichletCharacter, n: int) -> int:
 def scalar_angle(chi: DirichletCharacter, n: int) -> int:
     """chi(n)'s angle from the per-residue dlog vector, one n at a time."""
     struct = chi.structure
-    if not struct.is_unit(n):
+    if not struct.unit_mask[n % struct.q]:
         return -1
     big = struct.exponent
-    return sum(e * (big // d) * k for (_, d), e, k in zip(struct.components, chi.exponents, struct.dlog(n))) % big
+    dlog = (int(t[n % struct.q]) for t in struct.dlogs)
+    return sum(e * (big // d) * k for (_, d), e, k in zip(struct.components, chi.exponents, dlog)) % big
+
+
+def conjugate(chi: DirichletCharacter) -> DirichletCharacter:
+    return DirichletCharacter(chi.structure, tuple(-e % d for e, (_, d) in zip(chi.exponents, chi.structure.components)))
+
+
+def primitivize(chi: DirichletCharacter) -> tuple[int, DirichletCharacter]:
+    """(conductor, inducing primitive character): the angle of each
+    generator of (Z/cond Z)*, read at a lift of it coprime to q."""
+    cond = chi.conductor
+    if cond == chi.q:
+        return cond, chi
+    sub = unit_group_structure(cond)
+    big = chi.structure.exponent
+    exps = []
+    for g, d in sub.components:
+        n = g
+        while math.gcd(n, chi.q) != 1:
+            n += cond
+        num = int(chi.angles[n % chi.q]) * d
+        if num % big:
+            raise ArithmeticError("conductor does not divide character angle")
+        exps.append((num // big) % d)
+    return cond, DirichletCharacter(sub, tuple(exps))
 
 
 def exact_root_sum(angles, big: int) -> int:
@@ -101,8 +126,8 @@ def exact_root_sum(angles, big: int) -> int:
 
 def annihilator(h: SubgroupSpec) -> list[DirichletCharacter]:
     """Characters mod q that are 1 on all of H; exactly [G:H] of them."""
-    gens = h.generators if h.generators else tuple(h.members())
-    out = [c for c in character_group(h.q) if all(c.angles[g % h.q] == 0 for g in gens)]
+    members = h.members()
+    out = [c for c in character_group(h.q) if all(c.angles[m] == 0 for m in members)]
     if len(out) != h.index:
         raise ArithmeticError(f"annihilator size {len(out)} != index {h.index} for q={h.q}")
     return out
@@ -145,7 +170,7 @@ def test_character_value_arithmetic():
     big = a.structure.exponent
     assert big == 6
     assert np.all((a.angles[1:] + b.angles[1:]) % big == 0)  # a * b is principal
-    assert np.array_equal(a.conjugate().angles, b.angles)
+    assert np.array_equal(conjugate(a).angles, b.angles)
     n = int(np.flatnonzero(a.angles == 2)[0])  # a(n) = e(1/3)
     assert abs(a.complex_table[n] - complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))) < 1e-15
     leg7 = g7[3]
@@ -170,7 +195,7 @@ def test_angles_are_a_homomorphism_into_the_exponent_circle(q, data):
     u = np.flatnonzero(units)
     for m in data.draw(st.lists(st.sampled_from(u.tolist()), min_size=1, max_size=4), label="m"):
         assert np.array_equal(angles[m * u % q], (angles[m] + angles[u]) % big), m
-    conj = chi.conjugate().angles
+    conj = conjugate(chi).angles
     assert np.array_equal(conj[units], (-angles[units]) % big)
     assert np.array_equal(conj == -1, ~units)
     want = np.zeros(q, dtype=complex)
@@ -190,12 +215,15 @@ def test_group_sizes_and_reality():
 
 
 def test_group_closed_under_product():
+    # chi psi has angles chi + psi mod E on the units; some character mod q has them
     for q in (8, 12, 15):
         chars = character_group(q)
-        labels = {c.label for c in chars}
+        units = chars[0].structure.unit_mask
+        big = chars[0].structure.exponent
+        tables = {c.angles[units].tobytes() for c in chars}
         for a in chars[:4]:
             for b in chars[:4]:
-                assert (a * b).label in labels
+                assert ((a.angles[units] + b.angles[units]) % big).tobytes() in tables
 
 
 def test_evaluate_examples():
@@ -393,7 +421,7 @@ def test_conductor_formula_matches_divisor_scan():
 def test_primitivize_agrees_on_units_and_is_idempotent():
     for q in range(3, 101):
         for chi in character_group(q):
-            cond, prim = chi.primitivize()
+            cond, prim = primitivize(chi)
             assert prim.q == cond == chi.conductor
             assert prim.is_primitive or cond == 1
             for n in range(1, q + 1):
@@ -402,7 +430,7 @@ def test_primitivize_agrees_on_units_and_is_idempotent():
                     left = int(chi.angles[n % q]) * prim.structure.exponent
                     right = int(prim.angles[n % cond]) * chi.structure.exponent
                     assert left == right, (q, chi.label, n)
-            cond2, prim2 = prim.primitivize()
+            cond2, prim2 = primitivize(prim)
             assert cond2 == cond and prim2 == prim
 
 
@@ -505,7 +533,80 @@ def test_subgroup_invariants():
             for x in members[:6]:
                 for y in members[:6]:
                     assert h.contains(x * y % q)
-            assert h.size * h.index == euler_phi(q)
+            assert len(members) * h.index == euler_phi(q)
+
+
+POWER_KS = (2, 3, 4, 5, 6, 8, 12)
+
+
+def kth_powers_reference(q: int, ks=POWER_KS) -> dict[int, np.ndarray]:
+    """k -> bitmask of {u^k : u a unit mod q}, multiplying the units into a
+    running power once per step up to max(ks)."""
+    residues = np.arange(q, dtype=np.int64)
+    units = residues[np.gcd(residues, q) == 1]
+    power = np.ones_like(units) % q
+    out = {}
+    for k in range(1, max(ks) + 1):
+        power = power * units % q
+        if k in ks:
+            out[k] = np.zeros(q, dtype=bool)
+            out[k][power] = True
+    return out
+
+
+def assert_subgroup_is(h: SubgroupSpec, ref: np.ndarray, residues) -> None:
+    """h's mask and index match the reference set; `contains` matches it at
+    the given residues (any integers; reduced mod q for the lookup)."""
+    q = h.q
+    assert np.array_equal(h.mask, ref), (q, h.kind)
+    assert h.index * int(ref.sum()) == euler_phi(q), (q, h.kind)
+    members = ref.tolist()
+    for n in residues:
+        assert h.contains(n) == members[n % q], (q, h.kind, n)
+
+
+def _sampled_residues(q: int, rng) -> list[int]:
+    """Every residue for small q; else 10 integers of either sign and up to 10 q."""
+    if q <= 300:
+        return range(q)
+    return [int(n) for n in rng.integers(-10 * q, 10 * q, size=10)]
+
+
+def test_kth_power_subgroup_matches_units_to_the_k():
+    rng = np.random.default_rng(4)
+    for q in range(1, 3001):
+        for k, ref in kth_powers_reference(q).items():
+            assert_subgroup_is(kth_power_subgroup(q, k), ref, _sampled_residues(q, rng))
+    for a in range(1, 17):
+        q = 2**a
+        for k, ref in kth_powers_reference(q).items():
+            assert_subgroup_is(kth_power_subgroup(q, k), ref, range(q) if a <= 12 else _sampled_residues(q, rng))
+
+
+def test_trivial_subgroup_is_one_alone():
+    rng = np.random.default_rng(5)
+    for q in range(1, 3001):
+        ref = np.arange(q) == 1 % q
+        assert_subgroup_is(trivial_subgroup(q), ref, _sampled_residues(q, rng))
+
+
+@pytest.mark.slow
+def test_kth_power_contains_matches_units_to_the_k_everywhere():
+    # `contains` at every residue of every q <= 3000 (tier-1 samples it above 300)
+    for q in range(1, 3001):
+        for k, ref in kth_powers_reference(q).items():
+            assert_subgroup_is(kth_power_subgroup(q, k), ref, range(q))
+        assert_subgroup_is(trivial_subgroup(q), np.arange(q) == 1 % q, range(q))
+
+
+def test_kth_power_subgroup_needs_no_table():
+    q = 1000000000000037  # prime, far above the ceiling of any O(q) table
+    h = kth_power_subgroup(q, 2)
+    assert h.index == 2 and h.tests == ((q, (q - 1) // 2),)
+    assert not h.contains(2) and h.contains(4) and h.contains(-1) == (q % 4 == 1)
+    with pytest.raises(ModulusTooLargeError):
+        h.mask
+    assert kth_power_subgroup(2**62, 8).index == 2 * 8
 
 
 def test_annihilator_examples():

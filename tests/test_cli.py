@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nonresidue import cli
 from nonresidue.cli import (
     CSV_FIELDS,
     EXIT_FAIL,
@@ -417,3 +418,89 @@ def test_eval_and_scan_agree_on_thm12_applicability(q):
 def test_options_follow_the_variant():
     assert main(["scan", "--q", "7", "qnr"]) == EXIT_USAGE
     assert run_main(["scan", "qnr", "--q", "7", "--format", "csv"])[0] == EXIT_OK
+
+
+def test_q_excludes_qmin_and_qmax(capsys):
+    for extra in (["--qmin", "5", "--qmax", "100"], ["--qmin", "5"], ["--qmax", "100"]):
+        code, out = run_main(["scan", "qnr", "--q", "7", *extra, "--format", "csv"])
+        assert code == EXIT_USAGE and out == "", extra
+        assert "pass one of --q Q, --q A..B, or --qmin A --qmax B" in capsys.readouterr().err
+    # classnum --qmax N is the range 5..N, and takes no --qmin
+    assert run_main(["classnum", "--qmax", "200", "--format", "csv"]) == run_main(
+        ["scan", "classnum", "--qmin", "5", "--qmax", "200", "--format", "csv"]
+    )
+    code, out = run_main(["classnum", "--qmax", "200", "--qmin", "7"])
+    assert code == EXIT_USAGE and out == ""
+    assert "unrecognized arguments: --qmin" in capsys.readouterr().err
+    code, out = run_main(["classnum", "--qmax", "6", "--format", "csv"])
+    assert code == EXIT_USAGE and out == ""
+    assert "there is none in 5..6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan", "qnr", "--q", "5..50"], ["classnum", "--q", "163"], ["reproduce-paper", "--quick"]],
+    ids=["scan", "classnum", "reproduce-paper"],
+)
+@pytest.mark.parametrize("workers", ["0", "-3", "1.5"])
+def test_workers_below_one_are_usage_errors(argv, workers, capsys):
+    code, out = run_main(argv + ["--workers", workers, "--format", "csv"])
+    assert code == EXIT_USAGE and out == ""
+    assert "--workers" in capsys.readouterr().err
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no process starts."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_scan_pool_is_no_larger_than_cpus_or_moduli(monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    _FakePool.started.clear()
+    qs = [5, 7, 11, 13, 17, 19]
+    serial = cli.run_scan("cor12", qs)
+    assert _FakePool.started == []
+    for workers, qs_, started in ((10**6, qs, 3), (2, qs, 2), (10**6, qs[:4], 3), (10**6, qs[:3], None)):
+        _FakePool.started.clear()
+        assert cli.run_scan("cor12", qs_, workers=workers) == serial[: len(qs_)]
+        assert _FakePool.started == ([] if started is None else [started]), (workers, qs_)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    _FakePool.started.clear()
+    cli.run_scan("cor12", qs[:5], workers=10**6)
+    assert _FakePool.started == [5]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "x"])
+def test_lvalue_tolerance_is_a_finite_positive_number(tol, capsys):
+    code, out = run_main(["lvalue", "--q", "5", "--tolerance", tol, "--format", "csv"])
+    assert code == EXIT_USAGE and out == ""
+    assert "argument --tolerance: not a " in capsys.readouterr().err
+
+
+def test_subgroup_searches_reach_large_q(capsys):
+    q = "1000000000000037"  # prime, far above the 10^7 ceiling of O(q) tables
+    for variant, formula in (("subgroup", "thm11"), ("subgroup-clean", "thm12"), ("qnr", "cor12")):
+        code, out = run_main(["scan", variant, "--q", q, "--format", "csv"])
+        assert code == EXIT_OK, variant
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 1 and rows[0].startswith(f"{formula},{q},") and rows[0].endswith(",pass"), rows
+    # the coset search and generated subgroups read an O(q) table
+    for argv in (["scan", "coset", "--q", q], ["scan", "subgroup", "--q", q, "--subgroup", "gens:2"]):
+        code, out = run_main(argv + ["--format", "csv"])
+        assert code == EXIT_USAGE and out == "", argv
+        assert "exceeds dlog-table ceiling" in capsys.readouterr().err, argv

@@ -227,7 +227,14 @@ def imprimitivity_gap(x: float, chi) -> tuple[float, float]:
     The gap collects prime powers touching q but not the conductor and is
     bounded by omega(q / conductor) (log x)^2 / 2.
     """
-    cond, prim = chi.primitivize()
+    cond = chi.conductor
+    units = [n for n in range(1, chi.q) if math.gcd(n, chi.q) == 1]
+    # the character mod cond that agrees with chi on the units mod q (as a fraction of a turn)
+    (prim,) = [
+        psi
+        for psi in character_group(cond)
+        if all(int(chi.angles[n]) * psi.structure.exponent == int(psi.angles[n % cond]) * chi.structure.exponent for n in units)
+    ]
     gap = abs(cheb_log_sum(x, chi) - cheb_log_sum(x, prim))
     bound = 0.5 * factorize(chi.q // cond).omega * math.log(x) ** 2
     return gap, bound

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from nonresidue.characters import character_group, primitive_characters
+from nonresidue.characters import DirichletCharacter, character_group, primitive_characters
 from nonresidue.lfunctions import (
     EULER_GAMMA,
     FINITE_METHOD,
@@ -268,7 +268,8 @@ def test_re_b_positivity_and_conjugation():
         for chi in primitive_characters(q):
             rb = re_b(chi)
             assert rb > 0, (q, chi.label, rb)
-            assert rb == pytest.approx(re_b(chi.conjugate()), abs=1e-9)
+            conj = DirichletCharacter(chi.structure, tuple(-e % d for e, (_, d) in zip(chi.exponents, chi.structure.components)))
+            assert rb == pytest.approx(re_b(conj), abs=1e-9)
 
 
 def test_re_b_identity_shape():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from nonresidue import search
 from nonresidue.arith import primes_up_to
 from nonresidue.characters import (
     NonUnitCosetError,
+    SubgroupSpec,
     kth_power_subgroup,
     trivial_subgroup,
 )
@@ -71,13 +73,74 @@ def test_minimality_spot_checks():
             assert q % p == 0 or h.contains(p), (q, p, res.prime)
 
 
-def test_qnr_equals_square_subgroup_search():
+def euler_least_qnr(q: int) -> tuple[int, int]:
+    """(least prime quadratic non-residue, primes examined) for an odd prime
+    q, by Euler's criterion over the sieve: the oracle for least_qnr."""
+    examined = 0
+    for p in map(int, primes_up_to(q)):
+        if p == q:
+            continue
+        examined += 1
+        if pow(p, (q - 1) // 2, q) == q - 1:
+            return p, examined
+    raise AssertionError(f"no non-residue below {q}")
+
+
+def test_least_qnr_matches_euler_criterion():
     for q in map(int, primes_up_to(10**4)):
         if q < 3:
             continue
-        direct = least_qnr(q)
-        via_subgroup = least_prime_outside_subgroup(q, kth_power_subgroup(q, 2), 10**6)
-        assert direct.prime == via_subgroup.prime, q
+        res = least_qnr(q)
+        assert (res.prime, res.examined) == euler_least_qnr(q), q
+
+
+def test_least_qnr_rejects_non_primes():
+    for q in (-7, 0, 1, 2, 4, 9, 15, 3 * 1000000000000037):
+        with pytest.raises(ValueError):
+            least_qnr(q)
+
+
+@pytest.fixture
+def small_sieve_only(monkeypatch):
+    """search.primes_up_to raises above 10^6, so a search that sieves toward
+    a far ceiling fails before it allocates; records each limit asked for."""
+    asked = []
+
+    def spy(n):
+        asked.append(n)
+        if n > 10**6:
+            raise AssertionError(f"sieve to {n} requested")
+        return primes_up_to(n)
+
+    monkeypatch.setattr(search, "primes_up_to", spy)
+    return asked
+
+
+def test_search_sieves_only_as_far_as_it_reads(small_sieve_only):
+    assert least_prime_outside_subgroup(7, kth_power_subgroup(7, 2), 10**12).prime == 3
+    assert small_sieve_only == [64]
+    res = least_qnr(1000000000000037)
+    assert res.prime == 2 and res.ceiling == 1000000000000037
+
+
+class _BelowCut(SubgroupSpec):
+    """Not a subgroup: 'contains' every n <= 300, so the search runs past
+    the first stretches of the sieve."""
+
+    def contains(self, n: int) -> bool:
+        return n <= 300
+
+
+def test_search_reads_stretches_to_the_ceiling(small_sieve_only):
+    h = _BelowCut(10**9 + 7, 2, "below-300")
+    res = least_prime_outside_subgroup(h.q, h, 10**12)
+    assert res.prime == 307 and res.examined == len(primes_up_to(307))
+    assert small_sieve_only == [64, 256, 1024]
+    small_sieve_only.clear()
+    for ceiling in (293, 300):
+        res = least_prime_outside_subgroup(h.q, h, ceiling)
+        assert res.prime is None and res.examined == len(primes_up_to(ceiling)) and res.ceiling == ceiling
+    assert small_sieve_only == [64, 256, 293, 64, 256, 300]
 
 
 def test_all_classes_matches_stepping():

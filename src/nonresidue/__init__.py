@@ -33,7 +33,6 @@ from .lfunctions import (
     class_number_via_formula,
     complex_gamma,
     l_at_1,
-    psi,
     re_b,
 )
 from .search import (

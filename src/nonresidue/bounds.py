@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .arith import euler_phi, factorize, is_prime
+import numpy as np
+
+from .arith import euler_phi, factorize, is_prime, unit_group_structure
 from .characters import (
     SubgroupSpec,
     is_fundamental_discriminant,
@@ -262,20 +264,21 @@ def verify_ap(q: int, per_class: bool = False, ceiling: int | None = None) -> li
     bound = ap_bound(q)
     if ceiling is None:
         ceiling = _search_ceiling(bound, AP_CEILING_FLOOR)
-    found, missing = least_prime_all_classes(q, ceiling)
+    least = least_prime_all_classes(q, ceiling)
+    missing = np.flatnonzero(unit_group_structure(q).unit_mask & (least == 0))
     applicable = q >= AP_THRESHOLD
     # a class with no prime below the ceiling gives a not-found row
     if per_class:
         return [
-            BoundReport.from_comparison("cor15", q, f"ap:a={a}", found.get(a), bound, applicable)
-            for a in sorted(found) + missing
+            BoundReport.from_comparison("cor15", q, f"ap:a={a}", int(least[a]) or None, bound, applicable)
+            for a in np.concatenate([np.flatnonzero(least), missing]).tolist()
         ]
-    if missing:
-        return [BoundReport.from_comparison("cor15", q, f"ap:a={missing[0]}", None, bound, applicable)]
-    worst = max(found, key=lambda a: (found[a], a))
+    if missing.size:
+        return [BoundReport.from_comparison("cor15", q, f"ap:a={int(missing[0])}", None, bound, applicable)]
+    worst = int(np.argmax(least))  # a prime lies in one class, so no tie
     return [
         BoundReport.from_comparison(
-            "cor15", q, f"ap:worst-a={worst}", found[worst], bound, applicable
+            "cor15", q, f"ap:worst-a={worst}", int(least[worst]), bound, applicable
         )
     ]
 
@@ -305,16 +308,16 @@ def verify_coset(q: int, subgroup: str = "squares", ceiling: int | None = None) 
 def coset_representatives(h: SubgroupSpec) -> list[int]:
     """Smallest member of each coset of H, ascending."""
     q = h.q
-    members = h.members()  # ModulusTooLargeError above DLOG_CEILING, before the O(q) list
-    seen = [False] * q
+    members = h.member_array  # ModulusTooLargeError above DLOG_CEILING, before any O(q) array
+    free = unit_group_structure(q).unit_mask.copy()
     reps = []
-    for a in range(1, q):
-        if seen[a] or math.gcd(a, q) != 1:
-            continue
+    a = 0
+    while True:
+        a += int(np.argmax(free[a:]))  # the least free unit at or past a
+        if not free[a]:
+            return reps
         reps.append(a)
-        for m in members:
-            seen[a * m % q] = True
-    return reps
+        free[a * members % q] = False
 
 
 def verify_classnum(q: int) -> BoundReport:

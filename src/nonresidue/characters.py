@@ -186,7 +186,7 @@ class SubgroupSpec:
     k-th powers and {1} are exponent tests: n is in H when n^e = 1 (mod m)
     for each (m, e) in `tests`, with no O(q) table.  A subgroup given by
     generators carries its bitmask `mask`; for the other kinds `mask` is
-    built on first read (coset search, `members`), for q <= DLOG_CEILING.
+    built on first read (coset search, `member_array`), for q <= DLOG_CEILING.
     """
 
     q: int
@@ -212,8 +212,14 @@ class SubgroupSpec:
             out.reshape(-1, m)[:] &= _power_table(m, e) == 1
         return out
 
+    @cached_property
+    def member_array(self) -> np.ndarray:
+        """The residues in H, ascending, read from `mask` once (cosets reuse
+        them).  Do not mutate."""
+        return np.flatnonzero(self.mask)
+
     def members(self) -> list[int]:
-        return [int(r) for r in np.nonzero(self.mask)[0]]
+        return self.member_array.tolist()
 
 
 def _power_table(m: int, e: int) -> np.ndarray:

@@ -5,7 +5,6 @@ Contents, all double precision with stated error targets:
 * complex Gamma by a fixed Lanczos coefficient set, reflected below
   Re z = 1/2 (relative error <= 1e-12 on the strip |Re z| <= 2,
   |Im z| <= 60);
-* psi_0 by recurrence shift plus asymptotic series;
 * the two Laurent coefficients of Hurwitz zeta(s, a/q) at s = 1, by
   Euler-Maclaurin (shift N = 30, Bernoulli depth M = 12), which the
   L(1, chi) and L'(1, chi) evaluations need after the character sum
@@ -49,7 +48,6 @@ __all__ = [
     "complex_gamma",
     "l_and_lprime_at_1",
     "l_at_1",
-    "psi",
     "re_b",
 ]
 
@@ -135,30 +133,6 @@ def complex_gamma(z: complex) -> complex:
         series += c / (w + k)
     t = w + _LANCZOS_G + 0.5
     return math.sqrt(2 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * series
-
-
-_PSI_SHIFT = 12
-
-
-def psi(x) -> np.ndarray:
-    """psi_0 elementwise on positive reals, error <= 1e-12 * max(1, |psi|).
-
-    Shifted up by 12 with psi(x) = psi(x + 1) - 1/x, then the Bernoulli
-    asymptotic series.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("psi requires positive arguments")
-    y = x + _PSI_SHIFT
-    inv2 = 1.0 / (y * y)
-    out = np.log(y) - 0.5 / y
-    term = np.ones_like(y)
-    for j, b in enumerate(_BERNOULLI[:8], start=1):
-        term = term * inv2
-        out -= b / (2 * j) * term
-    for k in range(_PSI_SHIFT):
-        out -= 1.0 / (x + k)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -357,13 +331,15 @@ def class_number_via_formula(q: int) -> ClassNumberResult:
     """h(-q) = (sqrt(q)/pi) L(1, chi_{-q}), rounded with its distance kept.
 
     chi_{-q} is read from the Kronecker character table so scans stay free
-    of unit-group tables; L(1) comes from -1/q sum chi(a) psi_0(a/q).
+    of unit-group tables.  chi is odd, so the reflection psi_0(1 - x) -
+    psi_0(x) = pi cot(pi x) folds -1/q sum chi(a) psi_0(a/q) into
+    L(1) = (pi/q) sum_{0 < a < q/2} chi(a) cot(pi a/q).
     """
     if q <= 4 or not is_fundamental_discriminant(q):
         raise NotFundamentalError(f"-{q} is not a fundamental discriminant below -4")
-    tab = kronecker_character_table(q)
-    a = np.arange(1, q, dtype=float) / q
-    lval = -float(np.dot(tab[1:], psi(a))) / q
+    half = np.arange(1, (q + 1) // 2)
+    cot = 1.0 / np.tan(np.pi * half / q)
+    lval = math.pi * float(np.dot(kronecker_character_table(q)[half], cot)) / q
     real = math.sqrt(q) / math.pi * lval
     h = round(real)
     dist = abs(real - h)

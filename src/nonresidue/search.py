@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 
+_UNSEEN = np.iinfo(np.int64).max
+
+
 class ImproperSubgroupError(ValueError):
     """The subgroup is all of (Z/qZ)*, so nothing lies outside it."""
 
@@ -84,7 +87,9 @@ def least_prime_in_coset(q: int, h: SubgroupSpec, a: int, ceiling: int) -> Searc
     """Least prime p with p mod q in the coset aH."""
     if math.gcd(a, q) != 1:
         raise NonUnitCosetError(f"a={a} is not a unit mod {q}")
-    residues = sorted({a * m % q for m in h.members()})
+    # aH is H permuted; q <= DLOG_CEILING keeps products below 10^14.  The
+    # memoryview yields Python ints without a list of all |H| of them.
+    residues = memoryview(np.sort(a % q * h.member_array % q))
     target = f"coset:a={a % q}:{h.kind}"
     examined = 0
     base = 0
@@ -100,28 +105,21 @@ def least_prime_in_coset(q: int, h: SubgroupSpec, a: int, ceiling: int) -> Searc
     return SearchResult(q, target, None, examined, ceiling)
 
 
-def least_prime_all_classes(q: int, ceiling: int) -> tuple[dict[int, int], list[int]]:
+def least_prime_all_classes(q: int, ceiling: int) -> np.ndarray:
     """Least prime in every reduced class mod q at once.
 
-    Returns (found, missing): found maps each reduced residue a to the
-    least prime congruent to a below the ceiling, missing lists classes
-    with no prime found.  Backed by one vectorized pass over the sieve,
-    so full-range progression scans stay cheap; agreement with the
-    trivial-coset search is a tested property.
+    Returns `least`, int64 of length q: least[a] is the least prime
+    congruent to a at or below the ceiling, 0 on non-units and on classes
+    with no prime found.  One unbuffered np.minimum.at pass over the sieve
+    per stretch; the sieve grows 4x until every reduced class is hit.
     """
-    struct = unit_group_structure(q)
-    units = np.nonzero(struct.unit_mask)[0]
+    units = unit_group_structure(q).unit_mask
     limit = min(ceiling, max(64 * q, 4096))
     while True:
         ps = primes_up_to(limit)
-        mods = ps % q
-        classes, first = np.unique(mods, return_index=True)
-        found = {
-            int(c): int(ps[i])
-            for c, i in zip(classes, first)
-            if struct.unit_mask[c]
-        }
-        missing = [int(a) for a in units if int(a) not in found]
-        if not missing or limit >= ceiling:
-            return found, missing
+        least = np.full(q, _UNSEEN, dtype=np.int64)
+        np.minimum.at(least, ps % q, ps)
+        least[~units | (least == _UNSEEN)] = 0
+        if least[units].all() or limit >= ceiling:
+            return least
         limit = min(ceiling, limit * 4)

@@ -20,7 +20,7 @@ from nonresidue.bounds import (
     verify_subgroup,
     verify_subgroup_clean,
 )
-from nonresidue.characters import kth_power_subgroup
+from nonresidue.characters import kth_power_subgroup, subgroup_from_generators, trivial_subgroup
 from nonresidue.lfunctions import EULER_GAMMA
 
 
@@ -221,6 +221,19 @@ def test_verify_ap_modes():
     assert rows3[0].verdict == "not-applicable"
 
 
+def test_verify_ap_class_with_no_prime_below_the_ceiling():
+    # primes <= 20 leave class 1 mod 7 empty (its least prime is 29)
+    (row,) = verify_ap(7, ceiling=20)
+    assert (row.target, row.measured, row.verdict) == ("ap:a=1", None, "not-found")
+    rows = verify_ap(7, per_class=True, ceiling=20)
+    assert [r.target for r in rows] == [f"ap:a={a}" for a in (2, 3, 4, 5, 6, 1)]
+    assert [r.measured for r in rows] == [2, 3, 11, 5, 13, None]
+    assert [r.verdict for r in rows] == ["pass"] * 5 + ["not-found"]
+    assert all(type(r.measured) is int for r in rows[:5])
+    (worst,) = verify_ap(7, ceiling=29)
+    assert (worst.target, worst.measured) == ("ap:worst-a=1", 29)
+
+
 def test_verify_coset_small_q_exploratory():
     reps = verify_coset(7, "squares", ceiling=10**6)
     assert len(reps) == 2  # h = 2 cosets
@@ -240,6 +253,25 @@ def test_coset_representatives_partition():
     cosets = [sorted(r * m % 7 for m in h.members()) for r in reps]
     flat = sorted(x for c in cosets for x in c)
     assert flat == [1, 2, 3, 4, 5, 6]
+
+
+def _coset_representatives_by_walk(h):
+    """Walk 1..q-1, keep each unit not yet covered and cover its coset."""
+    q, members = h.q, h.members()
+    seen, reps = set(), []
+    for a in range(1, q):
+        if a not in seen and math.gcd(a, q) == 1:
+            reps.append(a)
+            seen.update(a * m % q for m in members)
+    return reps
+
+
+def test_coset_representatives_match_the_walk():
+    for q in range(3, 400):
+        for h in (kth_power_subgroup(q, 2), kth_power_subgroup(q, 3), trivial_subgroup(q)):
+            assert coset_representatives(h) == _coset_representatives_by_walk(h), (q, h.kind)
+    h = subgroup_from_generators(1001, [2])
+    assert coset_representatives(h) == _coset_representatives_by_walk(h)
 
 
 def test_verify_classnum():

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 import scipy.special
 
-from nonresidue.characters import DirichletCharacter, character_group, primitive_characters
+from nonresidue.characters import (
+    DirichletCharacter,
+    character_group,
+    kronecker_character_table,
+    primitive_characters,
+)
 from nonresidue.lfunctions import (
     EULER_GAMMA,
     FINITE_METHOD,
@@ -25,13 +30,12 @@ from nonresidue.lfunctions import (
     hurwitz_laurent_pair,
     l_and_lprime_at_1,
     l_at_1,
-    psi,
     re_b,
 )
 
 
 # ----------------------------------------------------------------------
-# constants and psi values
+# constants
 # ----------------------------------------------------------------------
 
 
@@ -41,31 +45,11 @@ def test_hadamard_constant_digits():
 
 
 def test_psi_special_values():
-    assert psi(1.0) == pytest.approx(PSI_AT_1, abs=1e-12)
     assert PSI_AT_1 == -EULER_GAMMA
-    assert psi(0.5) == pytest.approx(PSI_AT_HALF, abs=1e-12)
     assert PSI_AT_HALF == pytest.approx(-2 * math.log(2) - EULER_GAMMA, abs=1e-15)
-    assert psi(2.0) == pytest.approx(1 - EULER_GAMMA, abs=1e-12)
-    np.testing.assert_array_equal(psi([1.0, 0.5]), [psi(1.0), psi(0.5)])
-    with pytest.raises(ValueError):
-        psi(0.0)
-
-
-def test_psi_against_mpmath():
-    xs = np.concatenate([np.geomspace(1e-3, 100.0, 241), np.linspace(0.05, 30.0, 60)])
-    with mpmath.workdps(40):
-        for x, got in zip(xs, psi(xs)):
-            want = mpmath.digamma(mpmath.mpf(float(x)))
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (x, got, want)
-
-
-def test_psi_matches_gamma_difference_quotient():
-    h = 1e-5
-    for x in (0.3, 1.0, 2.5, 7.0):
-        dq = (
-            cmath.log(complex_gamma(x + h)).real - cmath.log(complex_gamma(x - h)).real
-        ) / (2 * h)
-        assert psi(x) == pytest.approx(dq, abs=1e-6)
+    with mpmath.workdps(30):
+        assert PSI_AT_1 == pytest.approx(float(mpmath.digamma(1)), abs=1e-16)
+        assert PSI_AT_HALF == pytest.approx(float(mpmath.digamma(mpmath.mpf(1) / 2)), abs=1e-15)
 
 
 # ----------------------------------------------------------------------
@@ -128,13 +112,14 @@ def test_gamma_pole():
 
 
 def test_hurwitz_laurent_pair_against_psi_and_difference():
-    # zeta(s, a) = 1/(s-1) - psi(a) - gamma_1(a) (s-1) + ..., with the
-    # generalized Stieltjes constant gamma_1(a) from mpmath
+    # zeta(s, a) = 1/(s-1) - psi_0(a) - gamma_1(a) (s-1) + ..., with the
+    # digamma function and the generalized Stieltjes constant gamma_1(a)
+    # from mpmath
     with mpmath.workdps(30):
         for q in (5, 12, 50):
             c0, c1 = hurwitz_laurent_pair(q)
             for a in range(1, q + 1):
-                assert c0[a - 1] == pytest.approx(-psi(a / q), abs=1e-11)
+                assert c0[a - 1] == pytest.approx(-float(mpmath.digamma(mpmath.mpf(a) / q)), abs=1e-11)
                 want = -mpmath.stieltjes(1, mpmath.mpf(a) / q)
                 assert abs(c1[a - 1] - want) < 1e-12, (q, a)
     # the a = 1 column is the classical first Stieltjes constant
@@ -321,3 +306,25 @@ def test_class_number_scan_small():
         b = class_number_via_formula(q)
         assert a.h == b.h, q
         assert b.distance < 1e-9
+
+
+def _digamma_real_value(q: int) -> float:
+    """(sqrt(q)/pi) L(1, chi_{-q}) with L(1) = -(1/q) sum chi(a) psi_0(a/q)
+    over 0 < a < q, psi_0 from mpmath: the oracle for the cotangent sum."""
+    tab = kronecker_character_table(q)
+    with mpmath.workdps(30):
+        total = mpmath.fsum(int(tab[a]) * mpmath.digamma(mpmath.mpf(a) / q) for a in range(1, q) if tab[a])
+        return float(-mpmath.sqrt(q) / mpmath.pi * total / q)
+
+
+def test_cotangent_real_value_matches_digamma_sum():
+    for q in (7, 23, 24, 163, 1243, 4003, 29_999):
+        r = class_number_via_formula(q)
+        assert abs(r.real_value - _digamma_real_value(q)) < 1e-12, q
+        assert r.h == class_number_bqf(q).h
+
+
+@pytest.mark.slow
+def test_class_number_formula_matches_form_count_to_3e4():
+    for q in fundamental_q_values(30_000):
+        assert class_number_via_formula(q).h == class_number_bqf(q).h, q

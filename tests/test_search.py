@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -143,12 +145,53 @@ def test_search_reads_stretches_to_the_ceiling(small_sieve_only):
     assert small_sieve_only == [64, 256, 293, 64, 256, 300]
 
 
+def _all_classes_by_coset_search(q: int, ceiling: int) -> np.ndarray:
+    """The per-class oracle: one trivial-coset search per reduced class,
+    0 on non-units and on classes with no prime found."""
+    h = trivial_subgroup(q)
+    out = np.zeros(q, dtype=np.int64)
+    for a in range(q):
+        if math.gcd(a, q) == 1:
+            out[a] = least_prime_in_coset(q, h, a, ceiling).prime or 0
+    return out
+
+
+def _check_all_classes_against_stepping(qmax: int) -> None:
+    for q in range(1, qmax + 1):
+        least = least_prime_all_classes(q, 10**7)
+        assert least.dtype == np.int64 and least.shape == (q,)
+        np.testing.assert_array_equal(least, _all_classes_by_coset_search(q, 10**7), err_msg=f"q={q}")
+
+
 def test_all_classes_matches_stepping():
-    for q in (7, 12, 30, 97, 144):
-        found, missing = least_prime_all_classes(q, 10**7)
-        assert not missing
-        for a, p in found.items():
-            assert least_prime_in_coset(q, trivial_subgroup(q), a, 10**7).prime == p
+    _check_all_classes_against_stepping(300)
+
+
+@pytest.mark.slow
+def test_all_classes_matches_stepping_to_3000():
+    _check_all_classes_against_stepping(3000)
+
+
+def test_all_classes_grows_past_the_first_stretch():
+    # a single pass at 64 q leaves classes empty at q = 10,007; the 4x
+    # growth finds them, each the least prime of its class
+    q = 10_007
+    first = least_prime_all_classes(q, 64 * q)
+    empty = [a for a in range(1, q) if first[a] == 0]
+    assert len(empty) == 14
+    least = least_prime_all_classes(q, 10**9)
+    assert np.array_equal(least[first > 0], first[first > 0])
+    h = trivial_subgroup(q)
+    for a in empty:
+        assert least[a] > 64 * q
+        assert least_prime_in_coset(q, h, a, 10**9).prime == least[a]
+
+
+def test_all_classes_below_a_low_ceiling():
+    # primes <= 20 mod 7 hit 2, 3, 5, 0, 4, 6, 3, 5: class 1 waits for 29
+    least = least_prime_all_classes(7, 20)
+    np.testing.assert_array_equal(least, [0, 0, 2, 3, 11, 5, 13])
+    assert least_prime_all_classes(7, 29)[1] == 29
 
 
 def test_coset_partition_of_primes():

@@ -4,9 +4,14 @@ Characters are exponent vectors on the cyclic components of (Z/qZ)*.
 A character's values are integer angles mod E = structure.exponent:
 chi(n) = e(angles[n] / E), so exact questions are integer tests (angle 0
 means the value is 1) and complex doubles are a gather from the E-th
-roots of unity, made only when a character enters an analytic sum.  Also
-here: conductors, the Kronecker character table of a fundamental
-discriminant, and subgroups of (Z/qZ)* with membership by exponent tests.
+roots of unity.  The analytic sums of the sec2 checklist and L(1, chi)
+read no per-character table: they take the characters of a modulus 16 at
+a time, as the real cos and sin rows of one block built from the dlog
+tables, and evaluate the whole block with one real matrix product.  The
+per-character `angles` and `complex_table` remain for the other sums and
+as the oracle for the blocks.  Also here: conductors, the Kronecker
+character table of a fundamental discriminant, and subgroups of (Z/qZ)*
+with membership by exponent tests.
 """
 
 from __future__ import annotations
@@ -104,8 +109,14 @@ class DirichletCharacter:
 
     @cached_property
     def parity(self) -> int:
-        """0 for even characters (chi(-1) = 1), 1 for odd."""
-        return int(self.angles[self.q - 1] != 0)
+        """0 for even characters (chi(-1) = 1), 1 for odd: the angle at
+        q - 1, read from the dlog tables without building `angles`."""
+        big = self.structure.exponent
+        angle = sum(
+            e * (big // d) * int(tab[self.q - 1])
+            for (_, d), e, tab in zip(self.structure.components, self.exponents, self.structure.dlogs)
+        )
+        return int(angle % big != 0)
 
     @cached_property
     def conductor(self) -> int:
@@ -153,6 +164,46 @@ class DirichletCharacter:
         units = self.structure.unit_mask
         out[units] = _roots_of_unity(self.structure.exponent)[self.angles[units]]
         return out
+
+
+# Characters per block.  Each modulus's first checklist item builds its
+# first block, so a larger block (or the whole group) lengthens that item.
+_BLOCK = 16
+
+
+@lru_cache(maxsize=8)
+def _character_block(q: int, b: int) -> np.ndarray:
+    """The characters mod q of index 16b .. 16b+15 (fewer in the last
+    block) as float64 rows of shape (2n, q): row i holds cos and row n + i
+    sin of the angles of the character of index 16b + i, zeros off the
+    units.  The exponent digits come from the index as `index` ranks them;
+    one broadcast per component sums the angles, one gather from the E-th
+    roots of unity gives values bit-equal to `complex_table`.  Cached; do
+    not mutate."""
+    struct = unit_group_structure(q)
+    big = struct.exponent
+    rest = np.arange(_BLOCK * b, min(_BLOCK * (b + 1), struct.phi), dtype=np.int64)
+    angles = np.zeros((rest.size, q), dtype=np.int64)
+    for (_, d), tab in zip(reversed(struct.components), reversed(struct.dlogs)):
+        rest, digit = np.divmod(rest, d)
+        angles += (digit * (big // d))[:, None] * tab
+    angles %= big
+    roots = _roots_of_unity(big)
+    out = np.concatenate([roots.real[angles], roots.imag[angles]])
+    out[:, ~struct.unit_mask] = 0.0
+    return out
+
+
+def _block_sums(q: int, b: int, columns: np.ndarray) -> list[list[complex]]:
+    """rows[i][j] = sum_r chi(r) columns[r, j] for the character chi of
+    index 16b + i mod q, as Python complex.  One real product: with a
+    complex matrix numpy calls BLAS's threaded zgemv, which costs
+    milliseconds per call where a real dgemm costs microseconds."""
+    prod = _character_block(q, b) @ columns
+    n = len(prod) // 2
+    out = np.empty((n, prod.shape[1]), dtype=complex)
+    out.real, out.imag = prod[:n], prod[n:]
+    return out.tolist()
 
 
 def character_group(q: int) -> list[DirichletCharacter]:

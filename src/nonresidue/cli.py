@@ -365,10 +365,9 @@ def cmd_kernel(args) -> int:
 
 
 def _residual_report_row(rep: ef.ResidualReport) -> BoundReport:
-    q = 0 if rep.char is None else int(rep.char.split(".")[0][3:])
     target = f"x={rep.x:g}" + ("" if rep.char is None else f":{rep.char}")
     return BoundReport(
-        f"lemma{rep.lemma}", q, target, abs(rep.theta), 1.0, 1.0 - abs(rep.theta), True,
+        f"lemma{rep.lemma}", rep.q, target, abs(rep.theta), 1.0, 1.0 - abs(rep.theta), True,
         "pass" if rep.ok else "fail",
     )
 

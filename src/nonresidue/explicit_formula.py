@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import spence
 
 from .arith import factorize, primes_up_to
-from .characters import DirichletCharacter
+from .characters import _BLOCK, DirichletCharacter, _block_sums
 from .lfunctions import EULER_GAMMA, HADAMARD_B, PSI_AT_1, PSI_AT_HALF, l_at_1
 
 __all__ = [
@@ -123,12 +123,33 @@ def _bin(w: np.ndarray, n: np.ndarray, q: int) -> np.ndarray:
     return np.bincount(n % q, weights=w, minlength=q)
 
 
-# The sec2 checklist needs 12 entries per modulus (three kinds at four x).
-@lru_cache(maxsize=256)
-def _binned_weights(kind: str, x: float, q: int) -> np.ndarray:
-    """One kind's weights binned mod q, shared by every character mod q.
-    Cached; do not mutate."""
-    return _bin(*_weights(kind, x), q)
+_KINDS = ("cheb", "psi", "loglog")
+
+
+@lru_cache(maxsize=8)
+def _twisted_weights(x: float) -> tuple[np.ndarray, np.ndarray]:
+    """(W, n): row k of W holds the weights of _KINDS[k] over the prime
+    powers n <= x, x > 1.  They do not depend on q, so every modulus
+    shares them.  Cached; do not mutate."""
+    ws = [_weights(kind, x) for kind in _KINDS]
+    return np.stack([w for w, _ in ws]), ws[0][1]
+
+
+# The sec2 checklist asks for four x per modulus.
+@lru_cache(maxsize=64)
+def _bins(x: float, q: int) -> np.ndarray:
+    """B[r, k] = sum of _KINDS[k]'s weights over n = r (mod q), shape
+    (q, 3), shared by every character mod q.  Cached; do not mutate."""
+    w, n = _twisted_weights(x)
+    r = n % q
+    return np.stack([np.bincount(r, weights=row, minlength=q) for row in w], axis=1)
+
+
+@lru_cache(maxsize=32)
+def _twisted_sums(x: float, q: int, b: int) -> list[list[complex]]:
+    """[i][k]: the _KINDS[k] sum twisted by the character of index
+    16b + i mod q, for the whole block at once."""
+    return _block_sums(q, b, _bins(x, q))
 
 
 def _sum(kind: str, x: float, chi: DirichletCharacter | None):
@@ -136,15 +157,18 @@ def _sum(kind: str, x: float, chi: DirichletCharacter | None):
         return 0.0 if chi is None else 0j
     if chi is None:
         return float(math.fsum(_weights(kind, x)[0]))
-    return complex(np.dot(_binned_weights(kind, x, chi.q), chi.complex_table))
+    b, i = divmod(chi.index, _BLOCK)
+    return _twisted_sums(x, chi.q, b)[i][_KINDS.index(kind)]
 
 
 def cheb_log_sum(x: float, chi: DirichletCharacter | None = None):
     """sum_{n<=x} Lambda(n) chi(n) log(x/n); untwisted when chi is None.
 
-    Twisted, the weights are binned by n mod q once per (kind, x, q) and
-    cached; the sum is their dot product with chi's table.  Untwisted
-    sums are summed with math.fsum and not cached.
+    Twisted, the weights of all three kinds are binned by n mod q once
+    per (x, q), and the sums of 16 characters at a time come from one
+    real product of their block of values with the bins, cached per
+    (x, q, block); chi builds no table of its own.  Untwisted sums are
+    summed with math.fsum and not cached.
     """
     return _sum("cheb", x, chi)
 
@@ -152,7 +176,8 @@ def cheb_log_sum(x: float, chi: DirichletCharacter | None = None):
 def weighted_psi_sum(x: float, chi: DirichletCharacter | None = None):
     """sum_{n<=x} Lambda(n)/n chi(n) (1 - n/x).
 
-    Binned and cached as cheb_log_sum; untwisted sums are uncached.
+    Twisted, read from the same block product as cheb_log_sum; untwisted
+    sums are uncached.
     """
     return _sum("psi", x, chi)
 
@@ -160,7 +185,8 @@ def weighted_psi_sum(x: float, chi: DirichletCharacter | None = None):
 def loglog_sum(x: float, chi: DirichletCharacter | None = None):
     """sum_{n<=x} Lambda(n)/(n log n) chi(n) log(x/n)/log(x).
 
-    Binned and cached as cheb_log_sum; untwisted sums are uncached.
+    Twisted, read from the same block product as cheb_log_sum; untwisted
+    sums are uncached.
     """
     return _sum("loglog", x, chi)
 
@@ -238,8 +264,11 @@ def error_terms(x: float, parity: int, family: str) -> float:
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """One identity at one x; q and char are 0 and None when untwisted."""
+
     lemma: str
     x: float
+    q: int
     char: str | None
     lhs: float
     main: float
@@ -251,8 +280,9 @@ class ResidualReport:
         return abs(self.theta) <= 1.0
 
 
-def _report(lemma: str, x: float, char, lhs: float, main: float, env: float) -> ResidualReport:
-    return ResidualReport(lemma, x, char, lhs, main, env, (lhs - main) / env)
+def _report(lemma: str, x: float, chi, lhs: float, main: float, env: float) -> ResidualReport:
+    q, char = (0, None) if chi is None else (chi.q, chi.label)
+    return ResidualReport(lemma, x, q, char, lhs, main, env, (lhs - main) / env)
 
 
 def smoothed_psi_log_residual(x: float) -> ResidualReport:
@@ -306,7 +336,7 @@ def character_log_residual(x: float, chi: DirichletCharacter, re_b_value: float)
     lx = math.log(x)
     main = re_b_value * lx + 0.5 * math.log(chi.q / math.pi) * lx + error_terms(x, chi.parity, "Etilde")
     env = re_b_value * (2 * math.sqrt(x) + 2)
-    return _report("2.2", x, chi.label, lhs, main, env)
+    return _report("2.2", x, chi, lhs, main, env)
 
 
 @dataclass(frozen=True)
@@ -367,7 +397,7 @@ def log_l_residual(
         - re_b_value / lx
     )
     env = 2 * re_b_value / (math.sqrt(x) * lx**2) + 2 / (x * lx**2)
-    return _report("2.5", x, chi.label, log_abs_l, main, env)
+    return _report("2.5", x, chi, log_abs_l, main, env)
 
 
 _RESIDUALS = {

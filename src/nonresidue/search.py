@@ -110,16 +110,20 @@ def least_prime_all_classes(q: int, ceiling: int) -> np.ndarray:
 
     Returns `least`, int64 of length q: least[a] is the least prime
     congruent to a at or below the ceiling, 0 on non-units and on classes
-    with no prime found.  One unbuffered np.minimum.at pass over the sieve
-    per stretch; the sieve grows 4x until every reduced class is hit.
+    with no prime found.  The sieve grows 4x until every reduced class is
+    hit; each stretch folds only its new primes into `least` by one
+    unbuffered np.minimum.at pass.
     """
     units = unit_group_structure(q).unit_mask
+    least = np.full(q, _UNSEEN, dtype=np.int64)
+    done = 0
     limit = min(ceiling, max(64 * q, 4096))
     while True:
-        ps = primes_up_to(limit)
-        least = np.full(q, _UNSEEN, dtype=np.int64)
+        ps = primes_up_to(limit)[done:]
         np.minimum.at(least, ps % q, ps)
-        least[~units | (least == _UNSEEN)] = 0
-        if least[units].all() or limit >= ceiling:
-            return least
+        done += len(ps)
+        if limit >= ceiling or (least[units] != _UNSEEN).all():
+            break
         limit = min(ceiling, limit * 4)
+    least[~units | (least == _UNSEEN)] = 0
+    return least

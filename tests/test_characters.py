@@ -10,6 +10,7 @@ from nonresidue.characters import (
     DirichletCharacter,
     NonUnitCosetError,
     SubgroupSpec,
+    _character_block,
     character_group,
     is_fundamental_discriminant,
     kronecker_character_table,
@@ -202,6 +203,24 @@ def test_angles_are_a_homomorphism_into_the_exponent_circle(q, data):
     want[units] = np.exp(2j * np.pi * angles[units] / big)
     assert np.array_equal(chi.complex_table, want)
     assert chi.order == big // math.gcd(big, int(np.gcd.reduce(angles[units])))
+
+
+def test_parity_is_the_angle_at_minus_one():
+    for q in range(1, 301):
+        for chi in character_group(q):
+            assert chi.parity == int(chi.angles[q - 1] != 0), chi.label
+
+
+@pytest.mark.parametrize("q", [1, 8, 97, 210, 240, 300])
+def test_character_block_rows_are_the_complex_tables(q):
+    chars = character_group(q)
+    for b in range(-(-len(chars) // 16)):
+        block = _character_block(q, b)
+        rows = chars[16 * b : 16 * b + 16]
+        assert block.dtype == np.float64 and block.shape == (2 * len(rows), q)
+        for i, chi in enumerate(rows):
+            assert np.array_equal(block[i], chi.complex_table.real), chi.label
+            assert np.array_equal(block[len(rows) + i], chi.complex_table.imag), chi.label
 
 
 def test_group_sizes_and_reality():

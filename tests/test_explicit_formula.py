@@ -5,7 +5,7 @@ import pytest
 
 from nonresidue import explicit_formula as ef
 from nonresidue.arith import factorize
-from nonresidue.characters import character_group, primitive_characters
+from nonresidue.characters import _character_block, character_group, primitive_characters
 from nonresidue.explicit_formula import (
     character_log_residual,
     cheb_log_sum,
@@ -19,7 +19,7 @@ from nonresidue.explicit_formula import (
     two_adic_trig_polynomial,
     weighted_psi_sum,
 )
-from nonresidue.lfunctions import EULER_GAMMA, HADAMARD_B, re_b
+from nonresidue.lfunctions import EULER_GAMMA, HADAMARD_B, l_at_1, re_b
 
 
 def brute_lambda(n: int) -> float:
@@ -282,9 +282,19 @@ def gathered(weights, n, chi) -> complex:
     return complex(np.dot(weights, chi.complex_table[n % chi.q]))
 
 
+# Indices at the edges of the 16-character blocks mod 4003, the last block
+# holding two characters (phi = 4002).
+BLOCK_EDGES_4003 = (1, 15, 16, 17, 31, 32, 2015, 2016, 3999, 4000, 4001)
+
+
 def oracle_characters():
     every = [chi for q in range(1, 61) for chi in character_group(q)]
-    return every + [chi for q in (97, 210, 299, 300) for chi in primitive_characters(q)]
+    group_4003 = character_group(4003)
+    return (
+        every
+        + [chi for q in (97, 210, 240, 299, 300) for chi in primitive_characters(q)]
+        + [group_4003[i] for i in BLOCK_EDGES_4003]
+    )
 
 
 def test_binned_sums_match_the_gather_oracle():
@@ -315,47 +325,70 @@ def test_negative_pattern_minimum_matches_the_gather_oracle():
             assert lhs == pytest.approx(gathered(w, t.n[:cut], chi).real, abs=1e-12)
 
 
+TWISTED_CACHES = (ef._twisted_weights, ef._bins, ef._twisted_sums, _character_block)
+
+
+def _clear_twisted_caches():
+    for cache in TWISTED_CACHES:
+        cache.cache_clear()
+
+
 def test_warm_and_cold_binned_sums_are_bit_identical():
     chars = primitive_characters(60) + primitive_characters(97)[:5] + character_group(8)
     cold = []
     for x in ORACLE_XS:
         for fn in SUMS.values():
             for chi in chars:
-                ef._binned_weights.cache_clear()
+                _clear_twisted_caches()
                 cold.append(fn(x, chi))
-    ef._binned_weights.cache_clear()
+    _clear_twisted_caches()
     for _ in range(2):
         warm = [fn(x, chi) for x in ORACLE_XS for fn in SUMS.values() for chi in chars]
         assert warm == cold
-    ef._binned_weights.cache_clear()
+    _clear_twisted_caches()
 
 
 def test_untwisted_sums_bypass_the_bin_cache():
-    ef._binned_weights.cache_clear()
+    _clear_twisted_caches()
     for fn in SUMS.values():
         assert type(fn(1e3)) is float
-    info = ef._binned_weights.cache_info()
-    assert info.hits == info.misses == info.currsize == 0
+    for cache in TWISTED_CACHES:
+        info = cache.cache_info()
+        assert info.hits == info.misses == info.currsize == 0
 
 
 def test_bin_cache_stays_within_its_cap():
-    ef._binned_weights.cache_clear()
-    cap = ef._binned_weights.cache_info().maxsize
-    qs = range(3, 3 + cap + 20)
-    for q in qs:
-        cheb_log_sum(50.0, character_group(q)[0])
-        assert ef._binned_weights.cache_info().currsize <= cap
-        if ef._binned_weights.cache_info().currsize == cap - 1:
-            cheb_log_sum(50.0, character_group(3)[0])  # a hit: now most recent
-    assert ef._binned_weights.cache_info().misses == len(qs)
+    # the per-(x, q) bins and the per-(q, block) character values
+    for cache, key in ((ef._bins, lambda q: (50.0, q)), (_character_block, lambda q: (q, 0))):
+        _clear_twisted_caches()
+        cap = cache.cache_info().maxsize
+        qs = range(3, 3 + cap + cap // 2)  # evicts fewer than the cap - 1 before q = 3
+        for q in qs:
+            cheb_log_sum(50.0, character_group(q)[0])
+            assert cache.cache_info().currsize <= cap
+            if cache.cache_info().currsize == cap - 1:
+                cache(*key(3))  # a hit: now most recent
+        assert cache.cache_info().misses == len(qs)
 
-    # least recently used entries went first: q = 3 and the last q are hits,
-    # q = 4 is computed again
-    def misses_after(q):
-        cheb_log_sum(50.0, character_group(q)[0])
-        return ef._binned_weights.cache_info().misses
+        # least recently used entries went first: q = 3 and the last q are
+        # hits, q = 4 is computed again
+        def misses_after(q):
+            cache(*key(q))
+            return cache.cache_info().misses
 
-    assert misses_after(qs[-1]) == len(qs)
-    assert misses_after(3) == len(qs)
-    assert misses_after(4) == len(qs) + 1
-    ef._binned_weights.cache_clear()
+        assert misses_after(qs[-1]) == len(qs)
+        assert misses_after(3) == len(qs)
+        assert misses_after(4) == len(qs) + 1
+    _clear_twisted_caches()
+
+
+def test_checklist_builds_no_per_character_table():
+    for q in (97, 240, 300):
+        for chi in primitive_characters(q):
+            rb = re_b(chi)
+            l_at_1(chi)
+            for x in (50.0, 1e3):
+                character_log_residual(x, chi, rb)
+                hadamard_window(x, chi)
+                log_l_residual(x, chi, rb)
+            assert not {"complex_table", "angles"} & vars(chi).keys(), chi.label

@@ -209,6 +209,22 @@ def test_series_weights_match_the_per_character_sum():
             assert abs(l_at_1(chi, SERIES_METHOD).value - series_per_character(chi)) < 1e-14, chi.label
 
 
+def test_block_l_and_lprime_match_the_per_character_dot():
+    # the block product sums chi(a) c(a/q) in another order than one dot
+    # per character; 4003's indices sit at the edges of its blocks
+    group_4003 = character_group(4003)
+    chars = [chi for q in (97, 210, 240, 299, 300) for chi in primitive_characters(q)]
+    chars += [group_4003[i] for i in (1, 15, 16, 17, 31, 32, 2015, 2016, 3999, 4000, 4001)]
+    for chi in chars:
+        q = chi.q
+        c0, c1 = hurwitz_laurent_pair(q)
+        vals = chi.complex_table[1:]
+        want_l = complex(np.dot(vals, c0[:-1])) / q
+        want_lp = complex(np.dot(vals, c1[:-1])) / q - math.log(q) * want_l
+        l1, lp = l_and_lprime_at_1(chi)
+        assert abs(l1 - want_l) <= 1e-12 and abs(lp - want_lp) <= 1e-12, chi.label
+
+
 def test_l_at_1_rejects_bad_input():
     principal = character_group(5)[0]
     with pytest.raises(PrincipalCharacterError):

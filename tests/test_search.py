@@ -187,6 +187,15 @@ def test_all_classes_grows_past_the_first_stretch():
         assert least_prime_in_coset(q, h, a, 10**9).prime == least[a]
 
 
+def test_all_classes_second_stretch_matches_stepping():
+    # q = 461's worst class, 37,363, lies above the first stretch's
+    # max(64 q, 4096) = 29,504, so the array is finished by the second stretch
+    q = 461
+    least = least_prime_all_classes(q, 10**7)
+    assert least.max() == 37_363 > max(64 * q, 4096)
+    np.testing.assert_array_equal(least, _all_classes_by_coset_search(q, 10**7))
+
+
 def test_all_classes_below_a_low_ceiling():
     # primes <= 20 mod 7 hit 2, 3, 5, 0, 4, 6, 3, 5: class 1 waits for 29
     least = least_prime_all_classes(7, 20)

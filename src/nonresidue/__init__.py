@@ -31,7 +31,6 @@ from .lfunctions import (
     HADAMARD_B,
     class_number_bqf,
     class_number_via_formula,
-    complex_gamma,
     l_at_1,
     re_b,
 )

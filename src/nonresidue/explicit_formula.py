@@ -118,11 +118,6 @@ def _weights(kind: str, x: float) -> tuple[np.ndarray, np.ndarray]:
     return lam / (nf * logn) * (lx - logn) / lx, t.n[:m]  # "loglog"
 
 
-def _bin(w: np.ndarray, n: np.ndarray, q: int) -> np.ndarray:
-    """B[r] = sum of w over n = r (mod q); a twisted sum is dot(B, chi)."""
-    return np.bincount(n % q, weights=w, minlength=q)
-
-
 _KINDS = ("cheb", "psi", "loglog")
 
 
@@ -430,13 +425,18 @@ class CoprimeExcessReport:
     harmonic: float
     harmonic_bound: float
 
+    # Each sum is decided against its own bound, with slack 1e-12 (1 + |bound|).
+    @property
+    def log_weighted_ok(self) -> bool:
+        return self.log_weighted <= self.log_weighted_bound + 1e-12 * (1 + abs(self.log_weighted_bound))
+
+    @property
+    def harmonic_ok(self) -> bool:
+        return self.harmonic <= self.harmonic_bound + 1e-12 * (1 + abs(self.harmonic_bound))
+
     @property
     def ok(self) -> bool:
-        eps = 1e-12 * (1 + abs(self.log_weighted_bound))
-        return (
-            self.log_weighted <= self.log_weighted_bound + eps
-            and self.harmonic <= self.harmonic_bound + eps
-        )
+        return self.log_weighted_ok and self.harmonic_ok
 
 
 def coprime_excess_sums(x: float, m: int) -> CoprimeExcessReport:
@@ -478,18 +478,37 @@ class PatternMinimumReport:
         return self.lhs >= self.alternating - 1e-12 * (1 + abs(self.alternating))
 
 
-def negative_pattern_minimum(x: float, chi: DirichletCharacter) -> PatternMinimumReport:
-    """Re sum Lambda(n) chi(n) (1/(n log n) - 1/(x log x)) against the
-    all-minus-one pattern sum_{p^k<=x} Lambda(p^k)(-1)^k (...)."""
-    if x < 100:
-        raise ValueError("x >= 100 required")
+@lru_cache(maxsize=8)
+def _pattern_bins(x: float, q: int) -> tuple[np.ndarray, float]:
+    """(B, alternating) at (x, q): B[r, 0] sums the weights
+    Lambda(n)(1/(n log n) - 1/(x log x)) over n = r (mod q), shape (q, 1),
+    shared by every character mod q; alternating is the all-minus-one
+    pattern sum.  Cached; do not mutate."""
     t, cut = _prefix(x)
     nf = t.n[:cut].astype(float)
     w = t.lam[:cut] * (1.0 / (nf * t.logn[:cut]) - 1.0 / (x * math.log(x)))
-    lhs = complex(np.dot(_bin(w, t.n[:cut], chi.q), chi.complex_table)).real
     signs = np.where(t.k[:cut] % 2 == 0, 1.0, -1.0)
-    alternating = float(math.fsum(w * signs))
-    return PatternMinimumReport(x, chi.label, lhs, alternating)
+    return np.bincount(t.n[:cut] % q, weights=w, minlength=q)[:, None], float(math.fsum(w * signs))
+
+
+@lru_cache(maxsize=8)
+def _pattern_sums(x: float, q: int, b: int) -> list[list[complex]]:
+    """[i][0]: the pattern sum twisted by the character of index 16b + i."""
+    return _block_sums(q, b, _pattern_bins(x, q)[0])
+
+
+def negative_pattern_minimum(x: float, chi: DirichletCharacter) -> PatternMinimumReport:
+    """Re sum Lambda(n) chi(n) (1/(n log n) - 1/(x log x)) against the
+    all-minus-one pattern sum_{p^k<=x} Lambda(p^k)(-1)^k (...).
+
+    The weights are binned once per (x, q); the twisted sum is chi's row
+    of its 16-character block's product with the bins, cached per
+    (x, q, block), so chi builds no table of its own."""
+    if x < 100:
+        raise ValueError("x >= 100 required")
+    b, i = divmod(chi.index, _BLOCK)
+    lhs = _pattern_sums(x, chi.q, b)[i][0].real
+    return PatternMinimumReport(x, chi.label, lhs, _pattern_bins(x, chi.q)[1])
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ A kernel K is even and holomorphic on a vertical strip with
 Ktilde(u) = (1/2 pi i) int K(s) u^s ds satisfies Ktilde(u) = Ktilde(1/u)
 and is nonnegative.  Three derived numbers drive everything:
 
-    line_l1(K)              (1/2 pi) int |K(it)| dt
-    weighted_integral(K, l) int_0^l Ktilde(u) du / sqrt(u)
+    line_l1(K)              (1/2 pi) int |K(it)| dt, by quadrature
+    weighted_integral(K, l) int_0^l Ktilde(u) du / sqrt(u), in closed form
     K(1/2)
 
 and the bound constant for a subgroup of index h is
@@ -19,6 +19,10 @@ limit c = lambda (line_l1 / W)^2 available as a first-class input.
 Two kernels are built in: the squared-sine family with parameter alpha
 (Mellin transform max(0, 2 alpha - |log u|)) and the reflected-Gamma
 kernel -(Gamma(s) + Gamma(-s)) (Mellin transform 1 - e^(-1/u) - e^(-u)).
+Both Mellin transforms are elementary, so each kernel carries W(lambda)
+as one numpy expression, exact up to rounding, that takes a float or an
+array of lambdas; only line_l1 (cached per kernel) and the Mellin
+cross-check use quadrature.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import sici
+from scipy.special import erf, erfc, gamma, gammainc, sici
 
-from .lfunctions import EULER_GAMMA, complex_gamma
+from .lfunctions import EULER_GAMMA
 
 __all__ = [
     "Kernel",
@@ -66,14 +70,16 @@ class NoFeasibleLambdaError(ArithmeticError):
 
 
 _KINDS = ("fejer", "gamma")
+_SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """Even kernel with line evaluator and closed-form Mellin transform.
+    """Even kernel with line evaluator, closed-form Mellin transform and
+    closed-form W(lambda) (`weighted`, numpy in and out).
 
     Kernels with the same kind and params compare equal, so they share
-    the quadrature caches below.
+    line_l1's quadrature cache.
     """
 
     kind: str
@@ -81,7 +87,7 @@ class Kernel:
     at_half: float = field(compare=False)
     line: Callable[[float], float] = field(compare=False)
     mellin: Callable[[float], float] = field(compare=False)
-    mellin_breaks: tuple[float, ...] = field(default=(), compare=False)
+    weighted: Callable[[np.ndarray], np.ndarray] = field(compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -110,6 +116,19 @@ def fejer_kernel(alpha: float) -> Kernel:
             raise ValueError("Mellin transform needs u > 0")
         return max(0.0, 2 * alpha - abs(math.log(u)))
 
+    # With v = log u, W = int_{-2 alpha}^t (2 alpha - |v|) e^(v/2) dv for
+    # t = min(log lam, 2 alpha).  The antiderivative is 2 e^(v/2)(2 alpha + v - 2)
+    # on [-2 alpha, 0], where it starts at -4 e^(-alpha), and
+    # 2 e^(v/2)(2 alpha - v + 2) on [0, 2 alpha], 8 above the first at v = 0.
+    start = -4 * math.exp(-alpha)
+
+    def weighted(lam: np.ndarray) -> np.ndarray:
+        t = np.minimum(np.log(lam), 2 * alpha)
+        root = 2 * np.exp(t / 2)
+        below = root * (2 * alpha + t - 2) - start
+        above = root * (2 * alpha - t + 2) - 8 - start
+        return np.where(t <= -2 * alpha, 0.0, np.where(t <= 0, below, above))
+
     half = math.exp(alpha / 2) - math.exp(-alpha / 2)
     return Kernel(
         kind="fejer",
@@ -117,7 +136,7 @@ def fejer_kernel(alpha: float) -> Kernel:
         at_half=4 * half * half,
         line=line,
         mellin=mellin,
-        mellin_breaks=(math.exp(-2 * alpha), math.exp(2 * alpha)),
+        weighted=weighted,
     )
 
 
@@ -127,7 +146,7 @@ def gamma_kernel() -> Kernel:
     def line(t: float) -> float:
         if t == 0.0:
             return 2 * EULER_GAMMA
-        return -2.0 * complex_gamma(1j * t).real
+        return float(-2.0 * gamma(1j * t).real)
 
     def mellin(u: float) -> float:
         if u <= 0:
@@ -135,13 +154,25 @@ def gamma_kernel() -> Kernel:
         # 1 - e^(-1/u) - e^(-u), arranged to keep precision at both ends
         return -math.expm1(-1.0 / u) - math.exp(-u)
 
-    at_half = -(complex_gamma(0.5) + complex_gamma(-0.5)).real
+    def weighted(lam: np.ndarray) -> np.ndarray:
+        # W = 2 sqrt(lam) - gamma(1/2, lam) - Gamma(-1/2, 1/lam), where
+        # Gamma(-1/2, x) = 2 x^(-1/2) e^(-x) - 2 sqrt(pi) erfc(sqrt(x)).  Below
+        # lam = 1, gamma(1/2, lam) = 2 gamma(3/2, lam) + 2 sqrt(lam) e^(-lam)
+        # avoids the cancellation of 2 sqrt(lam) against sqrt(pi) erf(sqrt(lam)).
+        root = np.sqrt(lam)
+        with np.errstate(invalid="ignore"):  # inf * 0 at lam = inf, replaced below
+            high = -2 * root * np.expm1(-1 / lam) - _SQRT_PI * erf(root)
+            low = -2 * root * (np.expm1(-lam) + np.exp(-1 / lam)) - _SQRT_PI * gammainc(1.5, lam)
+        w = np.where(lam >= 1, high, low) + 2 * _SQRT_PI * erfc(1 / root)
+        return np.where(np.isinf(lam), _SQRT_PI, w)
+
     return Kernel(
         kind="gamma",
         params=(),
-        at_half=at_half,
+        at_half=float(-(gamma(0.5) + gamma(-0.5))),
         line=line,
         mellin=mellin,
+        weighted=weighted,
     )
 
 
@@ -283,66 +314,39 @@ def mellin_numeric_check(kernel: Kernel, u: float) -> float:
     return val / math.pi
 
 
-def weighted_integral(kernel: Kernel, lam: float) -> float:
+def weighted_integral(kernel: Kernel, lam):
     """W(lambda) = int_0^lambda Ktilde(u) du/sqrt(u); lambda = inf allowed.
 
-    The piece beyond u = 1 is folded back with Ktilde(u) = Ktilde(1/u) and
-    the substitution u = 1/w^2, which removes the endpoint singularity.
-
-    Each piece's quadrature (value, error estimate) is cached per kernel
-    and moving endpoint: min(lambda, 1) for the piece on (0, min(lambda, 1)],
-    1/sqrt(lambda) (0 at lambda = inf) for the folded piece on
-    (1/sqrt(lambda), 1].  So every lambda >= 1 shares the costly low
-    piece, and a lambda seen before costs no quadrature.  Every call adds
-    the same pieces in the same order and checks their error budget, so
-    a cached result is the same float.
+    Evaluated from the kernel's closed form (see fejer_kernel and
+    gamma_kernel) with no quadrature and no cache: a float lambda gives a
+    float, an array of lambdas gives W at each in one numpy pass.
     """
-    if not lam > 0:  # also rejects nan
+    lam = np.asarray(lam, dtype=float)
+    if not (lam > 0).all():  # also rejects nan
         raise ValueError("lambda must be positive")
-    pieces = [_low_piece(kernel, min(lam, 1.0))]
-    if lam > 1.0:
-        pieces.append(_folded_piece(kernel, 0.0 if math.isinf(lam) else 1.0 / math.sqrt(lam)))
-
-    err_budget = 0.0
-    total = 0.0
-    for val, err in pieces:
-        total += val
-        err_budget += err
-    if err_budget > 1e-10:
-        raise QuadratureError(f"weighted integral error {err_budget:g}")
-    return total
-
-
-@lru_cache(maxsize=64)
-def _low_piece(kernel: Kernel, upper: float) -> tuple[float, float]:
-    """quad's (value, error) for int_0^upper Ktilde(u) du/sqrt(u), upper <= 1."""
-    pts = [b for b in kernel.mellin_breaks if 0 < b < upper] or None
-
-    def f_low(u: float) -> float:
-        if u <= 0.0:
-            return 0.0  # Ktilde(u)/sqrt(u) extended continuously at u = 0
-        return kernel.mellin(u) / math.sqrt(u)
-
-    return quad(f_low, 0.0, upper, epsabs=1e-13, epsrel=1e-12, limit=400, points=pts)
-
-
-# One kernel-opt pass over 17 kernels and six h stores about 4,600.
-@lru_cache(maxsize=8192)
-def _folded_piece(kernel: Kernel, w_lo: float) -> tuple[float, float]:
-    """quad's (value, error) for int_1^(1/w_lo^2) Ktilde(u) du/sqrt(u), folded to w in (w_lo, 1]."""
-    pts = [math.sqrt(b) for b in kernel.mellin_breaks if w_lo < math.sqrt(b) < 1.0] or None
-
-    def f_high(w: float) -> float:
-        if w <= 0.0:
-            return 0.0
-        return 2.0 * kernel.mellin(w * w) / (w * w)
-
-    return quad(f_high, w_lo, 1.0, epsabs=1e-13, epsrel=1e-12, limit=400, points=pts)
+    w = kernel.weighted(lam)
+    return float(w) if w.ndim == 0 else w
 
 
 # ----------------------------------------------------------------------
 # Bound constants
 # ----------------------------------------------------------------------
+
+
+def _constant(kernel: Kernel, lam, w, h):
+    """(c, denominator) at lam with W(lam) = w, floats or arrays alike:
+    c = lam (num / denom)^2 with num = (h-1) L1, denom = h W - K(1/2)/2, or
+    num = L1, denom = W at h = infinity, where (h-1)/h collapses.  c is
+    inf where denom <= 0."""
+    if not math.isinf(h) and h < 2:
+        raise ValueError("index h must be at least 2")
+    l1 = line_l1(kernel)
+    if math.isinf(h):
+        num, denom = l1, w
+    else:
+        num, denom = (h - 1) * l1, h * w - kernel.at_half / 2
+    with np.errstate(divide="ignore"):
+        return lam * np.square(num / np.maximum(denom, 0.0)), denom
 
 
 def prop62_constant(kernel: Kernel, lam: float, h) -> float:
@@ -351,18 +355,10 @@ def prop62_constant(kernel: Kernel, lam: float, h) -> float:
     c = lambda ((h-1) L1 / (h W - K(1/2)/2))^2; at h = infinity the ratio
     (h-1)/h collapses and c = lambda (L1/W)^2.
     """
-    l1 = line_l1(kernel)
-    w = weighted_integral(kernel, lam)
-    if math.isinf(h):
-        if w <= 0:
-            raise NonpositiveDenominatorError("W(lambda) <= 0")
-        return lam * (l1 / w) ** 2
-    if h < 2:
-        raise ValueError("index h must be at least 2")
-    denom = h * w - kernel.at_half / 2
+    c, denom = _constant(kernel, lam, weighted_integral(kernel, lam), h)
     if denom <= 0:
-        raise NonpositiveDenominatorError(f"h W(lambda) - K(1/2)/2 = {denom:g} <= 0 at lambda={lam:g}")
-    return lam * ((h - 1) * l1 / denom) ** 2
+        raise NonpositiveDenominatorError(f"denominator {denom:g} <= 0 at lambda={lam:g}, h={h}")
+    return float(c)
 
 
 # optimize_lambda searches lambda in [_LAMBDA_LO, _LAMBDA_HI] on a grid of
@@ -376,20 +372,16 @@ def optimize_lambda(kernel: Kernel, h) -> tuple[float, float]:
     Unimodality over the feasible region is assumed (observed throughout);
     the coarse grid guards against bracketing a local valley.
 
-    Each c(lambda) reads line_l1 and the pieces of W(lambda) from the
-    quadrature caches (see weighted_integral), so a second h on the same
-    kernel and grid reruns only the golden-section steps' folded pieces;
-    every read still checks its quadrature error budget.
+    c_of takes the whole grid as one array and each golden-section step
+    as one float lambda; an infeasible lambda costs inf.  line_l1 is read
+    from its cache after the first call per kernel.
     """
 
-    def c_of(lam: float) -> float:
-        try:
-            return prop62_constant(kernel, lam, h)
-        except NonpositiveDenominatorError:
-            return math.inf
+    def c_of(lam):
+        return _constant(kernel, lam, weighted_integral(kernel, lam), h)[0]
 
     lams = np.linspace(_LAMBDA_LO, _LAMBDA_HI, _LAMBDA_GRID)
-    costs = [c_of(float(l)) for l in lams]
+    costs = c_of(lams)
     best = int(np.argmin(costs))
     if math.isinf(costs[best]):
         raise NoFeasibleLambdaError(f"no feasible lambda in [{_LAMBDA_LO}, {_LAMBDA_HI}]")
@@ -410,7 +402,7 @@ def optimize_lambda(kernel: Kernel, h) -> tuple[float, float]:
             x2 = a + invphi * (b - a)
             f2 = c_of(x2)
     lam_star = (a + b) / 2
-    return lam_star, c_of(lam_star)
+    return lam_star, float(c_of(lam_star))
 
 
 def limit_constant(h) -> float:

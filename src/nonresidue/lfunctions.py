@@ -2,9 +2,6 @@
 
 Contents, all double precision with stated error targets:
 
-* complex Gamma by a fixed Lanczos coefficient set, reflected below
-  Re z = 1/2 (relative error <= 1e-12 on the strip |Re z| <= 2,
-  |Im z| <= 60);
 * the two Laurent coefficients of Hurwitz zeta(s, a/q) at s = 1, by
   Euler-Maclaurin (shift N = 30, Bernoulli depth M = 12), which the
   L(1, chi) and L'(1, chi) evaluations need after the character sum
@@ -20,7 +17,6 @@ Contents, all double precision with stated error targets:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,12 +38,10 @@ __all__ = [
     "HADAMARD_B",
     "LValueResult",
     "NotFundamentalError",
-    "PoleError",
     "PrincipalCharacterError",
     "RoundingAmbiguousError",
     "class_number_bqf",
     "class_number_via_formula",
-    "complex_gamma",
     "l_and_lprime_at_1",
     "l_at_1",
     "re_b",
@@ -74,10 +68,6 @@ _BERNOULLI = (
 )
 
 
-class PoleError(ArithmeticError):
-    """Evaluation requested at a pole."""
-
-
 class PrincipalCharacterError(ValueError):
     """Operation requires a non-principal character."""
 
@@ -92,49 +82,6 @@ class RoundingAmbiguousError(ArithmeticError):
 
 PSI_AT_1 = -EULER_GAMMA  # psi_0(1)
 PSI_AT_HALF = -2 * math.log(2) - EULER_GAMMA  # psi_0(1/2)
-
-
-# ----------------------------------------------------------------------
-# Gamma and its logarithmic derivatives
-# ----------------------------------------------------------------------
-
-_LANCZOS_G = 4.7421875
-_LANCZOS_C0 = 0.99999999999999709182
-_LANCZOS_C = (
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-
-def complex_gamma(z: complex) -> complex:
-    """Gamma(z) via Lanczos for Re z >= 1/2, reflection otherwise."""
-    z = complex(z)
-    if z.real < 0.5:
-        if z.imag == 0.0 and z.real == math.floor(z.real):
-            raise PoleError(f"Gamma pole at {z}")
-        if abs(z.imag) > 220.0:
-            # |sin(pi z)| ~ e^(pi |Im z|)/2 would overflow; the reflected
-            # value itself underflows double precision, so report 0.
-            return 0j
-        return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
-    w = z - 1.0
-    series = _LANCZOS_C0
-    for k, c in enumerate(_LANCZOS_C, start=1):
-        series += c / (w + k)
-    t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * series
 
 
 # ----------------------------------------------------------------------

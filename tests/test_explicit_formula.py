@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from nonresidue import explicit_formula as ef
 from nonresidue.arith import factorize
 from nonresidue.characters import _character_block, character_group, primitive_characters
 from nonresidue.explicit_formula import (
+    CoprimeExcessReport,
     character_log_residual,
     cheb_log_sum,
     coprime_excess_sums,
@@ -221,6 +223,26 @@ def test_coprime_excess_exhaustive_small():
             assert coprime_excess_sums(x, m).ok, (m, x)
 
 
+def test_coprime_excess_decides_each_sum_by_its_own_slack():
+    # slack 1e-12 (1 + |bound|) per sum: 2e-12 for the harmonic bound 1,
+    # about 1e-9 for the log-weighted bound 1000
+    rep = CoprimeExcessReport(6, 1e3, 10.0, 1e3, 1.0 + 3e-12, 1.0)
+    assert rep.log_weighted_ok and not rep.harmonic_ok and not rep.ok
+    rep = replace(rep, harmonic=1.0 + 1e-12)
+    assert rep.harmonic_ok and rep.ok
+    assert replace(rep, log_weighted=1e3 + 5e-10).ok
+    assert not replace(rep, log_weighted=1e3 + 2e-9).ok
+
+
+def test_coprime_excess_per_sum_verdicts_at_the_checklist_range():
+    for m in range(3, 201):
+        for x in (10.0, 100.0, 1000.0):
+            rep = coprime_excess_sums(x, m)
+            assert rep.log_weighted_ok and rep.harmonic_ok and rep.ok, (m, x)
+            # every sum clears its bound by far more than either slack
+            assert min(rep.log_weighted_bound - rep.log_weighted, rep.harmonic_bound - rep.harmonic) > 1e-3, (m, x)
+
+
 def imprimitivity_gap(x: float, chi) -> tuple[float, float]:
     """|S(x, chi) - S(x, induced primitive)| and its omega bound.
 
@@ -392,3 +414,15 @@ def test_checklist_builds_no_per_character_table():
                 hadamard_window(x, chi)
                 log_l_residual(x, chi, rb)
             assert not {"complex_table", "angles"} & vars(chi).keys(), chi.label
+
+
+def test_negative_pattern_minimum_builds_no_per_character_table():
+    ef._pattern_bins.cache_clear()
+    ef._pattern_sums.cache_clear()
+    chars = character_group(240) + character_group(97)
+    for chi in chars:
+        for x in (100.0, 1e3):
+            negative_pattern_minimum(x, chi)
+        assert not {"complex_table", "angles"} & vars(chi).keys(), chi.label
+    assert ef._pattern_bins.cache_info().misses == 4  # binned once per (x, q)
+    assert ef._pattern_sums.cache_info().misses == 2 * (4 + 6)  # one product per (x, q, block)

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 
 from nonresidue import kernels
 from nonresidue.kernels import (
@@ -275,34 +276,126 @@ def test_kernels_are_keyed_by_kind_and_params():
     assert hash(gamma_kernel()) == hash(gamma_kernel())
     base = gamma_kernel()
     with pytest.raises(ValueError):
-        Kernel(kind="reflected-gamma-copy", params=(), at_half=base.at_half, line=base.line, mellin=base.mellin)
+        Kernel(kind="reflected-gamma-copy", params=(), at_half=base.at_half, line=base.line, mellin=base.mellin, weighted=base.weighted)
 
 
 # ----------------------------------------------------------------------
-# quadrature cache
+# closed-form W(lambda) against mpmath and the former quadrature
 # ----------------------------------------------------------------------
 
-QUAD_CACHES = (kernels._line_l1_quadrature, kernels._low_piece, kernels._folded_piece)
+
+def mp_gamma_w_closed(lam: float) -> mpmath.mpf:
+    """The Gamma kernel's W(lam) = 2 sqrt(lam) - gamma(1/2, lam) - Gamma(-1/2, 1/lam)
+    from mpmath's incomplete gamma at the working precision."""
+    lam = mpmath.mpf(lam)
+    return 2 * mpmath.sqrt(lam) - mpmath.gammainc(0.5, 0, lam) - mpmath.gammainc(-0.5, 1 / lam)
 
 
-def clear_quad_caches():
-    for cache in QUAD_CACHES:
-        cache.cache_clear()
+def test_gamma_weighted_integral_closed_form_against_mpmath():
+    g = gamma_kernel()
+    lams = [float(v) for v in np.geomspace(1e-6, 1e6, 241)] + [1 - 1e-3, 1 + 1e-3, 1.0]
+    with mpmath.workdps(30):
+        for lam in lams:
+            ref = mp_gamma_w_closed(lam)
+            assert abs(weighted_integral(g, lam) / ref - 1) <= 1e-14, lam
+    assert weighted_integral(g, math.inf) == math.sqrt(math.pi)
+
+
+def mp_fejer_w(alpha: float, lam: float) -> mpmath.mpf:
+    """int_{-2 alpha}^{min(log lam, 2 alpha)} (2 alpha - |v|) e^(v/2) dv by mpmath quadrature."""
+    a = mpmath.mpf(alpha)
+    top = min(mpmath.log(lam), 2 * a) if lam < math.inf else 2 * a
+    if top <= -2 * a:
+        return mpmath.mpf(0)
+    edges = [-2 * a, top] if top <= 0 else [-2 * a, 0, top]
+    return mpmath.quad(lambda v: (2 * a - abs(v)) * mpmath.exp(v / 2), edges)
+
+
+def test_fejer_weighted_integral_closed_form_against_mpmath():
+    with mpmath.workdps(30):
+        for alpha in [0.25 * k for k in range(1, 17)]:
+            f = fejer_kernel(alpha)
+            lo, hi = math.exp(-2 * alpha), math.exp(2 * alpha)
+            lams = [lo / 2, lo, lo * (1 + 1e-4), 1.0, hi, 2 * hi, math.inf]
+            lams += [float(v) for v in np.geomspace(lo, hi, 9)[1:-1]]
+            for lam in lams:
+                ref = mp_fejer_w(alpha, lam)
+                assert abs(weighted_integral(f, lam) - ref) <= 1e-14 * max(1.0, ref), (alpha, lam)
+
+
+def quad_weighted_integral(kernel: Kernel, lam: float) -> float:
+    """W(lam) by the two quadrature pieces that computed it before the closed
+    forms: (0, min(lam, 1)] directly, and (1, lam] folded by Ktilde(u) =
+    Ktilde(1/u) and u = 1/w^2 onto w in (1/sqrt(lam), 1]."""
+    breaks = [math.exp(-2 * kernel.params[0]), math.exp(2 * kernel.params[0])] if kernel.kind == "fejer" else []
+
+    def f_low(u):
+        return kernel.mellin(u) / math.sqrt(u) if u > 0 else 0.0
+
+    def f_high(w):
+        return 2.0 * kernel.mellin(w * w) / (w * w) if w > 0 else 0.0
+
+    upper = min(lam, 1.0)
+    pts = [b for b in breaks if 0 < b < upper] or None
+    total, err = scipy.integrate.quad(f_low, 0.0, upper, epsabs=1e-13, epsrel=1e-12, limit=400, points=pts)
+    if lam > 1.0:
+        w_lo = 0.0 if math.isinf(lam) else 1.0 / math.sqrt(lam)
+        pts = [math.sqrt(b) for b in breaks if w_lo < math.sqrt(b) < 1.0] or None
+        high, high_err = scipy.integrate.quad(f_high, w_lo, 1.0, epsabs=1e-13, epsrel=1e-12, limit=400, points=pts)
+        total, err = total + high, err + high_err
+    assert err <= 1e-10
+    return total
 
 
 LAMBDAS = (0.5, 1.0, 3.9, 8.35, 20.0, math.inf)
 
 
+def test_closed_form_agrees_with_the_quadrature_oracle():
+    for kern in (gamma_kernel(), fejer_kernel(0.25), fejer_kernel(1.0), fejer_kernel(2.5), fejer_kernel(4.0)):
+        for lam in LAMBDAS + (0.05, 0.2, 1.5, 60.0):
+            assert abs(weighted_integral(kern, lam) - quad_weighted_integral(kern, lam)) < 1e-11, (kern.name, lam)
+
+
+def test_weighted_integral_array_matches_scalar_calls():
+    lams = np.concatenate([np.geomspace(1e-3, 1e3, 57), [math.inf]])
+    for kern in (gamma_kernel(), fejer_kernel(0.5), fejer_kernel(3.0)):
+        out = weighted_integral(kern, lams)
+        assert isinstance(out, np.ndarray) and out.shape == lams.shape
+        assert out.tolist() == [weighted_integral(kern, float(lam)) for lam in lams], kern.name
+    with pytest.raises(ValueError):
+        weighted_integral(gamma_kernel(), np.array([1.0, 0.0]))
+
+
+def test_weighted_integral_is_finite_nonnegative_and_monotone(recwarn):
+    lams = np.concatenate([np.geomspace(1e-300, 1e300, 1001), [math.inf]])
+    for kern in (gamma_kernel(), fejer_kernel(0.01), fejer_kernel(1.0), fejer_kernel(4.0)):
+        w = weighted_integral(kern, lams)
+        assert np.all(np.isfinite(w)) and np.all(w >= 0), kern.name
+        assert np.all(np.diff(w) >= -1e-15 * np.maximum(1.0, w[1:])), kern.name
+    assert not recwarn.list  # inf * 0 at lambda = inf is handled, not warned
+
+
+# ----------------------------------------------------------------------
+# line_l1's quadrature cache, the only cache left in kernels
+# ----------------------------------------------------------------------
+
+
+def clear_quad_caches():
+    kernels._line_l1_quadrature.cache_clear()
+
+
 def test_warm_and_cold_weighted_integral_are_bit_identical():
+    # W has no cache; the constants also read line_l1's cached quadrature
     for kern in (gamma_kernel(), fejer_kernel(1.0), fejer_kernel(2.5)):
         clear_quad_caches()
         cold = []
         for lam in LAMBDAS:
-            cold.append(weighted_integral(kern, lam))
+            cold.append((weighted_integral(kern, lam), prop62_constant(kern, lam, math.inf)))
             clear_quad_caches()
-        warm = [weighted_integral(kern, lam) for lam in LAMBDAS]
-        assert [weighted_integral(kern, lam) for lam in LAMBDAS] == warm == cold, kern.name
-        assert all(type(w) is float for w in warm)
+        warm = [(weighted_integral(kern, lam), prop62_constant(kern, lam, math.inf)) for lam in LAMBDAS]
+        again = [(weighted_integral(kern, lam), prop62_constant(kern, lam, math.inf)) for lam in LAMBDAS]
+        assert again == warm == cold, kern.name
+        assert all(type(w) is float and type(c) is float for w, c in warm)
 
 
 def test_optimize_lambda_independent_of_cache_state():
@@ -329,30 +422,28 @@ def test_cached_pieces_still_fail_the_error_budget(monkeypatch):
     clear_quad_caches()
     monkeypatch.setattr(kernels, "quad", sloppy_quad)
     try:
+        assert weighted_integral(gamma_kernel(), 3.9) > 0 and not calls  # no quadrature in W
         for repeat in range(2):
             with pytest.raises(QuadratureError):
-                weighted_integral(gamma_kernel(), 3.9)
-            with pytest.raises(QuadratureError):
                 line_l1(fejer_kernel(1.0))
+            with pytest.raises(QuadratureError):
+                prop62_constant(gamma_kernel(), 3.9, 2)
             if not repeat:
                 first = len(calls)
-        assert len(calls) == first  # the repeat read every piece from the cache
+        assert len(calls) == first  # the repeat read line_l1's pieces from the cache
     finally:
         clear_quad_caches()
 
 
 def test_quadrature_cache_stays_within_its_cap():
     clear_quad_caches()
+    l1 = kernels._line_l1_quadrature
     alphas = [1.0 + 0.05 * k for k in range(70)]
     for alpha in alphas:
         optimize_lambda(fejer_kernel(alpha), math.inf)
-        for cache in QUAD_CACHES:
-            info = cache.cache_info()
-            assert info.currsize <= info.maxsize
-    folded = kernels._folded_piece.cache_info()
-    assert folded.misses > folded.maxsize  # the sweep did overflow the largest cap
+        info = l1.cache_info()
+        assert info.currsize <= info.maxsize
     # least recently used entries went first
-    l1 = kernels._line_l1_quadrature
     assert l1.cache_info().misses == len(alphas) > l1.cache_info().maxsize
     hits = l1.cache_info().hits
     l1(fejer_kernel(alphas[-1]))
@@ -360,3 +451,4 @@ def test_quadrature_cache_stays_within_its_cap():
     l1(fejer_kernel(alphas[0]))
     assert l1.cache_info().hits == hits + 1
     clear_quad_caches()
+

@@ -12,6 +12,7 @@ from nonresidue.characters import (
     kronecker_character_table,
     primitive_characters,
 )
+from nonresidue.kernels import gamma_kernel
 from nonresidue.lfunctions import (
     EULER_GAMMA,
     FINITE_METHOD,
@@ -21,11 +22,9 @@ from nonresidue.lfunctions import (
     PSI_AT_HALF,
     SERIES_METHOD,
     NotFundamentalError,
-    PoleError,
     PrincipalCharacterError,
     class_number_bqf,
     class_number_via_formula,
-    complex_gamma,
     fundamental_q_values,
     hurwitz_laurent_pair,
     l_and_lprime_at_1,
@@ -57,16 +56,22 @@ def test_psi_special_values():
 # ----------------------------------------------------------------------
 
 
+# The Gamma kernel reads Gamma from scipy.special.gamma (complex argument).
+
+
 def test_gamma_classical_values():
-    assert complex_gamma(0.5).real == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert complex_gamma(1.0).real == pytest.approx(1.0, rel=1e-14)
-    assert complex_gamma(5.0).real == pytest.approx(24.0, rel=1e-13)
-    assert complex_gamma(-0.5).real == pytest.approx(-2 * math.sqrt(math.pi), rel=1e-13)
+    gamma = scipy.special.gamma
+    assert gamma(0.5 + 0j).real == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+    assert gamma(1.0 + 0j).real == pytest.approx(1.0, rel=1e-14)
+    assert gamma(5.0 + 0j).real == pytest.approx(24.0, rel=1e-13)
+    assert gamma(-0.5 + 0j).real == pytest.approx(-2 * math.sqrt(math.pi), rel=1e-13)
+    assert gamma_kernel().at_half == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
 
 def test_gamma_near_zero_real_part():
     # Gamma(it) = 1/(it) - gamma + O(t), so Re tends to -gamma
-    assert complex_gamma(1e-4j).real == pytest.approx(-EULER_GAMMA, abs=1e-6)
+    assert scipy.special.gamma(1e-4j).real == pytest.approx(-EULER_GAMMA, abs=1e-6)
+    assert gamma_kernel().line(1e-4) == pytest.approx(2 * EULER_GAMMA, abs=1e-6)
 
 
 def test_gamma_reflection_identity():
@@ -75,35 +80,36 @@ def test_gamma_reflection_identity():
         z = complex(rng.uniform(-2, 2), rng.uniform(-10, 10))
         if abs(z.imag) < 1e-3 and abs(z - round(z.real)) < 1e-2:
             continue
-        lhs = complex_gamma(z) * complex_gamma(1 - z)
+        lhs = scipy.special.gamma(z) * scipy.special.gamma(1 - z)
         rhs = math.pi / cmath.sin(math.pi * z)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
-def test_gamma_matches_scipy_on_strip():
+def test_gamma_matches_mpmath_on_strip():
     rng = np.random.default_rng(4)
-    for _ in range(120):
-        z = complex(rng.uniform(-2, 2), rng.uniform(-60, 60))
-        if abs(z.imag) < 1e-6:
-            continue
-        mine = complex_gamma(z)
-        ref = scipy.special.gamma(z)
-        assert abs(mine - ref) <= 1e-12 * abs(ref), z
+    with mpmath.workdps(30):
+        for _ in range(120):
+            z = complex(rng.uniform(-2, 2), rng.uniform(-60, 60))
+            if abs(z.imag) < 1e-6:
+                continue
+            ref = mpmath.gamma(mpmath.mpc(z.real, z.imag))
+            assert abs(scipy.special.gamma(z) - ref) <= 1e-12 * abs(ref), z
 
 
 def test_gamma_modulus_on_line():
     # |Gamma(it)|^2 = pi / (t sinh(pi t))
     for t in (0.5, 1.0, 3.0, 10.0, 30.0):
-        mine = abs(complex_gamma(1j * t)) ** 2
+        mine = abs(scipy.special.gamma(1j * t)) ** 2
         ref = math.pi / (t * math.sinh(math.pi * t))
         assert mine == pytest.approx(ref, rel=1e-12)
 
 
 def test_gamma_pole():
-    with pytest.raises(PoleError):
-        complex_gamma(0.0)
-    with pytest.raises(PoleError):
-        complex_gamma(-3.0)
+    # scipy gives no finite value at a pole; the kernel's line takes the
+    # limit 2 gamma at t = 0 and never evaluates Gamma there
+    assert not np.isfinite(scipy.special.gamma(0j))
+    assert not np.isfinite(scipy.special.gamma(-3.0 + 0j))
+    assert gamma_kernel().line(0.0) == 2 * EULER_GAMMA
 
 
 # ----------------------------------------------------------------------

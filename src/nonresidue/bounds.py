@@ -2,18 +2,20 @@
 
 Every formula evaluator transcribes one display; the verify drivers pair
 each bound with the matching least-prime search (or class-number pair)
-and emit BoundReports.  Applicability thresholds are first class: below
-threshold the margin is still reported but the verdict says
+and emit BoundReports.  Every checked row is decided by one rule,
+`BoundReport.decide`: measured must lie in [lower, upper], each end
+widened by the row's slack.  Applicability thresholds are first class:
+below threshold the margin is still reported but the verdict says
 not-applicable rather than claiming a verification.  A fail verdict
-(applicable and measured strictly over the bound) is always loud; at
-these ranges it means a bug rather than a counterexample.
+(applicable and measured outside its interval) is always loud; at these
+ranges it means a bug rather than a counterexample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,6 +44,7 @@ __all__ = [
     "ap_bound",
     "class_number_bounds",
     "coset_bound",
+    "float_sum_slack",
     "l1_value_bounds",
     "subgroup_bound_clean_applicable",
     "subgroup_bound_quantities",
@@ -59,8 +62,10 @@ COSET_THRESHOLD = 20000
 LVALUE_THRESHOLD = 10**10  # thm15 and cor16 are stated for q >= 1e10
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
+    """One report row: eight output cells, then the slack its verdict
+    allowed, which no output format writes."""
+
     formula: str
     q: int
     target: str
@@ -69,6 +74,7 @@ class BoundReport:
     margin: float | None
     applicable: bool
     verdict: str  # pass | fail | not-applicable | not-found
+    slack: float = 0.0
 
     @staticmethod
     def value(formula: str, q: int, target: str, value: float, applicable: bool = True) -> "BoundReport":
@@ -76,21 +82,30 @@ class BoundReport:
         return BoundReport(formula, q, target, None, value, None, applicable, "not-applicable")
 
     @staticmethod
-    def from_comparison(
-        formula: str,
-        q: int,
-        target: str,
-        measured: float | None,
-        bound: float,
-        applicable: bool,
-        strict: bool = False,
+    def decide(
+        formula: str, q: int, target: str, measured: float | None, *, upper: float | None = None,
+        lower: float | None = None, slack: float = 0.0, strict: bool = False, applicable: bool = True,
     ) -> "BoundReport":
+        """The one verdict rule: pass when measured lies in [lower, upper].
+        Either end may be None (open).  Each end is widened by slack, and
+        strict excludes the ends.  The bound column holds upper, or lower
+        when there is no upper end; the margin is upper - measured, or
+        measured - lower.  A measured of None is not-found."""
+        bound = lower if upper is None else upper
         if measured is None:
-            return BoundReport(formula, q, target, None, bound, None, applicable, "not-found")
-        margin = bound - measured
-        holds = measured < bound if strict else measured <= bound
+            return BoundReport(formula, q, target, None, bound, None, applicable, "not-found", slack)
+        margin = measured - lower if upper is None else upper - measured
+        lo = -math.inf if lower is None else lower - slack
+        hi = math.inf if upper is None else upper + slack
+        holds = lo < measured < hi if strict else lo <= measured <= hi
         verdict = ("pass" if holds else "fail") if applicable else "not-applicable"
-        return BoundReport(formula, q, target, measured, bound, margin, applicable, verdict)
+        return BoundReport(formula, q, target, measured, bound, margin, applicable, verdict, slack)
+
+
+def float_sum_slack(bound: float) -> float:
+    """Slack for a sum of floats held against a bound of the same size: a
+    relative 1e-12 of the bound, and 1e-12 absolute near 0."""
+    return 1e-12 * (1 + abs(bound))
 
 
 # ----------------------------------------------------------------------
@@ -227,9 +242,7 @@ def verify_qnr(q: int) -> BoundReport:
     """Least quadratic non-residue against (log q)^2, primes q >= 5."""
     res = least_qnr(q)
     bound = math.log(q) ** 2
-    return BoundReport.from_comparison(
-        "cor12", q, "qnr", res.prime, bound, applicable=q >= 5, strict=True
-    )
+    return BoundReport.decide("cor12", q, "qnr", res.prime, upper=bound, strict=True, applicable=q >= 5)
 
 
 def verify_subgroup(q: int, subgroup: str = "squares", ceiling: int | None = None) -> BoundReport:
@@ -253,7 +266,7 @@ def _verify_off_subgroup(q: int, subgroup: str, ceiling: int | None, clean: bool
         formula, bound, applicable = "thm12", math.log(q) ** 2, subgroup_bound_clean_applicable(q)
     else:
         formula, bound, applicable = "thm11", vals.bound, q >= SUBGROUP_THRESHOLD
-    return BoundReport.from_comparison(formula, q, res.target, res.prime, bound, applicable)
+    return BoundReport.decide(formula, q, res.target, res.prime, upper=bound, applicable=applicable)
 
 
 def verify_ap(q: int, per_class: bool = False, ceiling: int | None = None) -> list[BoundReport]:
@@ -270,17 +283,13 @@ def verify_ap(q: int, per_class: bool = False, ceiling: int | None = None) -> li
     # a class with no prime below the ceiling gives a not-found row
     if per_class:
         return [
-            BoundReport.from_comparison("cor15", q, f"ap:a={a}", int(least[a]) or None, bound, applicable)
+            BoundReport.decide("cor15", q, f"ap:a={a}", int(least[a]) or None, upper=bound, applicable=applicable)
             for a in np.concatenate([np.flatnonzero(least), missing]).tolist()
         ]
     if missing.size:
-        return [BoundReport.from_comparison("cor15", q, f"ap:a={int(missing[0])}", None, bound, applicable)]
+        return [BoundReport.decide("cor15", q, f"ap:a={int(missing[0])}", None, upper=bound, applicable=applicable)]
     worst = int(np.argmax(least))  # a prime lies in one class, so no tie
-    return [
-        BoundReport.from_comparison(
-            "cor15", q, f"ap:worst-a={worst}", int(least[worst]), bound, applicable
-        )
-    ]
+    return [BoundReport.decide("cor15", q, f"ap:worst-a={worst}", int(least[worst]), upper=bound, applicable=applicable)]
 
 
 def verify_coset(q: int, subgroup: str = "squares", ceiling: int | None = None) -> list[BoundReport]:
@@ -297,11 +306,7 @@ def verify_coset(q: int, subgroup: str = "squares", ceiling: int | None = None) 
             effective = max(bound, float(COSET_DIRECT_BRANCH))
         else:
             effective = bound
-        out.append(
-            BoundReport.from_comparison(
-                "thm14", q, res.target, res.prime, effective, applicable
-            )
-        )
+        out.append(BoundReport.decide("thm14", q, res.target, res.prime, upper=effective, applicable=applicable))
     return out
 
 
@@ -347,16 +352,11 @@ def verify_elementary(q: int) -> list[BoundReport]:
     fac = factorize(q)
     phi, two_omega = float(fac.phi), float(2**fac.omega)
     applicable = q > COSET_THRESHOLD
-    rows = [
-        ("phi>=4156", phi, 4156.0, phi - 4156.0),
-        ("2^omega<=q^(3/7)", two_omega, q ** (3 / 7), q ** (3 / 7) - two_omega),
-        ("phi>=q^(5/6)", phi, q ** (5 / 6), phi - q ** (5 / 6)),
+    return [
+        BoundReport.decide("sec43", q, "phi>=4156", phi, lower=4156.0, applicable=applicable),
+        BoundReport.decide("sec43", q, "2^omega<=q^(3/7)", two_omega, upper=q ** (3 / 7), applicable=applicable),
+        BoundReport.decide("sec43", q, "phi>=q^(5/6)", phi, lower=q ** (5 / 6), applicable=applicable),
     ]
-    out = []
-    for target, measured, ref, margin in rows:
-        verdict = ("pass" if margin >= 0 else "fail") if applicable else "not-applicable"
-        out.append(BoundReport("sec43", q, target, measured, ref, margin, applicable, verdict))
-    return out
 
 
 def verify_stream(formula: str, qs: Iterable[int], **kwargs) -> Iterator[BoundReport]:

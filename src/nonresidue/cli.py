@@ -47,54 +47,40 @@ EXIT_NOT_FOUND = 3
 def _fmt_value(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     return str(v)
 
 
-def _report_row(r: BoundReport) -> dict:
-    return {
-        "formula_id": r.formula,
-        "q": r.q,
-        "target": r.target,
-        "measured": r.measured,
-        "bound": r.bound,
-        "margin": r.margin,
-        "applicable": r.applicable,
-        "verdict": r.verdict,
-    }
-
-
 def emit_reports(reports: Sequence[BoundReport], fmt: str, stream) -> None:
+    # A row's cells are its first eight fields, in CSV_FIELDS order; its
+    # slack is never written.
     if fmt == "csv":
         # The csv module writes None as "", a float by its float repr and
         # an int by str; only the bool needs spelling out.
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
         writer.writerows(
-            (r.formula, r.q, r.target, r.measured, r.bound, r.margin, "true" if r.applicable else "false", r.verdict)
-            for r in reports
+            (formula, q, target, measured, bound, margin, "true" if applicable else "false", verdict)
+            for formula, q, target, measured, bound, margin, applicable, verdict, _ in reports
         )
     elif fmt == "json":
         for r in reports:
-            stream.write(json.dumps(_report_row(r)) + "\n")
+            stream.write(json.dumps(dict(zip(CSV_FIELDS, r))) + "\n")
     elif fmt == "human":
         widths = (10, 12, 28, 22, 22, 14, 6, 14)
         header = ("formula", "q", "target", "measured", "bound", "margin", "appl", "verdict")
         stream.write("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n")
-        for r in reports:
-            row = _report_row(r)
+        for formula, q, target, measured, bound, margin, applicable, verdict, _ in reports:
             cells = (
-                row["formula_id"],
-                str(row["q"]),
-                row["target"][:28],
-                _fmt_value(row["measured"])[:22],
-                _fmt_value(row["bound"])[:22],
-                _fmt_value(None if row["margin"] is None else round(row["margin"], 6))[:14],
-                "yes" if row["applicable"] else "no",
-                row["verdict"],
+                formula,
+                str(q),
+                target[:28],
+                _fmt_value(measured)[:22],
+                _fmt_value(bound)[:22],
+                _fmt_value(None if margin is None else round(margin, 6))[:14],
+                "yes" if applicable else "no",
+                verdict,
             )
             stream.write("  ".join(c.ljust(w) for c, w in zip(cells, widths)) + "\n")
     else:
@@ -347,7 +333,8 @@ def cmd_kernel(args) -> int:
     if args.mellin is not None:
         numeric = kernels.mellin_numeric_check(kern, args.mellin)
         closed = kern.mellin(args.mellin)
-        rows.append(BoundReport("kernel", 0, f"{kern.name}:mellin({args.mellin:g})", numeric, closed, closed - numeric, True, "pass" if abs(closed - numeric) < 1e-6 else "fail"))
+        # 1e-6: the agreement mellin_numeric_check states for its quadrature
+        rows.append(BoundReport.decide("kernel", 0, f"{kern.name}:mellin({args.mellin:g})", numeric, lower=closed, upper=closed, slack=1e-6, strict=True))
     if args.weighted is not None:
         rows.append(BoundReport.value("kernel", 0, f"{kern.name}:W({args.weighted:g})", kernels.weighted_integral(kern, args.weighted)))
     if args.prop62:
@@ -366,10 +353,7 @@ def cmd_kernel(args) -> int:
 
 def _residual_report_row(rep: ef.ResidualReport) -> BoundReport:
     target = f"x={rep.x:g}" + ("" if rep.char is None else f":{rep.char}")
-    return BoundReport(
-        f"lemma{rep.lemma}", rep.q, target, abs(rep.theta), 1.0, 1.0 - abs(rep.theta), True,
-        "pass" if rep.ok else "fail",
-    )
+    return BoundReport.decide(f"lemma{rep.lemma}", rep.q, target, abs(rep.theta), upper=1.0)
 
 
 def _primitive_characters(q: int) -> list:
@@ -382,9 +366,31 @@ def _primitive_characters(q: int) -> list:
 
 
 def _hadamard_row(x: float, chi, rb: float) -> BoundReport:
-    """Lemma 2.3: |Re B(chi)| = rb lies in the window that x gives."""
+    """Lemma 2.3: |Re B(chi)| = rb lies in the window that x gives.  The
+    margin reports the upper end only."""
     win = ef.hadamard_window(x, chi)
-    return BoundReport("lemma2.3", chi.q, f"x={x:g}:{chi.label}", rb, win.upper, win.upper - rb, True, "pass" if win.contains(rb) else "fail")
+    return BoundReport.decide("lemma2.3", chi.q, f"x={x:g}:{chi.label}", rb, lower=win.lower, upper=win.upper, slack=ef.WINDOW_SLACK)
+
+
+def _coprime_excess_report_rows(rep: ef.CoprimeExcessReport) -> list[BoundReport]:
+    """Lemma 3.1 at (m, x): each sum against its own bound."""
+    return [
+        BoundReport.decide("lemma3.1", rep.m, f"x={rep.x:g}:{name}", lhs, upper=bound, slack=bounds.float_sum_slack(bound))
+        for name, lhs, bound in (
+            ("log-weighted", rep.log_weighted, rep.log_weighted_bound),
+            ("harmonic", rep.harmonic, rep.harmonic_bound),
+        )
+    ]
+
+
+def _pattern_row(q: int, rep: ef.PatternMinimumReport) -> BoundReport:
+    """Lemma 5.1: the twisted sum is at least the all-minus-one pattern sum."""
+    return BoundReport.decide("lemma5.1", q, f"x={rep.x:g}:{rep.char}", rep.lhs, lower=rep.alternating, slack=bounds.float_sum_slack(rep.alternating))
+
+
+def _trig_row(rep: ef.TrigPolyReport) -> BoundReport:
+    """The dyadic trigonometric polynomial is >= 0 on its grid, up to 1e-12 of rounding."""
+    return BoundReport.decide("trigpoly", 0, f"x={rep.x:g}", rep.minimum, lower=0.0, slack=1e-12)
 
 
 def cmd_lemma(args) -> int:
@@ -405,26 +411,14 @@ def cmd_lemma(args) -> int:
                     rows.append(_hadamard_row(x, chi, rb))
     elif which == "3.1":
         for x in xs:
-            rep = ef.coprime_excess_sums(x, args.m)
-            rows.append(
-                BoundReport("lemma3.1", args.m, f"x={x:g}:log-weighted", rep.log_weighted, rep.log_weighted_bound, rep.log_weighted_bound - rep.log_weighted, True, "pass" if rep.log_weighted_ok else "fail")
-            )
-            rows.append(
-                BoundReport("lemma3.1", args.m, f"x={x:g}:harmonic", rep.harmonic, rep.harmonic_bound, rep.harmonic_bound - rep.harmonic, True, "pass" if rep.harmonic_ok else "fail")
-            )
+            rows.extend(_coprime_excess_report_rows(ef.coprime_excess_sums(x, args.m)))
     elif which == "5.1":
         for chi in character_group(args.q):
             for x in xs:
-                rep = ef.negative_pattern_minimum(x, chi)
-                rows.append(
-                    BoundReport("lemma5.1", args.q, f"x={x:g}:{chi.label}", rep.lhs, rep.alternating, rep.lhs - rep.alternating, True, "pass" if rep.ok else "fail")
-                )
+                rows.append(_pattern_row(args.q, ef.negative_pattern_minimum(x, chi)))
     else:  # trig
         for x in xs:
-            rep = ef.two_adic_trig_polynomial(x, grid=args.grid)
-            rows.append(
-                BoundReport("trigpoly", 0, f"x={x:g}", rep.minimum, 0.0, rep.minimum, True, "pass" if rep.ok else "fail")
-            )
+            rows.append(_trig_row(ef.two_adic_trig_polynomial(x, grid=args.grid)))
     _write_output(args, rows)
     return exit_code(rows)
 
@@ -446,17 +440,12 @@ def cmd_lvalue(args) -> int:
         chi = chars.pop()
         base = l_at_1(chi, HURWITZ_METHOD)
         series = l_at_1(chi, SERIES_METHOD)
-        gap = abs(base.value - series.value)
-        rows.append(BoundReport("lvalue", q, f"{chi.label}:{HURWITZ_METHOD}", abs(base.value), None, None, True, "not-applicable"))
-        rows.append(
-            BoundReport("lvalue", q, f"{chi.label}:agree", gap, tol, tol - gap, True, "pass" if gap < tol else "fail")
-        )
+        rows.append(BoundReport.value("lvalue", q, f"{chi.label}:{HURWITZ_METHOD}", abs(base.value)))
+        rows.append(BoundReport.decide("lvalue", q, f"{chi.label}:agree", abs(base.value - series.value), upper=tol, strict=True))
         if chi.is_real and chi.parity == 1 and q > 4:
+            # a closed form against the Hurwitz sum: 1e-10 whatever --tolerance says
             fin = l_at_1(chi, FINITE_METHOD)
-            gap2 = abs(base.value - fin.value)
-            rows.append(
-                BoundReport("lvalue", q, f"{chi.label}:{FINITE_METHOD}", gap2, 1e-10, 1e-10 - gap2, True, "pass" if gap2 < 1e-10 else "fail")
-            )
+            rows.append(BoundReport.decide("lvalue", q, f"{chi.label}:{FINITE_METHOD}", abs(base.value - fin.value), upper=1e-10, strict=True))
     _write_output(args, rows)
     return exit_code(rows)
 
@@ -467,12 +456,7 @@ def cmd_lvalue(args) -> int:
 
 
 def _tolerance_row(formula: str, target: str, value: float, reference: float, tol: float) -> BoundReport:
-    gap = abs(value - reference)
-    return BoundReport(formula, 0, target, gap, tol, tol - gap, True, "pass" if gap <= tol else "fail")
-
-
-def _threshold_row(formula: str, q: int, target: str, value: float, at_least: float) -> BoundReport:
-    return BoundReport(formula, q, target, at_least, value, value - at_least, True, "pass" if value >= at_least else "fail")
+    return BoundReport.decide(formula, 0, target, abs(value - reference), upper=tol)
 
 
 def _qnr_rows(scale: str, workers: int) -> list[BoundReport]:
@@ -506,8 +490,9 @@ def _gamma_constant_rows(scale: str, workers: int) -> list[BoundReport]:
     gamma = kernels.gamma_kernel()
     l1 = kernels.line_l1(gamma)
     rows = [
-        _threshold_row("prop62", 0, "gamma:l1>=0.291", l1, 0.291),
-        BoundReport("prop62", 0, "gamma:l1<=0.292", l1, 0.292, 0.292 - l1, True, "pass" if l1 <= 0.292 else "fail"),
+        # a threshold row keeps the threshold in the measured column
+        BoundReport.decide("prop62", 0, "gamma:l1>=0.291", 0.291, upper=l1),
+        BoundReport.decide("prop62", 0, "gamma:l1<=0.292", l1, upper=0.292),
     ]
     for lam, h, ref in THM13_CHOICES:
         c = kernels.prop62_constant(gamma, lam, h)
@@ -541,7 +526,7 @@ def _inversion_rows(scale: str, workers: int) -> list[BoundReport]:
 
 
 def _class_floor_rows(scale: str, workers: int) -> list[BoundReport]:
-    return [_threshold_row("cor16", 10**11, "h-lower>=9052", bounds.class_number_bounds(1e11).lower, 9052.0)]
+    return [BoundReport.decide("cor16", 10**11, "h-lower>=9052", 9052.0, upper=bounds.class_number_bounds(1e11).lower)]
 
 
 def _residual_rows(scale: str, workers: int) -> list[BoundReport]:
@@ -570,9 +555,7 @@ def _coprime_excess_rows(scale: str, workers: int) -> list[BoundReport]:
     rows = []
     for m in range(3, m_max + 1):
         for x in m_xs:
-            rep = ef.coprime_excess_sums(x, m)
-            verdict = "pass" if rep.ok else "fail"
-            rows.append(BoundReport("lemma3.1", m, f"x={x:g}", max(rep.log_weighted - rep.log_weighted_bound, rep.harmonic - rep.harmonic_bound), 0.0, None, True, verdict))
+            rows.extend(_coprime_excess_report_rows(ef.coprime_excess_sums(x, m)))
     return rows
 
 
@@ -585,7 +568,7 @@ def _method_floor_rows(scale: str, workers: int) -> list[BoundReport]:
                     c = kernels.prop62_constant(kern, lam, h)
                 except kernels.NonpositiveDenominatorError:
                     continue
-                rows.append(_threshold_row("floor", 0, f"{kern.name}:lam={lam:g};h={h}", c, kernels.limit_constant(h)))
+                rows.append(BoundReport.decide("floor", 0, f"{kern.name}:lam={lam:g};h={h}", kernels.limit_constant(h), upper=c))
     return rows
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "DegenerateWindowError",
     "ResidualReport",
     "ThetaWindow",
+    "WINDOW_SLACK",
     "cheb_log_sum",
     "character_log_residual",
     "coprime_excess_sums",
@@ -270,10 +271,6 @@ class ResidualReport:
     envelope: float
     theta: float
 
-    @property
-    def ok(self) -> bool:
-        return abs(self.theta) <= 1.0
-
 
 def _report(lemma: str, x: float, chi, lhs: float, main: float, env: float) -> ResidualReport:
     q, char = (0, None) if chi is None else (chi.q, chi.label)
@@ -334,6 +331,11 @@ def character_log_residual(x: float, chi: DirichletCharacter, re_b_value: float)
     return _report("2.2", x, chi, lhs, main, env)
 
 
+# How far |Re B| may lie outside its window and still pass: room for the
+# rounding of Re B and of the twisted prime-power sum in the window's ends.
+WINDOW_SLACK = 1e-9
+
+
 @dataclass(frozen=True)
 class ThetaWindow:
     lower: float
@@ -341,7 +343,7 @@ class ThetaWindow:
     bracket: float
 
     def contains(self, value: float) -> bool:
-        return self.lower - 1e-9 <= value <= self.upper + 1e-9
+        return self.lower - WINDOW_SLACK <= value <= self.upper + WINDOW_SLACK
 
 
 def hadamard_window(x: float, chi: DirichletCharacter) -> ThetaWindow:
@@ -425,19 +427,6 @@ class CoprimeExcessReport:
     harmonic: float
     harmonic_bound: float
 
-    # Each sum is decided against its own bound, with slack 1e-12 (1 + |bound|).
-    @property
-    def log_weighted_ok(self) -> bool:
-        return self.log_weighted <= self.log_weighted_bound + 1e-12 * (1 + abs(self.log_weighted_bound))
-
-    @property
-    def harmonic_ok(self) -> bool:
-        return self.harmonic <= self.harmonic_bound + 1e-12 * (1 + abs(self.harmonic_bound))
-
-    @property
-    def ok(self) -> bool:
-        return self.log_weighted_ok and self.harmonic_ok
-
 
 def coprime_excess_sums(x: float, m: int) -> CoprimeExcessReport:
     """Prime powers sharing a factor with m: both weighted sums and bounds.
@@ -472,10 +461,6 @@ class PatternMinimumReport:
     char: str
     lhs: float
     alternating: float
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs >= self.alternating - 1e-12 * (1 + abs(self.alternating))
 
 
 @lru_cache(maxsize=8)
@@ -518,10 +503,6 @@ class TrigPolyReport:
     argmin: float
     grid: int
     tail_coeff: float
-
-    @property
-    def ok(self) -> bool:
-        return self.minimum >= -1e-12
 
 
 def two_adic_trig_polynomial(x: float, grid: int = 2001) -> TrigPolyReport:

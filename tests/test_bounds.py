@@ -178,16 +178,50 @@ def test_elementary_phi_examples():
 
 
 def test_report_verdict_soundness():
-    r = BoundReport.from_comparison("x", 10, "t", 5.0, 4.0, applicable=True)
-    assert r.verdict == "fail" and r.margin == -1.0
-    r2 = BoundReport.from_comparison("x", 10, "t", 5.0, 4.0, applicable=False)
+    r = BoundReport.decide("x", 10, "t", 5.0, upper=4.0)
+    assert r.verdict == "fail" and r.margin == -1.0 and r.bound == 4.0
+    r2 = BoundReport.decide("x", 10, "t", 5.0, upper=4.0, applicable=False)
     assert r2.verdict == "not-applicable" and r2.margin == -1.0
-    r3 = BoundReport.from_comparison("x", 10, "t", None, 4.0, applicable=True)
-    assert r3.verdict == "not-found"
-    r4 = BoundReport.from_comparison("x", 10, "t", 4.0, 4.0, applicable=True, strict=True)
+    r3 = BoundReport.decide("x", 10, "t", None, upper=4.0)
+    assert r3.verdict == "not-found" and r3.bound == 4.0 and r3.margin is None
+    r4 = BoundReport.decide("x", 10, "t", 4.0, upper=4.0, strict=True)
     assert r4.verdict == "fail"
-    r5 = BoundReport.from_comparison("x", 10, "t", 4.0, 4.0, applicable=True)
+    r5 = BoundReport.decide("x", 10, "t", 4.0, upper=4.0)
     assert r5.verdict == "pass"
+
+
+def test_decide_reads_the_lower_end_when_there_is_no_upper():
+    r = BoundReport.decide("x", 10, "t", 3.0, lower=4.0)
+    assert (r.bound, r.margin, r.verdict) == (4.0, -1.0, "fail")
+    r = BoundReport.decide("x", 10, "t", 5.0, lower=4.0, upper=6.0)
+    assert (r.bound, r.margin, r.verdict) == (6.0, 1.0, "pass")
+    assert BoundReport.decide("x", 10, "t", 3.0, lower=4.0, upper=6.0).verdict == "fail"
+
+
+def test_decide_widens_each_end_by_its_slack():
+    # 0.25 and the ends below are exact binary fractions, so "exactly at
+    # -slack" is exact
+    at_upper = BoundReport.decide("x", 10, "t", 1.25, upper=1.0, slack=0.25)
+    assert at_upper.margin == -0.25 and at_upper.verdict == "pass"
+    past = BoundReport.decide("x", 10, "t", math.nextafter(1.25, 2.0), upper=1.0, slack=0.25)
+    assert past.verdict == "fail"
+    at_lower = BoundReport.decide("x", 10, "t", 0.75, lower=1.0, slack=0.25)
+    assert at_lower.margin == -0.25 and at_lower.verdict == "pass"
+    assert BoundReport.decide("x", 10, "t", math.nextafter(0.75, 0.0), lower=1.0, slack=0.25).verdict == "fail"
+    # strict excludes the widened ends, and slack 0 leaves them in place
+    assert BoundReport.decide("x", 10, "t", 1.25, upper=1.0, slack=0.25, strict=True).verdict == "fail"
+    assert BoundReport.decide("x", 10, "t", 0.75, lower=1.0, slack=0.25, strict=True).verdict == "fail"
+    assert BoundReport.decide("x", 10, "t", 1.0, lower=1.0, upper=1.0, strict=True).verdict == "fail"
+    assert BoundReport.decide("x", 10, "t", 1.0, lower=1.0, upper=1.0).verdict == "pass"
+
+
+def test_decided_rows_record_their_slack():
+    assert BoundReport.decide("x", 10, "t", 1.0, upper=2.0, slack=0.125).slack == 0.125
+    assert BoundReport.decide("x", 10, "t", None, upper=2.0, slack=0.125).slack == 0.125
+    assert BoundReport.decide("x", 10, "t", 1.0, upper=2.0).slack == 0.0
+    assert BoundReport.value("x", 10, "t", 1.0).slack == 0.0
+    # eight positional fields still build a row, with no slack
+    assert BoundReport("x", 10, "t", 1.0, 2.0, 1.0, True, "pass").slack == 0.0
 
 
 def test_verify_qnr_stream():

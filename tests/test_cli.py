@@ -182,8 +182,24 @@ def test_lemma_command():
 def test_lvalue_and_classnum_commands():
     code, out = run_main(["lvalue", "--q", "5", "--format", "csv"])
     assert code == EXIT_OK and "agree" in out
+    # |L(1, chi)| is a reported value, so it sits in the bound column
+    values = [r for r in csv.DictReader(io.StringIO(out)) if r["target"].endswith(":hurwitz-euler-maclaurin")]
+    assert len(values) == 3
+    assert all(r["measured"] == "" and float(r["bound"]) > 0 and r["verdict"] == "not-applicable" for r in values)
     code, out = run_main(["classnum", "--q", "163", "--format", "csv"])
     assert code == EXIT_OK and "pass" in out
+
+
+def test_lemma31_command_writes_the_checklist_rows():
+    code, out = run_main(["lemma", "3.1", "--m", "30", "--x", "10,100", "--format", "csv"])
+    assert code == EXIT_OK
+    (check,) = [c for c in cli.CHECKS if c.id == "lemma31"]
+    checklist = io.StringIO()
+    emit_reports([r for r in check.run("quick", 1) if r.q == 30], "csv", checklist)
+    assert out == checklist.getvalue()
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == [
+        "x=10:log-weighted", "x=10:harmonic", "x=100:log-weighted", "x=100:harmonic"
+    ]
 
 
 def test_json_output_deterministic_and_parsable():

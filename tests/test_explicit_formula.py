@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nonresidue import explicit_formula as ef
+from nonresidue.cli import _coprime_excess_report_rows, _hadamard_row, _pattern_row, _residual_report_row, _trig_row
 from nonresidue.arith import factorize
 from nonresidue.characters import _character_block, character_group, primitive_characters
 from nonresidue.explicit_formula import (
@@ -135,7 +136,7 @@ def test_untwisted_residuals_bounded():
             if lemma == "2.6" and x < math.e:
                 continue
             rep = lemma_residual(lemma, x)
-            assert rep.ok, (lemma, x, rep.theta)
+            assert _residual_report_row(rep).verdict == "pass", (lemma, x, rep.theta)
 
 
 def test_residual_domain_errors():
@@ -162,7 +163,7 @@ def test_character_residuals_small_q():
             rb = re_b(chi)
             for x in (10.0, 100.0, 1000.0):
                 rep = character_log_residual(x, chi, rb)
-                assert rep.ok, (q, chi.label, x, rep.theta)
+                assert _residual_report_row(rep).verdict == "pass", (q, chi.label, x, rep.theta)
 
 
 def test_hadamard_window_contains_oracle_and_nests():
@@ -177,13 +178,27 @@ def test_hadamard_window_contains_oracle_and_nests():
             assert tight.upper <= wide.upper + 1e-9
 
 
+def test_hadamard_row_fails_below_the_window_with_a_positive_margin():
+    # the margin reports the upper end only; the verdict reads both
+    chi = primitive_characters(7)[0]
+    win = hadamard_window(100.0, chi)
+    assert win.lower > 0
+    below = _hadamard_row(100.0, chi, win.lower - 2 * ef.WINDOW_SLACK)
+    assert below.margin > 0 and below.verdict == "fail"
+    at_edge = _hadamard_row(100.0, chi, win.lower - ef.WINDOW_SLACK / 2)
+    assert at_edge.verdict == "pass" and at_edge.slack == ef.WINDOW_SLACK == 1e-9
+    assert win.contains(win.lower - ef.WINDOW_SLACK / 2) and not win.contains(win.lower - 2 * ef.WINDOW_SLACK)
+    above = _hadamard_row(100.0, chi, win.upper + 2 * ef.WINDOW_SLACK)
+    assert above.margin < 0 and above.verdict == "fail"
+
+
 def test_log_l_residual_small_q():
     for q in (3, 5, 7, 8):
         for chi in primitive_characters(q):
             rb = re_b(chi)
             for x in (50.0, 1000.0):
                 rep = log_l_residual(x, chi, rb)
-                assert rep.ok, (q, chi.label, x, rep.theta)
+                assert _residual_report_row(rep).verdict == "pass", (q, chi.label, x, rep.theta)
 
 
 def test_residual_rejects_imprimitive():
@@ -202,43 +217,51 @@ def test_coprime_excess_example_m4():
     hand = math.log(2) * (math.log(8.0) + math.log(4.0) + math.log(2.0))
     assert rep.log_weighted == pytest.approx(hand, rel=1e-13)
     assert rep.log_weighted_bound == pytest.approx(0.5 * math.log(16.0) ** 2, rel=1e-15)
-    assert rep.ok
+    assert all(r.verdict == "pass" for r in _coprime_excess_report_rows(rep))
 
 
 def test_coprime_excess_prime_larger_than_x():
     rep = coprime_excess_sums(10.0, 101)
     assert rep.log_weighted == 0.0
     assert rep.harmonic == 0.0
-    assert rep.ok
+    assert all(r.verdict == "pass" for r in _coprime_excess_report_rows(rep))
 
 
 def test_coprime_excess_m30():
     rep = coprime_excess_sums(100.0, 30)
-    assert rep.ok
+    assert all(r.verdict == "pass" for r in _coprime_excess_report_rows(rep))
 
 
 def test_coprime_excess_exhaustive_small():
     for m in range(3, 80):
         for x in (10.0, 100.0):
-            assert coprime_excess_sums(x, m).ok, (m, x)
+            rows = _coprime_excess_report_rows(coprime_excess_sums(x, m))
+            assert all(r.verdict == "pass" for r in rows), (m, x)
+
+
+def verdicts(rep: CoprimeExcessReport) -> dict[str, str]:
+    """Lemma 3.1's verdict for each sum, keyed by its target suffix."""
+    return {r.target.split(":")[1]: r.verdict for r in _coprime_excess_report_rows(rep)}
 
 
 def test_coprime_excess_decides_each_sum_by_its_own_slack():
     # slack 1e-12 (1 + |bound|) per sum: 2e-12 for the harmonic bound 1,
     # about 1e-9 for the log-weighted bound 1000
     rep = CoprimeExcessReport(6, 1e3, 10.0, 1e3, 1.0 + 3e-12, 1.0)
-    assert rep.log_weighted_ok and not rep.harmonic_ok and not rep.ok
+    assert verdicts(rep) == {"log-weighted": "pass", "harmonic": "fail"}
     rep = replace(rep, harmonic=1.0 + 1e-12)
-    assert rep.harmonic_ok and rep.ok
-    assert replace(rep, log_weighted=1e3 + 5e-10).ok
-    assert not replace(rep, log_weighted=1e3 + 2e-9).ok
+    assert verdicts(rep) == {"log-weighted": "pass", "harmonic": "pass"}
+    assert verdicts(replace(rep, log_weighted=1e3 + 5e-10)) == {"log-weighted": "pass", "harmonic": "pass"}
+    assert verdicts(replace(rep, log_weighted=1e3 + 2e-9)) == {"log-weighted": "fail", "harmonic": "pass"}
+    slacks = [r.slack for r in _coprime_excess_report_rows(rep)]
+    assert slacks == [1e-12 * (1 + 1e3), 1e-12 * (1 + 1.0)]
 
 
 def test_coprime_excess_per_sum_verdicts_at_the_checklist_range():
     for m in range(3, 201):
         for x in (10.0, 100.0, 1000.0):
             rep = coprime_excess_sums(x, m)
-            assert rep.log_weighted_ok and rep.harmonic_ok and rep.ok, (m, x)
+            assert verdicts(rep) == {"log-weighted": "pass", "harmonic": "pass"}, (m, x)
             # every sum clears its bound by far more than either slack
             assert min(rep.log_weighted_bound - rep.log_weighted, rep.harmonic_bound - rep.harmonic) > 1e-3, (m, x)
 
@@ -274,19 +297,19 @@ def test_imprimitivity_gap_bound():
 
 def test_negative_pattern_examples():
     chi0 = character_group(3)[0]
-    assert negative_pattern_minimum(100.0, chi0).ok
+    assert _pattern_row(3, negative_pattern_minimum(100.0, chi0)).verdict == "pass"
     leg7 = [c for c in character_group(7) if c.is_real and not c.is_principal][0]
-    assert negative_pattern_minimum(1000.0, leg7).ok
+    assert _pattern_row(7, negative_pattern_minimum(1000.0, leg7)).verdict == "pass"
     with pytest.raises(ValueError):
         negative_pattern_minimum(50.0, chi0)
 
 
 def test_trig_polynomial_nonnegative():
     rep = two_adic_trig_polynomial(100.0)
-    assert rep.ok
+    assert _trig_row(rep).verdict == "pass"
     assert rep.minimum >= -1e-12
     dense = two_adic_trig_polynomial(1e6, grid=5001)
-    assert dense.ok
+    assert _trig_row(dense).verdict == "pass"
     # the grid includes phi = 0 where every cosine deficit vanishes
     assert two_adic_trig_polynomial(100.0, grid=3).minimum == pytest.approx(0.0, abs=1e-15)
 

@@ -36,7 +36,6 @@ from .lfunctions import (
 )
 from .search import (
     SearchResult,
-    least_prime_in_coset,
     least_prime_outside_subgroup,
     least_qnr,
 )

@@ -34,7 +34,6 @@ from .lfunctions import (
 )
 from .search import (
     least_prime_all_classes,
-    least_prime_in_coset,
     least_prime_outside_subgroup,
     least_qnr,
 )
@@ -293,36 +292,41 @@ def verify_ap(q: int, per_class: bool = False, ceiling: int | None = None) -> li
 
 
 def verify_coset(q: int, subgroup: str = "squares", ceiling: int | None = None) -> list[BoundReport]:
-    """Least prime in each coset aH against the coset bound (1e9 short branch)."""
+    """Least prime in each coset aH against the coset bound (1e9 short branch),
+    every coset from one sieve."""
     h = _subgroup_for(q, subgroup)
     bound = coset_bound(q, h.index)
     applicable = q >= COSET_THRESHOLD and h.index > 1
     if ceiling is None:
         ceiling = _search_ceiling(bound, COSET_DIRECT_BRANCH)
+    reps, cosets = coset_representatives(h)
     out = []
-    for a in coset_representatives(h):
-        res = least_prime_in_coset(q, h, a, ceiling)
-        if res.prime is not None and res.prime <= COSET_DIRECT_BRANCH:
-            effective = max(bound, float(COSET_DIRECT_BRANCH))
-        else:
-            effective = bound
-        out.append(BoundReport.decide("thm14", q, res.target, res.prime, upper=effective, applicable=applicable))
+    for a, p in zip(reps, least_prime_all_classes(q, ceiling, cosets).tolist()):
+        effective = max(bound, float(COSET_DIRECT_BRANCH)) if 0 < p <= COSET_DIRECT_BRANCH else bound
+        out.append(BoundReport.decide("thm14", q, f"coset:a={a}:{h.kind}", p or None, upper=effective, applicable=applicable))
     return out
 
 
-def coset_representatives(h: SubgroupSpec) -> list[int]:
-    """Smallest member of each coset of H, ascending."""
+def coset_representatives(h: SubgroupSpec) -> tuple[list[int], np.ndarray]:
+    """Smallest member of each coset of H, ascending, and the coset of every
+    residue: cosets[r] is the position of r's coset in that list for a unit
+    r, h.index off the units."""
     q = h.q
-    members = h.member_array  # ModulusTooLargeError above DLOG_CEILING, before any O(q) array
+    members = np.flatnonzero(h.mask)  # ModulusTooLargeError above DLOG_CEILING, before any O(q) array
     free = unit_group_structure(q).unit_mask.copy()
+    cosets = np.full(q, h.index, dtype=np.min_scalar_type(h.index))
+    coset = np.empty_like(members)  # one buffer for every aH: no temporaries of size |H|
     reps = []
     a = 0
     while True:
         a += int(np.argmax(free[a:]))  # the least free unit at or past a
         if not free[a]:
-            return reps
+            return reps, cosets
+        np.multiply(members, a, out=coset)
+        coset %= q
+        free[coset] = False
+        cosets[coset] = len(reps)
         reps.append(a)
-        free[a * members % q] = False
 
 
 def verify_classnum(q: int) -> BoundReport:

@@ -27,7 +27,6 @@ from .arith import DLOG_CEILING, ModulusTooLargeError, UnitGroupStructure, facto
 
 __all__ = [
     "DirichletCharacter",
-    "NonUnitCosetError",
     "SubgroupSpec",
     "character_group",
     "is_fundamental_discriminant",
@@ -36,10 +35,6 @@ __all__ = [
     "subgroup_from_generators",
     "trivial_subgroup",
 ]
-
-
-class NonUnitCosetError(ValueError):
-    """Coset representative is not coprime to the modulus."""
 
 
 @lru_cache(maxsize=256)
@@ -237,7 +232,7 @@ class SubgroupSpec:
     k-th powers and {1} are exponent tests: n is in H when n^e = 1 (mod m)
     for each (m, e) in `tests`, with no O(q) table.  A subgroup given by
     generators carries its bitmask `mask`; for the other kinds `mask` is
-    built on first read (coset search, `member_array`), for q <= DLOG_CEILING.
+    built on first read, for q <= DLOG_CEILING.
     """
 
     q: int
@@ -263,14 +258,8 @@ class SubgroupSpec:
             out.reshape(-1, m)[:] &= _power_table(m, e) == 1
         return out
 
-    @cached_property
-    def member_array(self) -> np.ndarray:
-        """The residues in H, ascending, read from `mask` once (cosets reuse
-        them).  Do not mutate."""
-        return np.flatnonzero(self.mask)
-
     def members(self) -> list[int]:
-        return self.member_array.tolist()
+        return np.flatnonzero(self.mask).tolist()
 
 
 def _power_table(m: int, e: int) -> np.ndarray:

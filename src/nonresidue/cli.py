@@ -24,6 +24,8 @@ from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal, InvalidOperation
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from scipy.integrate import quad
+
 from . import bounds, explicit_formula as ef, kernels
 from .bounds import BoundReport
 from .characters import character_group, primitive_characters
@@ -194,12 +196,16 @@ def _real(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
-def _workers(text: str) -> int:
-    """`--workers`: an integer >= 1."""
-    n = _exact_int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"not an integer >= 1: {text!r}")
-    return n
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An integer flag that must be >= low."""
+
+    def parse(text: str) -> int:
+        n = _exact_int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"not an integer >= {low}: {text!r}")
+        return n
+
+    return parse
 
 
 def _alpha(text: str) -> float:
@@ -509,7 +515,9 @@ def _fejer_rows(scale: str, workers: int) -> list[BoundReport]:
         kern = kernels.fejer_kernel(alpha)
         rows.append(_tolerance_row("fejer", f"l1(alpha={alpha:g})-vs-2alpha", kernels.line_l1(kern), 2 * alpha, 1e-8))
         closed = 4 * alpha - 4 + 4 * math.exp(-alpha)
-        rows.append(_tolerance_row("fejer", f"W(1,alpha={alpha:g})-closed-form", kernels.weighted_integral(kern, 1.0), closed, 1e-10))
+        # W(1) by quadrature of the Mellin transform, not by the closed form `weighted_integral` uses
+        w1, _ = quad(lambda u: kern.mellin(u) / math.sqrt(u), math.exp(-2 * alpha), 1.0, epsabs=1e-13, epsrel=1e-12)
+        rows.append(_tolerance_row("fejer", f"W(1,alpha={alpha:g})-closed-form", w1, closed, 1e-10))
         for u in (0.5, 1.0, math.e, math.exp(2 * alpha)):
             rows.append(
                 _tolerance_row("fejer", f"mellin(alpha={alpha:g};u={u:.3g})", kernels.mellin_numeric_check(kern, u), kern.mellin(u), 1e-6)
@@ -647,7 +655,8 @@ _FLAGS = {
     "h": dict(type=_index_h, help="index h, or inf"),
     "x": dict(type=_xs, default=[100.0], help="comma separated x values"),
     "m": dict(type=_modulus),
-    "grid": dict(type=int, default=2001),
+    # {0, 2 pi} holds only zeros of the trig polynomial: 3 points is the least grid that checks one
+    "grid": dict(type=_int_at_least(3), default=2001),
     "alpha": dict(type=_alpha, default=1.0),
     **dict.fromkeys(("l1", "k-half", "prop62", "optimize"), dict(action="store_true")),
     "mellin": dict(type=_alpha),
@@ -658,7 +667,7 @@ _SCAN_FLAGS = {
     "q": dict(type=_q_spec, help="single q or range a..b"),
     "qmin": dict(type=_modulus),
     "qmax": dict(type=_modulus),
-    "workers": dict(type=_workers, default=1),
+    "workers": dict(type=_int_at_least(1), default=1),
     "subgroup": dict(default="squares", help="squares | powers:K | gens:a,b | trivial"),
     "per-class": dict(action="store_true"),
     "ceiling": dict(type=_exact_int, help="search ceiling override"),
@@ -711,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--q", type=_one_q, default=None)
     which.add_argument("--qmax", dest="q", type=_classnum_qmax, metavar="N")
-    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     _add_output(p)
     p.set_defaults(func=cmd_scan, what="classnum")
 
@@ -719,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale = p.add_mutually_exclusive_group()
     scale.add_argument("--quick", dest="scale", action="store_const", const="quick", help="desk-scale ranges")
     scale.add_argument("--full", dest="scale", action="store_const", const="full", help="extended ranges (q <= 20000 progressions)")
-    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     _add_output(p)
     p.set_defaults(func=cmd_reproduce, scale="default")
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from nonresidue.arith import euler_phi, factorize, primes_up_to
@@ -282,30 +283,37 @@ def test_verify_coset_at_threshold():
 
 def test_coset_representatives_partition():
     h = kth_power_subgroup(7, 2)
-    reps = coset_representatives(h)
+    reps, numbering = coset_representatives(h)
     assert reps == [1, 3]
+    assert numbering.dtype == np.uint8 and numbering.tolist() == [2, 0, 0, 1, 0, 1, 1]
     cosets = [sorted(r * m % 7 for m in h.members()) for r in reps]
     flat = sorted(x for c in cosets for x in c)
     assert flat == [1, 2, 3, 4, 5, 6]
 
 
 def _coset_representatives_by_walk(h):
-    """Walk 1..q-1, keep each unit not yet covered and cover its coset."""
+    """Walk 1..q-1, keep each unit not yet covered and cover its coset;
+    number each residue by its coset, h.index off the units."""
     q, members = h.q, h.members()
-    seen, reps = set(), []
+    reps, numbering = [], [h.index] * q
     for a in range(1, q):
-        if a not in seen and math.gcd(a, q) == 1:
+        if numbering[a] == h.index and math.gcd(a, q) == 1:
+            for m in members:
+                numbering[a * m % q] = len(reps)
             reps.append(a)
-            seen.update(a * m % q for m in members)
-    return reps
+    return reps, numbering
 
 
 def test_coset_representatives_match_the_walk():
+    def check(h):
+        reps, numbering = coset_representatives(h)
+        assert (reps, numbering.tolist()) == _coset_representatives_by_walk(h), (h.q, h.kind)
+        assert numbering.dtype == np.min_scalar_type(h.index)
+
     for q in range(3, 400):
         for h in (kth_power_subgroup(q, 2), kth_power_subgroup(q, 3), trivial_subgroup(q)):
-            assert coset_representatives(h) == _coset_representatives_by_walk(h), (q, h.kind)
-    h = subgroup_from_generators(1001, [2])
-    assert coset_representatives(h) == _coset_representatives_by_walk(h)
+            check(h)
+    check(subgroup_from_generators(1001, [2]))
 
 
 def test_verify_classnum():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from nonresidue.arith import ModulusTooLargeError, euler_phi, primes_up_to, unit_group_structure
 from nonresidue.characters import (
     DirichletCharacter,
-    NonUnitCosetError,
     SubgroupSpec,
     _character_block,
     character_group,
@@ -142,7 +141,7 @@ def coset_indicator(h: SubgroupSpec, a: int, n: int) -> int:
     """
     q = h.q
     if math.gcd(a, q) != 1:
-        raise NonUnitCosetError(f"a={a} is not a unit mod {q}")
+        raise ValueError(f"a={a} is not a unit mod {q}")
     big = unit_group_structure(q).exponent
     ann = annihilator(h)
     if math.gcd(n, q) != 1:
@@ -534,7 +533,7 @@ def test_coset_indicator_examples():
     assert coset_indicator(h1, 3, 5) == 0
     qr7 = kth_power_subgroup(7, 2)
     assert coset_indicator(qr7, 3, 5) == 1  # 5 * 3^-1 = 4 in H
-    with pytest.raises(NonUnitCosetError):
+    with pytest.raises(ValueError):
         coset_indicator(qr7, 7, 3)
 
 

@@ -465,6 +465,19 @@ def test_workers_below_one_are_usage_errors(argv, workers, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0", "1", "2", "-5"])
+def test_trig_grid_below_three_is_a_usage_error(grid, capsys):
+    # 1 or 2 points are {0} or {0, 2 pi}, where the polynomial is 0 by construction
+    code, out = run_main(["lemma", "trig", "--grid", grid, "--format", "csv"])
+    assert code == EXIT_USAGE and out == ""
+    assert "--grid: not an integer >= 3" in capsys.readouterr().err
+
+
+def test_trig_grid_is_an_exact_integer():
+    code, out = run_main(["lemma", "trig", "--grid", "1e3", "--format", "csv"])
+    assert code == EXIT_OK and (code, out) == run_main(["lemma", "trig", "--grid", "1000", "--format", "csv"])
+
+
 class _FakePool:
     """Stands in for ProcessPoolExecutor: records max_workers and maps in
     this process, so no process starts."""

@@ -4,20 +4,39 @@ import numpy as np
 import pytest
 
 from nonresidue import search
-from nonresidue.arith import primes_up_to
+from nonresidue.arith import is_prime, primes_up_to
+from nonresidue.bounds import coset_representatives, verify_coset
 from nonresidue.characters import (
-    NonUnitCosetError,
     SubgroupSpec,
     kth_power_subgroup,
+    subgroup_from_generators,
     trivial_subgroup,
 )
 from nonresidue.search import (
     ImproperSubgroupError,
     least_prime_all_classes,
-    least_prime_in_coset,
     least_prime_outside_subgroup,
     least_qnr,
 )
+
+
+def least_prime_in_coset_by_stepping(q: int, h: SubgroupSpec, a: int, ceiling: int) -> int | None:
+    """The per-coset oracle: step n = base + r over the residues r of aH,
+    base = 0, q, 2q, ..., and return the first prime n <= ceiling."""
+    if math.gcd(a, q) != 1:
+        raise ValueError(f"a={a} is not a unit mod {q}")
+    residues = sorted(a * m % q for m in h.members())
+    for base in range(0, ceiling + 1, q):
+        for r in residues:
+            if 2 <= base + r <= ceiling and is_prime(base + r):
+                return base + r
+    return None
+
+
+def _least_in_coset(q: int, h: SubgroupSpec, a: int, ceiling: int) -> int:
+    """Least prime in aH read from the one per-coset sieve, 0 if none."""
+    _, cosets = coset_representatives(h)
+    return int(least_prime_all_classes(q, ceiling, cosets)[cosets[a]])
 
 
 def test_least_prime_outside_subgroup_examples():
@@ -42,23 +61,26 @@ def test_kth_nonresidue():
 
 
 def test_coset_examples():
-    assert least_prime_in_coset(8, trivial_subgroup(8), 3, 10**6).prime == 3
-    assert least_prime_in_coset(7, kth_power_subgroup(7, 2), 3, 10**6).prime == 3
-    assert least_prime_in_coset(23, kth_power_subgroup(23, 2), 5, 10**6).prime == 5
-    with pytest.raises(NonUnitCosetError):
-        least_prime_in_coset(8, trivial_subgroup(8), 4, 10**6)
+    assert _least_in_coset(8, trivial_subgroup(8), 3, 10**6) == 3
+    assert _least_in_coset(7, kth_power_subgroup(7, 2), 3, 10**6) == 3
+    assert _least_in_coset(23, kth_power_subgroup(23, 2), 5, 10**6) == 5
+    # a non-unit lies in no coset: the numbering gives it slot n
+    reps, cosets = coset_representatives(trivial_subgroup(8))
+    assert cosets[4] == len(reps) == 4
 
 
 def test_ap_examples():
     # a progression a mod q is the coset of a in the trivial subgroup
-    assert least_prime_in_coset(4, trivial_subgroup(4), 3, 10**6).prime == 3
-    assert least_prime_in_coset(8, trivial_subgroup(8), 1, 10**6).prime == 17
-    assert least_prime_in_coset(5, trivial_subgroup(5), 4, 10**6).prime == 19
+    assert _least_in_coset(4, trivial_subgroup(4), 3, 10**6) == 3
+    assert _least_in_coset(8, trivial_subgroup(8), 1, 10**6) == 17
+    assert _least_in_coset(5, trivial_subgroup(5), 4, 10**6) == 19
 
 
 def test_not_found_below_ceiling():
-    res = least_prime_in_coset(8, trivial_subgroup(8), 1, 10)
-    assert res.prime is None and res.ceiling == 10
+    rows = verify_coset(8, "trivial", ceiling=10)
+    assert [r.target for r in rows] == [f"coset:a={a}:trivial" for a in (1, 3, 5, 7)]
+    assert (rows[0].measured, rows[0].verdict) == (None, "not-found")
+    assert [r.measured for r in rows[1:]] == [3, 5, 7]
     res2 = least_prime_outside_subgroup(7, kth_power_subgroup(7, 2), 2)
     assert res2.prime is None
 
@@ -146,13 +168,13 @@ def test_search_reads_stretches_to_the_ceiling(small_sieve_only):
 
 
 def _all_classes_by_coset_search(q: int, ceiling: int) -> np.ndarray:
-    """The per-class oracle: one trivial-coset search per reduced class,
-    0 on non-units and on classes with no prime found."""
+    """The per-class oracle: one trivial-coset stepping search per reduced
+    class, 0 on non-units and on classes with no prime found."""
     h = trivial_subgroup(q)
     out = np.zeros(q, dtype=np.int64)
     for a in range(q):
         if math.gcd(a, q) == 1:
-            out[a] = least_prime_in_coset(q, h, a, ceiling).prime or 0
+            out[a] = least_prime_in_coset_by_stepping(q, h, a, ceiling) or 0
     return out
 
 
@@ -172,6 +194,37 @@ def test_all_classes_matches_stepping_to_3000():
     _check_all_classes_against_stepping(3000)
 
 
+def _check_cosets_against_stepping(qmax: int) -> None:
+    """verify_coset's one sieve against a stepping search per coset, for
+    the squares, the cubes, {1} and <2>."""
+    for q in range(3, qmax + 1):
+        subgroups = [kth_power_subgroup(q, 2), kth_power_subgroup(q, 3), trivial_subgroup(q)]
+        if q % 2:
+            subgroups.append(subgroup_from_generators(q, [2]))
+        for h in subgroups:
+            rows = verify_coset(q, "gens:2" if h.kind == "generators" else h.kind)
+            assert len(rows) == h.index, (q, h.kind)
+            for row in rows:
+                a = int(row.target.split(":")[1].removeprefix("a="))
+                assert row.measured == least_prime_in_coset_by_stepping(q, h, a, 10**9), (q, h.kind, a)
+
+
+def test_cosets_match_stepping():
+    _check_cosets_against_stepping(300)
+
+
+@pytest.mark.slow
+def test_cosets_match_stepping_to_3000():
+    _check_cosets_against_stepping(3000)
+
+
+def test_coset_search_sieves_only_the_first_stretch(small_sieve_only):
+    # both cosets of the squares mod 1000003 are hit below max(64 * 2, 4096)
+    rows = verify_coset(1000003, "squares")
+    assert [(r.target, r.measured) for r in rows] == [("coset:a=1:powers:2", 13), ("coset:a=2:powers:2", 2)]
+    assert small_sieve_only == [4096]
+
+
 def test_all_classes_grows_past_the_first_stretch():
     # a single pass at 64 q leaves classes empty at q = 10,007; the 4x
     # growth finds them, each the least prime of its class
@@ -184,7 +237,7 @@ def test_all_classes_grows_past_the_first_stretch():
     h = trivial_subgroup(q)
     for a in empty:
         assert least[a] > 64 * q
-        assert least_prime_in_coset(q, h, a, 10**9).prime == least[a]
+        assert least_prime_in_coset_by_stepping(q, h, a, 10**9) == least[a]
 
 
 def test_all_classes_second_stretch_matches_stepping():
@@ -207,9 +260,7 @@ def test_coset_partition_of_primes():
     # least primes aside, coset membership partitions all primes coprime to q
     for q in (7, 12, 15):
         h = kth_power_subgroup(q, 2)
-        from nonresidue.bounds import coset_representatives
-
-        reps = coset_representatives(h)
+        reps, cosets = coset_representatives(h)
         n_max = 500
         assigned = {}
         for rep in reps:
@@ -217,6 +268,7 @@ def test_coset_partition_of_primes():
             for p in map(int, primes_up_to(n_max)):
                 if q % p and p % q in members:
                     assert p not in assigned, (q, p)
+                    assert reps[cosets[p % q]] == rep, (q, p)
                     assigned[p] = rep
         coprime_primes = [int(p) for p in primes_up_to(n_max) if q % p]
         assert sorted(assigned) == sorted(coprime_primes)

@@ -33,6 +33,7 @@ from .lfunctions import (
     class_number_via_formula,
 )
 from .search import (
+    coset_representatives,
     least_prime_all_classes,
     least_prime_outside_subgroup,
     least_qnr,
@@ -292,8 +293,7 @@ def verify_ap(q: int, per_class: bool = False, ceiling: int | None = None) -> li
 
 
 def verify_coset(q: int, subgroup: str = "squares", ceiling: int | None = None) -> list[BoundReport]:
-    """Least prime in each coset aH against the coset bound (1e9 short branch),
-    every coset from one sieve."""
+    """Least prime in each coset aH, all from one sieve, against the coset bound (1e9 short branch)."""
     h = _subgroup_for(q, subgroup)
     bound = coset_bound(q, h.index)
     applicable = q >= COSET_THRESHOLD and h.index > 1
@@ -305,28 +305,6 @@ def verify_coset(q: int, subgroup: str = "squares", ceiling: int | None = None) 
         effective = max(bound, float(COSET_DIRECT_BRANCH)) if 0 < p <= COSET_DIRECT_BRANCH else bound
         out.append(BoundReport.decide("thm14", q, f"coset:a={a}:{h.kind}", p or None, upper=effective, applicable=applicable))
     return out
-
-
-def coset_representatives(h: SubgroupSpec) -> tuple[list[int], np.ndarray]:
-    """Smallest member of each coset of H, ascending, and the coset of every
-    residue: cosets[r] is the position of r's coset in that list for a unit
-    r, h.index off the units."""
-    q = h.q
-    members = np.flatnonzero(h.mask)  # ModulusTooLargeError above DLOG_CEILING, before any O(q) array
-    free = unit_group_structure(q).unit_mask.copy()
-    cosets = np.full(q, h.index, dtype=np.min_scalar_type(h.index))
-    coset = np.empty_like(members)  # one buffer for every aH: no temporaries of size |H|
-    reps = []
-    a = 0
-    while True:
-        a += int(np.argmax(free[a:]))  # the least free unit at or past a
-        if not free[a]:
-            return reps, cosets
-        np.multiply(members, a, out=coset)
-        coset %= q
-        free[coset] = False
-        cosets[coset] = len(reps)
-        reps.append(a)
 
 
 def verify_classnum(q: int) -> BoundReport:

@@ -2,13 +2,12 @@
 
 Least prime outside a subgroup (outside the k-th powers it is the least
 k-th power non-residue), least quadratic non-residue, and least prime in
-every reduced class, or in every coset of a subgroup, at once (a
-progression is a coset of the trivial subgroup).
-Subgroup scans walk the prime sieve and test membership by exponent;
-the per-class and per-coset search folds each stretch of the sieve into
-one array.  Results always report minimality: primes are visited in
-increasing order.  Searches stop at the ceiling they are given; bounds
-derives it from the bound checked.
+every reduced class, or every coset of a subgroup (a progression is a coset
+of the trivial subgroup), at once.  Subgroup scans walk the prime sieve and
+test membership by exponent; the class and coset search folds each stretch
+of the sieve into one array.  Results always report minimality: primes are
+visited in increasing order.  Searches stop at the ceiling they are given;
+bounds derives it from the bound checked.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from .characters import SubgroupSpec, kth_power_subgroup
 __all__ = [
     "ImproperSubgroupError",
     "SearchResult",
+    "coset_representatives",
     "least_prime_all_classes",
     "least_prime_outside_subgroup",
     "least_qnr",
@@ -30,6 +30,7 @@ __all__ = [
 
 
 _UNSEEN = np.iinfo(np.int64).max
+COSET_INDEX_CEILING = 1 << 20  # keeps the coset sieve's first stretch, 64 x index, at 2^26
 
 
 class ImproperSubgroupError(ValueError):
@@ -85,12 +86,11 @@ def least_prime_all_classes(q: int, ceiling: int, cosets: np.ndarray | None = No
 
     Returns `least`, int64 of length q: least[a] is the least prime
     congruent to a at or below the ceiling, 0 on non-units and on classes
-    with no prime found.  Given `cosets`, a numbering of residues (cosets[r]
-    the index 0..n-1 of r's coset for a unit r, n off the units), it
-    returns the least prime of each coset instead, length n.  The sieve
-    grows 4x from max(64 n, 4096) (n = q without cosets) until every class
-    or coset is hit; each stretch folds only its new primes into `least`
-    by one unbuffered np.minimum.at pass.
+    with no prime found.  Given the numbering `cosets` of
+    coset_representatives, it returns the least prime of each of its n
+    cosets, length n.  The sieve grows 4x from max(64 n, 4096) (n = q
+    without cosets) until every class or coset is hit; each stretch folds
+    only its new primes into `least` by one unbuffered np.minimum.at pass.
     """
     if cosets is None:
         n, wanted = q, unit_group_structure(q).unit_mask
@@ -109,3 +109,28 @@ def least_prime_all_classes(q: int, ceiling: int, cosets: np.ndarray | None = No
         limit = min(ceiling, limit * 4)
     least[~wanted | (least == _UNSEEN)] = 0
     return least[:n]
+
+
+def coset_representatives(h: SubgroupSpec) -> tuple[list[int], np.ndarray]:
+    """Smallest member of each coset of H, ascending, and the numbering that
+    least_prime_all_classes reads: cosets[r] is the position of r's coset
+    for a unit r, h.index off the units (residue 0 among them).  That sieve
+    starts at 64 x the index, so an index above COSET_INDEX_CEILING is refused."""
+    q = h.q
+    members = np.flatnonzero(h.mask)  # ModulusTooLargeError above DLOG_CEILING, before any O(q) array
+    if h.index > COSET_INDEX_CEILING:
+        raise ValueError(f"subgroup index {h.index} exceeds the coset sieve's ceiling {COSET_INDEX_CEILING}")
+    free = unit_group_structure(q).unit_mask.copy()
+    cosets = np.full(q, h.index, dtype=np.min_scalar_type(h.index))
+    coset = np.empty_like(members)  # one buffer for every aH: no temporaries of size |H|
+    reps = []
+    a = 0
+    while True:
+        a += int(np.argmax(free[a:]))  # the least free unit at or past a
+        if not free[a]:
+            return reps, cosets
+        np.multiply(members, a, out=coset)
+        coset %= q
+        free[coset] = False
+        cosets[coset] = len(reps)
+        reps.append(a)

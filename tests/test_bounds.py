@@ -9,7 +9,6 @@ from nonresidue.bounds import (
     ap_bound,
     class_number_bounds,
     coset_bound,
-    coset_representatives,
     l1_value_bounds,
     subgroup_bound_clean_applicable,
     subgroup_bound_quantities,
@@ -23,6 +22,7 @@ from nonresidue.bounds import (
 )
 from nonresidue.characters import kth_power_subgroup, subgroup_from_generators, trivial_subgroup
 from nonresidue.lfunctions import EULER_GAMMA
+from nonresidue.search import coset_representatives
 
 
 # ----------------------------------------------------------------------

@@ -533,3 +533,7 @@ def test_subgroup_searches_reach_large_q(capsys):
         code, out = run_main(argv + ["--format", "csv"])
         assert code == EXIT_USAGE and out == "", argv
         assert "exceeds dlog-table ceiling" in capsys.readouterr().err, argv
+    # the trivial subgroup of 1048583 has 2^20 + 6 cosets: past the coset sieve's ceiling
+    code, out = run_main(["scan", "coset", "--q", "1048583", "--subgroup", "trivial", "--format", "csv"])
+    assert code == EXIT_USAGE and out == ""
+    assert "exceeds the coset sieve's ceiling" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from nonresidue import search
 from nonresidue.arith import is_prime, primes_up_to
-from nonresidue.bounds import coset_representatives, verify_coset
+from nonresidue.bounds import verify_coset
 from nonresidue.characters import (
     SubgroupSpec,
     kth_power_subgroup,
@@ -14,6 +14,7 @@ from nonresidue.characters import (
 )
 from nonresidue.search import (
     ImproperSubgroupError,
+    coset_representatives,
     least_prime_all_classes,
     least_prime_outside_subgroup,
     least_qnr,
@@ -223,6 +224,17 @@ def test_coset_search_sieves_only_the_first_stretch(small_sieve_only):
     rows = verify_coset(1000003, "squares")
     assert [(r.target, r.measured) for r in rows] == [("coset:a=1:powers:2", 13), ("coset:a=2:powers:2", 2)]
     assert small_sieve_only == [4096]
+
+
+def test_coset_search_refuses_an_index_past_the_sieve_ceiling(small_sieve_only, monkeypatch):
+    # the trivial subgroup of the prime 1048583 has index 2^20 + 6: refused before any sieve
+    with pytest.raises(ValueError, match="exceeds the coset sieve's ceiling 1048576"):
+        verify_coset(1048583, "trivial")
+    assert small_sieve_only == []
+    monkeypatch.setattr(search, "COSET_INDEX_CEILING", 6)
+    assert [r.measured for r in verify_coset(7, "trivial")] == [29, 2, 3, 11, 5, 13]  # index 6: at the ceiling
+    with pytest.raises(ValueError, match="subgroup index 10 exceeds"):
+        verify_coset(11, "trivial")
 
 
 def test_all_classes_grows_past_the_first_stretch():

@@ -1,13 +1,15 @@
 """Integer arithmetic layer.
 
-Deterministic 64-bit primality, factorization, a grow-only prime sieve,
-the von Mangoldt function, and the decomposition of the unit group
-(Z/qZ)* into cyclic components, with discrete-log tables built on demand.
+Deterministic 64-bit primality, factorization, a grow-only prime sieve
+and a bounded walk over the primes past it, and the decomposition of the
+unit group (Z/qZ)* into cyclic components, with discrete-log tables built
+on demand.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -20,6 +22,7 @@ __all__ = [
     "euler_phi",
     "factorize",
     "is_prime",
+    "prime_windows",
     "primes_up_to",
     "unit_group_structure",
 ]
@@ -74,10 +77,38 @@ def primes_up_to(n: int) -> np.ndarray:
         for p in range(2, math.isqrt(limit) + 1):
             if mask[p]:
                 mask[p * p :: p] = False
-        _sieve_primes = np.nonzero(mask)[0].astype(np.int64)
+        _sieve_primes = np.flatnonzero(mask)
         _sieve_limit = limit
     cut = np.searchsorted(_sieve_primes, n, side="right")
     return _sieve_primes[:cut]
+
+
+_WINDOW = 1 << 23  # widest stretch of prime_windows; past it each stretch has its own 8 MB mask
+
+
+def prime_windows(ceiling: int, first: int) -> Iterator[np.ndarray]:
+    """The primes <= ceiling in increasing order, as consecutive stretches.
+
+    Stretch ends start at min(first, _WINDOW), first >= 1, and grow 4x, no
+    stretch wider than _WINDOW integers, so a walk that stops early sieves
+    only as far as it read, and memory stays bounded however far it goes.
+    A stretch ending at or below _WINDOW is a slice of the shared
+    primes_up_to cache; a stretch (lo, hi] past it is sieved on its own by
+    the primes <= sqrt(hi).
+    """
+    lo, hi, done = 0, min(first, _WINDOW), 0
+    while lo < ceiling:
+        hi = min(hi, ceiling)
+        if hi <= _WINDOW:
+            ps = primes_up_to(hi)
+            yield ps[done:]
+            done = len(ps)
+        else:
+            mask = np.ones(hi - lo, dtype=bool)  # mask[i] is lo + 1 + i
+            for p in map(int, primes_up_to(math.isqrt(hi))):
+                mask[max(p * p, lo // p * p + p) - lo - 1 :: p] = False
+            yield np.flatnonzero(mask) + (lo + 1)
+        lo, hi = hi, min(4 * hi, hi + _WINDOW)
 
 
 def _pollard_rho(n: int) -> int:

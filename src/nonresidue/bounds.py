@@ -294,6 +294,8 @@ def verify_ap(q: int, per_class: bool = False, ceiling: int | None = None) -> li
 
 def verify_coset(q: int, subgroup: str = "squares", ceiling: int | None = None) -> list[BoundReport]:
     """Least prime in each coset aH, all from one sieve, against the coset bound (1e9 short branch)."""
+    if q < 3:  # before the subgroup, which fails on q = 0 or 2 with a message about its generators
+        raise ValueError("q >= 3 required")
     h = _subgroup_for(q, subgroup)
     bound = coset_bound(q, h.index)
     applicable = q >= COSET_THRESHOLD and h.index > 1

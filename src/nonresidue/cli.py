@@ -389,16 +389,6 @@ def _coprime_excess_report_rows(rep: ef.CoprimeExcessReport) -> list[BoundReport
     ]
 
 
-def _pattern_row(q: int, rep: ef.PatternMinimumReport) -> BoundReport:
-    """Lemma 5.1: the twisted sum is at least the all-minus-one pattern sum."""
-    return BoundReport.decide("lemma5.1", q, f"x={rep.x:g}:{rep.char}", rep.lhs, lower=rep.alternating, slack=bounds.float_sum_slack(rep.alternating))
-
-
-def _trig_row(rep: ef.TrigPolyReport) -> BoundReport:
-    """The dyadic trigonometric polynomial is >= 0 on its grid, up to 1e-12 of rounding."""
-    return BoundReport.decide("trigpoly", 0, f"x={rep.x:g}", rep.minimum, lower=0.0, slack=1e-12)
-
-
 def cmd_lemma(args) -> int:
     which, xs = args.what, args.x
     rows: list[BoundReport] = []
@@ -421,10 +411,10 @@ def cmd_lemma(args) -> int:
     elif which == "5.1":
         for chi in character_group(args.q):
             for x in xs:
-                rows.append(_pattern_row(args.q, ef.negative_pattern_minimum(x, chi)))
+                rows.append(ef.negative_pattern_minimum(x, chi))
     else:  # trig
         for x in xs:
-            rows.append(_trig_row(ef.two_adic_trig_polynomial(x, grid=args.grid)))
+            rows.append(ef.two_adic_trig_polynomial(x, grid=args.grid))
     _write_output(args, rows)
     return exit_code(rows)
 

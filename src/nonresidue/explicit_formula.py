@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import spence
 
 from .arith import factorize, primes_up_to
+from .bounds import BoundReport, float_sum_slack
 from .characters import _BLOCK, DirichletCharacter, _block_sums
 from .lfunctions import EULER_GAMMA, HADAMARD_B, PSI_AT_1, PSI_AT_HALF, l_at_1
 
@@ -455,14 +456,6 @@ def coprime_excess_sums(x: float, m: int) -> CoprimeExcessReport:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PatternMinimumReport:
-    x: float
-    char: str
-    lhs: float
-    alternating: float
-
-
 @lru_cache(maxsize=8)
 def _pattern_bins(x: float, q: int) -> tuple[np.ndarray, float]:
     """(B, alternating) at (x, q): B[r, 0] sums the weights
@@ -482,9 +475,9 @@ def _pattern_sums(x: float, q: int, b: int) -> list[list[complex]]:
     return _block_sums(q, b, _pattern_bins(x, q)[0])
 
 
-def negative_pattern_minimum(x: float, chi: DirichletCharacter) -> PatternMinimumReport:
-    """Re sum Lambda(n) chi(n) (1/(n log n) - 1/(x log x)) against the
-    all-minus-one pattern sum_{p^k<=x} Lambda(p^k)(-1)^k (...).
+def negative_pattern_minimum(x: float, chi: DirichletCharacter) -> BoundReport:
+    """Lemma 5.1: Re sum Lambda(n) chi(n) (1/(n log n) - 1/(x log x)) is at
+    least the all-minus-one pattern sum_{p^k<=x} Lambda(p^k)(-1)^k (...).
 
     The weights are binned once per (x, q); the twisted sum is chi's row
     of its 16-character block's product with the bins, cached per
@@ -493,19 +486,11 @@ def negative_pattern_minimum(x: float, chi: DirichletCharacter) -> PatternMinimu
         raise ValueError("x >= 100 required")
     b, i = divmod(chi.index, _BLOCK)
     lhs = _pattern_sums(x, chi.q, b)[i][0].real
-    return PatternMinimumReport(x, chi.label, lhs, _pattern_bins(x, chi.q)[1])
+    alternating = _pattern_bins(x, chi.q)[1]
+    return BoundReport.decide("lemma5.1", chi.q, f"x={x:g}:{chi.label}", lhs, lower=alternating, slack=float_sum_slack(alternating))
 
 
-@dataclass(frozen=True)
-class TrigPolyReport:
-    x: float
-    minimum: float
-    argmin: float
-    grid: int
-    tail_coeff: float
-
-
-def two_adic_trig_polynomial(x: float, grid: int = 2001) -> TrigPolyReport:
+def two_adic_trig_polynomial(x: float, grid: int = 2001) -> BoundReport:
     """Nonnegativity of the p = 2 comparison polynomial.
 
     With a_k = 1/(2^k k log 2) - 1/(x log x) for 2^k <= x,
@@ -515,7 +500,8 @@ def two_adic_trig_polynomial(x: float, grid: int = 2001) -> TrigPolyReport:
 
     where the second piece absorbs every dropped even term through
     (1 - cos k phi) <= k^2 (1 - cos phi); odd dropped terms only help.
-    g(0) = 0 and g should stay >= 0 on the whole circle.
+    g(0) = 0 and g should stay >= 0 on the whole circle: its least value on
+    the grid is checked against 0, up to 1e-12 of rounding.
     """
     if x < 100:
         raise ValueError("x >= 100 required")
@@ -532,5 +518,4 @@ def two_adic_trig_polynomial(x: float, grid: int = 2001) -> TrigPolyReport:
     for k in range(1, min(5, k_max) + 1):
         g += (-1.0) ** (k - 1) * (1.0 - np.cos(k * phi)) * a(k)
     g -= (1.0 - np.cos(phi)) * tail_coeff
-    i = int(np.argmin(g))
-    return TrigPolyReport(x, float(g[i]), float(phi[i]), grid, tail_coeff)
+    return BoundReport.decide("trigpoly", 0, f"x={x:g}", float(g.min()), lower=0.0, slack=1e-12)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -533,7 +534,40 @@ def test_subgroup_searches_reach_large_q(capsys):
         code, out = run_main(argv + ["--format", "csv"])
         assert code == EXIT_USAGE and out == "", argv
         assert "exceeds dlog-table ceiling" in capsys.readouterr().err, argv
-    # the trivial subgroup of 1048583 has 2^20 + 6 cosets: past the coset sieve's ceiling
-    code, out = run_main(["scan", "coset", "--q", "1048583", "--subgroup", "trivial", "--format", "csv"])
+
+
+@pytest.mark.parametrize("subgroup", ["squares", "trivial", "gens:2"])
+@pytest.mark.parametrize("q", ["-3", "0", "1", "2"])
+def test_scan_coset_rejects_q_below_3_before_building_the_subgroup(q, subgroup, capsys):
+    code, out = run_main(["scan", "coset", f"--q={q}", "--subgroup", subgroup, "--format", "csv"])
     assert code == EXIT_USAGE and out == ""
-    assert "exceeds the coset sieve's ceiling" in capsys.readouterr().err
+    assert "error: q >= 3 required" in capsys.readouterr().err
+
+
+def _run_cli(argv, stdout) -> tuple[int, float]:
+    """Exit code and peak RSS in MB of `python -m nonresidue argv`, its
+    stdout written to the open file `stdout`."""
+    proc = subprocess.Popen([sys.executable, "-m", "nonresidue", *argv], stdout=stdout, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / 1024
+
+
+@pytest.mark.slow
+def test_coset_scan_runs_past_index_2_20(tmp_path):
+    # the trivial subgroup of the prime 1048583 has 2^20 + 6 cosets, one row each
+    with open(tmp_path / "out.csv", "w") as out:
+        code, _ = _run_cli(["scan", "coset", "--q", "1048583", "--subgroup", "trivial", "--format", "csv"], out)
+    assert code == EXIT_OK
+    with open(tmp_path / "out.csv") as f:
+        assert sum(1 for _ in f) == 1 + 1048582
+
+
+@pytest.mark.slow
+def test_ap_scan_near_the_modulus_ceiling_stays_under_300_mb(tmp_path):
+    # q = 9999991's worst class has least prime 2,831,186,837: hundreds of
+    # sieve windows, each freed before the next
+    with open(tmp_path / "out.csv", "w") as out:
+        code, peak_mb = _run_cli(["scan", "ap", "--q", "9999991", "--format", "csv"], out)
+    assert code == EXIT_OK
+    assert peak_mb < 300, peak_mb

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nonresidue import explicit_formula as ef
-from nonresidue.cli import _coprime_excess_report_rows, _hadamard_row, _pattern_row, _residual_report_row, _trig_row
+from nonresidue.cli import _coprime_excess_report_rows, _hadamard_row, _residual_report_row
 from nonresidue.arith import factorize
 from nonresidue.characters import _character_block, character_group, primitive_characters
 from nonresidue.explicit_formula import (
@@ -297,21 +297,21 @@ def test_imprimitivity_gap_bound():
 
 def test_negative_pattern_examples():
     chi0 = character_group(3)[0]
-    assert _pattern_row(3, negative_pattern_minimum(100.0, chi0)).verdict == "pass"
+    assert negative_pattern_minimum(100.0, chi0).verdict == "pass"
     leg7 = [c for c in character_group(7) if c.is_real and not c.is_principal][0]
-    assert _pattern_row(7, negative_pattern_minimum(1000.0, leg7)).verdict == "pass"
+    assert negative_pattern_minimum(1000.0, leg7).verdict == "pass"
     with pytest.raises(ValueError):
         negative_pattern_minimum(50.0, chi0)
 
 
 def test_trig_polynomial_nonnegative():
     rep = two_adic_trig_polynomial(100.0)
-    assert _trig_row(rep).verdict == "pass"
-    assert rep.minimum >= -1e-12
+    assert rep.verdict == "pass"
+    assert rep.measured >= -1e-12
     dense = two_adic_trig_polynomial(1e6, grid=5001)
-    assert _trig_row(dense).verdict == "pass"
+    assert dense.verdict == "pass"
     # the grid includes phi = 0 where every cosine deficit vanishes
-    assert two_adic_trig_polynomial(100.0, grid=3).minimum == pytest.approx(0.0, abs=1e-15)
+    assert two_adic_trig_polynomial(100.0, grid=3).measured == pytest.approx(0.0, abs=1e-15)
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +366,7 @@ def test_negative_pattern_minimum_matches_the_gather_oracle():
             t, cut = ef._prefix(x)
             nf = t.n[:cut].astype(float)
             w = t.lam[:cut] * (1.0 / (nf * t.logn[:cut]) - 1.0 / (x * math.log(x)))
-            lhs = negative_pattern_minimum(x, chi).lhs
+            lhs = negative_pattern_minimum(x, chi).measured
             assert lhs == pytest.approx(gathered(w, t.n[:cut], chi).real, abs=1e-12)
 
 

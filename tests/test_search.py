@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nonresidue import search
-from nonresidue.arith import is_prime, primes_up_to
+from nonresidue import arith
+from nonresidue.arith import is_prime, prime_windows, primes_up_to
 from nonresidue.bounds import verify_coset
 from nonresidue.characters import (
     SubgroupSpec,
@@ -127,22 +128,26 @@ def test_least_qnr_rejects_non_primes():
 
 @pytest.fixture
 def small_sieve_only(monkeypatch):
-    """search.primes_up_to raises above 10^6, so a search that sieves toward
-    a far ceiling fails before it allocates; records each limit asked for."""
+    """arith.primes_up_to, where prime_windows and factorize look it up,
+    raises above arith._WINDOW, the most a walk may ask of the shared cache,
+    so a search that sieves toward a far ceiling fails before it allocates;
+    records each limit asked for."""
     asked = []
 
     def spy(n):
         asked.append(n)
-        if n > 10**6:
+        if n > arith._WINDOW:
             raise AssertionError(f"sieve to {n} requested")
         return primes_up_to(n)
 
-    monkeypatch.setattr(search, "primes_up_to", spy)
+    monkeypatch.setattr(arith, "primes_up_to", spy)
     return asked
 
 
 def test_search_sieves_only_as_far_as_it_reads(small_sieve_only):
-    assert least_prime_outside_subgroup(7, kth_power_subgroup(7, 2), 10**12).prime == 3
+    h = kth_power_subgroup(7, 2)
+    small_sieve_only.clear()  # factorize's requests while h was built
+    assert least_prime_outside_subgroup(7, h, 10**12).prime == 3
     assert small_sieve_only == [64]
     res = least_qnr(1000000000000037)
     assert res.prime == 2 and res.ceiling == 1000000000000037
@@ -220,21 +225,37 @@ def test_cosets_match_stepping_to_3000():
 
 
 def test_coset_search_sieves_only_the_first_stretch(small_sieve_only):
-    # both cosets of the squares mod 1000003 are hit below max(64 * 2, 4096)
+    # both cosets of the squares mod 1000003 are hit below max(64 * 2, 4096);
+    # the smaller requests are factorize's
     rows = verify_coset(1000003, "squares")
     assert [(r.target, r.measured) for r in rows] == [("coset:a=1:powers:2", 13), ("coset:a=2:powers:2", 2)]
-    assert small_sieve_only == [4096]
+    assert small_sieve_only[-1] == max(small_sieve_only) == 4096
 
 
-def test_coset_search_refuses_an_index_past_the_sieve_ceiling(small_sieve_only, monkeypatch):
-    # the trivial subgroup of the prime 1048583 has index 2^20 + 6: refused before any sieve
-    with pytest.raises(ValueError, match="exceeds the coset sieve's ceiling 1048576"):
-        verify_coset(1048583, "trivial")
-    assert small_sieve_only == []
-    monkeypatch.setattr(search, "COSET_INDEX_CEILING", 6)
-    assert [r.measured for r in verify_coset(7, "trivial")] == [29, 2, 3, 11, 5, 13]  # index 6: at the ceiling
-    with pytest.raises(ValueError, match="subgroup index 10 exceeds"):
-        verify_coset(11, "trivial")
+def test_all_classes_asks_the_cache_for_no_more_than_a_window(small_sieve_only):
+    # q = 100003's worst class, 14,418,919, lies past the window: the stretch
+    # that reaches it is sieved on its own, not by the shared cache
+    least = least_prime_all_classes(100003, 10**9)
+    assert (least > 0).sum() == 100002 and least.max() > arith._WINDOW
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**5), st.integers(1, 10**4))
+def test_prime_windows_walk_the_sieve_in_bounded_stretches(ceiling, first):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_WINDOW", 1 << 10)
+        stretches = list(prime_windows(ceiling, first))
+    walked = np.concatenate([np.empty(0, dtype=np.int64), *stretches])
+    np.testing.assert_array_equal(walked, primes_up_to(ceiling))
+    assert (np.diff(walked) > 0).all()
+    assert all(s[-1] - s[0] < 1 << 10 for s in stretches if s.size)
+
+
+def test_searches_match_stepping_through_sieved_windows(monkeypatch):
+    # with a 2^10 window every search past 1024 reads stretches sieved on their own
+    monkeypatch.setattr(arith, "_WINDOW", 1 << 10)
+    _check_all_classes_against_stepping(300)
+    _check_cosets_against_stepping(100)
 
 
 def test_all_classes_grows_past_the_first_stretch():

@@ -1,9 +1,9 @@
 """Integer arithmetic layer.
 
-Deterministic 64-bit primality, factorization, a grow-only prime sieve
-and a bounded walk over the primes past it, and the decomposition of the
-unit group (Z/qZ)* into cyclic components, with discrete-log tables built
-on demand.
+Deterministic 64-bit primality, factorization, a grow-only prime sieve to
+_WINDOW and the primes of any stretch past it (which every least-prime
+search and prime-power sum reads), and the decomposition of the unit group
+(Z/qZ)* into cyclic components, with discrete-log tables built on demand.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "factorize",
     "is_prime",
     "prime_windows",
+    "primes_between",
     "primes_up_to",
     "unit_group_structure",
 ]
@@ -79,35 +80,37 @@ def primes_up_to(n: int) -> np.ndarray:
                 mask[p * p :: p] = False
         _sieve_primes = np.flatnonzero(mask)
         _sieve_limit = limit
-    cut = np.searchsorted(_sieve_primes, n, side="right")
+    cut = _sieve_primes.searchsorted(n, side="right")
     return _sieve_primes[:cut]
 
 
-_WINDOW = 1 << 23  # widest stretch of prime_windows; past it each stretch has its own 8 MB mask
+_WINDOW = 1 << 23  # widest stretch of a prime walk; past it each stretch has its own 8 MB mask
+
+
+def primes_between(lo: int, hi: int) -> np.ndarray:
+    """The primes in (lo, hi] in increasing order, 0 <= lo <= hi: a slice of
+    the shared primes_up_to cache for hi <= _WINDOW, else sieved on its own
+    by the primes <= sqrt(hi) in one byte per integer of (lo, hi]."""
+    if hi <= _WINDOW:
+        ps = primes_up_to(hi)
+        return ps[ps.searchsorted(lo, side="right") :]
+    mask = np.ones(hi - lo, dtype=bool)  # mask[i] is lo + 1 + i
+    mask[: max(1 - lo, 0)] = False  # 1 is not prime
+    for p in map(int, primes_up_to(math.isqrt(hi))):
+        mask[max(p * p, lo // p * p + p) - lo - 1 :: p] = False
+    return np.flatnonzero(mask) + (lo + 1)
 
 
 def prime_windows(ceiling: int, first: int) -> Iterator[np.ndarray]:
-    """The primes <= ceiling in increasing order, as consecutive stretches.
+    """The primes <= ceiling, increasing, as consecutive primes_between stretches.
 
     Stretch ends start at min(first, _WINDOW), first >= 1, and grow 4x, no
     stretch wider than _WINDOW integers, so a walk that stops early sieves
     only as far as it read, and memory stays bounded however far it goes.
-    A stretch ending at or below _WINDOW is a slice of the shared
-    primes_up_to cache; a stretch (lo, hi] past it is sieved on its own by
-    the primes <= sqrt(hi).
     """
-    lo, hi, done = 0, min(first, _WINDOW), 0
+    lo, hi = 0, min(first, _WINDOW)
     while lo < ceiling:
-        hi = min(hi, ceiling)
-        if hi <= _WINDOW:
-            ps = primes_up_to(hi)
-            yield ps[done:]
-            done = len(ps)
-        else:
-            mask = np.ones(hi - lo, dtype=bool)  # mask[i] is lo + 1 + i
-            for p in map(int, primes_up_to(math.isqrt(hi))):
-                mask[max(p * p, lo // p * p + p) - lo - 1 :: p] = False
-            yield np.flatnonzero(mask) + (lo + 1)
+        yield primes_between(lo, min(hi, ceiling))
         lo, hi = hi, min(4 * hi, hi + _WINDOW)
 
 

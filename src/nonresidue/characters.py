@@ -308,8 +308,9 @@ def kth_power_subgroup(q: int, k: int) -> SubgroupSpec:
 
 
 def subgroup_from_generators(q: int, gens) -> SubgroupSpec:
-    """H = <gens>, one generator g at a time: H<g> is the union of the
-    cosets g^j H for j below the least j with g^j in H."""
+    """H = <gens>, one generator g at a time, by doubling: after t steps
+    the mask is H{g^i : i < 2^t}, which is H<g> exactly when g^(2^t) lies
+    in it, so about log2 of g's order mod H steps, not that order."""
     gens = [g % q for g in gens]
     for g in gens:
         if math.gcd(g, q) != 1:
@@ -318,10 +319,9 @@ def subgroup_from_generators(q: int, gens) -> SubgroupSpec:
     mask = np.zeros(q, dtype=bool)
     mask[1 % q] = True
     for g in gens:
-        members, x = np.flatnonzero(mask), g
-        while not mask[x]:
-            mask[members * x % q] = True
-            x = x * g % q
+        while not mask[g]:
+            mask[np.flatnonzero(mask) * g % q] = True
+            g = g * g % q
     size = int(mask.sum())
     if struct.phi % size:
         raise ArithmeticError("subgroup size does not divide phi(q)")

@@ -20,13 +20,17 @@ Sum kinds (chi optional in each):
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import spence
 
-from .arith import factorize, primes_up_to
+from . import arith
+from .arith import factorize
 from .bounds import BoundReport, float_sum_slack
 from .characters import _BLOCK, DirichletCharacter, _block_sums
 from .lfunctions import EULER_GAMMA, HADAMARD_B, PSI_AT_1, PSI_AT_HALF, l_at_1
@@ -56,90 +60,87 @@ class DegenerateWindowError(ArithmeticError):
 
 
 # ----------------------------------------------------------------------
-# Prime-power table
+# Prime powers, walked in stretches
 # ----------------------------------------------------------------------
 
 
-class _PrimePowerTable:
-    """Prime powers n = p^k <= limit with Lambda(n), log n, p, and k."""
+class PrimePowers(NamedTuple):
+    """Prime powers n = p^k, increasing, with p, k, Lambda(n) = log p and log n."""
 
-    __slots__ = ("limit", "n", "base", "k", "lam", "logn")
-
-    def __init__(self, limit: int):
-        ps = primes_up_to(limit)
-        cols_n = [ps]
-        cols_p = [ps]
-        cols_k = [np.ones(len(ps), dtype=np.int64)]
-        k = 2
-        while 2**k <= limit:
-            root = int(limit ** (1.0 / k)) + 2
-            while root**k > limit:
-                root -= 1
-            pk = primes_up_to(root)
-            if len(pk) == 0:
-                break
-            cols_n.append(pk**k)
-            cols_p.append(pk)
-            cols_k.append(np.full(len(pk), k, dtype=np.int64))
-            k += 1
-        n = np.concatenate(cols_n)
-        order = np.argsort(n, kind="stable")
-        self.limit = limit
-        self.n = n[order]
-        self.base = np.concatenate(cols_p)[order]
-        self.k = np.concatenate(cols_k)[order]
-        self.lam = np.log(self.base.astype(float))
-        self.logn = np.log(self.n.astype(float))
+    n: np.ndarray
+    base: np.ndarray
+    k: np.ndarray
+    lam: np.ndarray
+    logn: np.ndarray
 
 
-_table: _PrimePowerTable | None = None
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for 0 <= n < 2^53: the float root rounds to it or to one above."""
+    root = round(n ** (1.0 / k))
+    return root - (root**k > n)
 
 
-def prime_power_table(limit: float) -> _PrimePowerTable:
-    global _table
-    need = int(limit)
-    if _table is None or _table.limit < need:
-        _table = _PrimePowerTable(max(need, 1 << 14))
-    return _table
+def prime_power_table(limit: float, above: float = 0, primes: np.ndarray | None = None) -> PrimePowers:
+    """The prime powers in (above, limit], or only the powers of `primes`
+    (int64, increasing) when given.  Caches nothing: the primes come from
+    arith.primes_between per call."""
+    lo, hi = int(above), int(limit)
+    between = arith.primes_between if primes is None else lambda a, b: primes[(primes > a) & (primes <= b)]
+    # the bases of the k-th powers, for k = 1 and every k with 2^k <= hi
+    bases = [between(_iroot(lo, k), _iroot(hi, k)) for k in range(1, max(hi.bit_length(), 2))]
+    base = np.concatenate(bases)
+    k = np.repeat(np.arange(1, len(bases) + 1), [len(b) for b in bases])
+    n = base**k
+    order = np.argsort(n, kind="stable")
+    n, base, k = n[order], base[order], k[order]
+    return PrimePowers(n, base, k, np.log(base.astype(float)), np.log(n.astype(float)))
 
 
-def _prefix(x: float) -> tuple[_PrimePowerTable, int]:
-    t = prime_power_table(x)
-    return t, int(np.searchsorted(t.n, math.floor(x), side="right"))
+def _stretches(x: float) -> Iterator[PrimePowers]:
+    """The prime powers n <= x, in stretches of at most arith._WINDOW integers."""
+    top, width = math.floor(x), arith._WINDOW
+    for lo in range(0, top, width):
+        yield prime_power_table(min(lo + width, top), lo)
 
 
-def _weights(kind: str, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, n) over the prime powers n <= x for one sum kind, x > 1."""
-    t, m = _prefix(x)
-    lam, logn, lx = t.lam[:m], t.logn[:m], math.log(x)
+def _weights(kind: str, x: float, t: PrimePowers) -> np.ndarray:
+    """The weights of one sum kind, or of the lemma 5.1 pattern, over the
+    prime powers of t, all <= x, x > 1."""
+    lam, logn, lx = t.lam, t.logn, math.log(x)
     if kind == "cheb":
-        return lam * (lx - logn), t.n[:m]
-    nf = t.n[:m].astype(float)
+        return lam * (lx - logn)
+    nf = t.n.astype(float)
     if kind == "psi":
-        return lam / nf * (1.0 - nf / x), t.n[:m]
-    return lam / (nf * logn) * (lx - logn) / lx, t.n[:m]  # "loglog"
+        return lam / nf * (1.0 - nf / x)
+    if kind == "pattern":
+        return lam * (1.0 / (nf * logn) - 1.0 / (x * lx))
+    return lam / (nf * logn) * (lx - logn) / lx  # "loglog"
 
 
 _KINDS = ("cheb", "psi", "loglog")
 
 
 @lru_cache(maxsize=8)
-def _twisted_weights(x: float) -> tuple[np.ndarray, np.ndarray]:
-    """(W, n): row k of W holds the weights of _KINDS[k] over the prime
-    powers n <= x, x > 1.  They do not depend on q, so every modulus
-    shares them.  Cached; do not mutate."""
-    ws = [_weights(kind, x) for kind in _KINDS]
-    return np.stack([w for w, _ in ws]), ws[0][1]
+def _twisted_weights(x: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """One (W, n) per stretch: row k of W holds the weights of _KINDS[k]
+    over the stretch's prime powers n, x > 1.  They do not depend on q,
+    so every modulus shares them.  Cached; do not mutate."""
+    return tuple((np.stack([_weights(kind, x, t) for kind in _KINDS]), t.n) for t in _stretches(x))
+
+
+def _binned(w: np.ndarray, n: np.ndarray, q: int) -> np.ndarray:
+    """B[r, k] = sum of row k of w over n = r (mod q), shape (q, rows)."""
+    r = n % q
+    return np.stack([np.bincount(r, weights=row, minlength=q) for row in w], axis=1)
 
 
 # The sec2 checklist asks for four x per modulus.
 @lru_cache(maxsize=64)
 def _bins(x: float, q: int) -> np.ndarray:
     """B[r, k] = sum of _KINDS[k]'s weights over n = r (mod q), shape
-    (q, 3), shared by every character mod q.  Cached; do not mutate."""
-    w, n = _twisted_weights(x)
-    r = n % q
-    return np.stack([np.bincount(r, weights=row, minlength=q) for row in w], axis=1)
+    (q, 3), shared by every character mod q: the first stretch's bins
+    plus each later one's.  Cached; do not mutate."""
+    return reduce(np.add, (_binned(w, n, q) for w, n in _twisted_weights(x)))
 
 
 @lru_cache(maxsize=32)
@@ -153,7 +154,8 @@ def _sum(kind: str, x: float, chi: DirichletCharacter | None):
     if x <= 1:
         return 0.0 if chi is None else 0j
     if chi is None:
-        return float(math.fsum(_weights(kind, x)[0]))
+        # fsum is correctly rounded, so the stretches do not change the sum
+        return math.fsum(chain.from_iterable(_weights(kind, x, t) for t in _stretches(x)))
     b, i = divmod(chi.index, _BLOCK)
     return _twisted_sums(x, chi.q, b)[i][_KINDS.index(kind)]
 
@@ -161,30 +163,22 @@ def _sum(kind: str, x: float, chi: DirichletCharacter | None):
 def cheb_log_sum(x: float, chi: DirichletCharacter | None = None):
     """sum_{n<=x} Lambda(n) chi(n) log(x/n); untwisted when chi is None.
 
-    Twisted, the weights of all three kinds are binned by n mod q once
-    per (x, q), and the sums of 16 characters at a time come from one
-    real product of their block of values with the bins, cached per
-    (x, q, block); chi builds no table of its own.  Untwisted sums are
-    summed with math.fsum and not cached.
+    The prime powers come in stretches of at most arith._WINDOW integers.
+    Twisted, all three kinds' weights are binned by n mod q once per (x, q),
+    and 16 characters' sums at a time come from one real product of their
+    block of values with the bins, cached per (x, q, block), with no table
+    per chi.  Untwisted, the stretches feed one math.fsum, uncached.
     """
     return _sum("cheb", x, chi)
 
 
 def weighted_psi_sum(x: float, chi: DirichletCharacter | None = None):
-    """sum_{n<=x} Lambda(n)/n chi(n) (1 - n/x).
-
-    Twisted, read from the same block product as cheb_log_sum; untwisted
-    sums are uncached.
-    """
+    """sum_{n<=x} Lambda(n)/n chi(n) (1 - n/x), computed as cheb_log_sum is."""
     return _sum("psi", x, chi)
 
 
 def loglog_sum(x: float, chi: DirichletCharacter | None = None):
-    """sum_{n<=x} Lambda(n)/(n log n) chi(n) log(x/n)/log(x).
-
-    Twisted, read from the same block product as cheb_log_sum; untwisted
-    sums are uncached.
-    """
+    """sum_{n<=x} Lambda(n)/(n log n) chi(n) log(x/n)/log(x), computed as cheb_log_sum is."""
     return _sum("loglog", x, chi)
 
 
@@ -341,7 +335,6 @@ WINDOW_SLACK = 1e-9
 class ThetaWindow:
     lower: float
     upper: float
-    bracket: float
 
     def contains(self, value: float) -> bool:
         return self.lower - WINDOW_SLACK <= value <= self.upper + WINDOW_SLACK
@@ -367,7 +360,7 @@ def hadamard_window(x: float, chi: DirichletCharacter) -> ThetaWindow:
     if d_lo <= 1e-12:
         raise DegenerateWindowError(f"theta denominator can vanish at x={x}")
     ends = sorted((bracket / d_hi, bracket / d_lo))
-    return ThetaWindow(ends[0], ends[1], bracket)
+    return ThetaWindow(ends[0], ends[1])
 
 
 def log_l_residual(
@@ -434,18 +427,16 @@ def coprime_excess_sums(x: float, m: int) -> CoprimeExcessReport:
 
     sum_{n<=x, (n,m)>1} Lambda(n) log(x/n)      <= omega(m) (log x)^2 / 2
     sum_{n<=x, (n,m)>1} Lambda(n)/n (1 - n/x)   <= sum_{p|m} log p/(p-1)
+
+    They read no prime table: a prime power shares a factor with m exactly
+    when its prime divides m, so only the powers of factorize(m)'s primes.
     """
     if m < 3 or x < 2:
         raise ValueError("need m >= 3 and x >= 2")
-    t, cut = _prefix(x)
-    base = t.base[:cut]
-    shared = m % base == 0
-    nf = t.n[:cut].astype(float)[shared]
-    lam = t.lam[:cut][shared]
-    logn = t.logn[:cut][shared]
-    lhs_log = float(math.fsum(lam * (math.log(x) - logn)))
-    lhs_harm = float(math.fsum(lam / nf * (1.0 - nf / x)))
     fac = factorize(m)
+    t = prime_power_table(x, primes=np.array([p for p, _ in fac.factors], dtype=np.int64))
+    lhs_log = math.fsum(_weights("cheb", x, t))
+    lhs_harm = math.fsum(_weights("psi", x, t))
     bound_log = 0.5 * fac.omega * math.log(x) ** 2
     bound_harm = math.fsum(math.log(p) / (p - 1) for p, _ in fac.factors)
     return CoprimeExcessReport(m, x, lhs_log, bound_log, lhs_harm, bound_harm)
@@ -457,22 +448,24 @@ def coprime_excess_sums(x: float, m: int) -> CoprimeExcessReport:
 
 
 @lru_cache(maxsize=8)
-def _pattern_bins(x: float, q: int) -> tuple[np.ndarray, float]:
-    """(B, alternating) at (x, q): B[r, 0] sums the weights
-    Lambda(n)(1/(n log n) - 1/(x log x)) over n = r (mod q), shape (q, 1),
-    shared by every character mod q; alternating is the all-minus-one
-    pattern sum.  Cached; do not mutate."""
-    t, cut = _prefix(x)
-    nf = t.n[:cut].astype(float)
-    w = t.lam[:cut] * (1.0 / (nf * t.logn[:cut]) - 1.0 / (x * math.log(x)))
-    signs = np.where(t.k[:cut] % 2 == 0, 1.0, -1.0)
-    return np.bincount(t.n[:cut] % q, weights=w, minlength=q)[:, None], float(math.fsum(w * signs))
+def _pattern_bins(x: float, q: int) -> np.ndarray:
+    """B[r, 0] sums the pattern weights Lambda(n)(1/(n log n) - 1/(x log x))
+    over n = r (mod q), shape (q, 1), shared by every character mod q: the
+    first stretch's bins plus each later one's.  Cached; do not mutate."""
+    return reduce(np.add, (_binned(_weights("pattern", x, t)[None], t.n, q) for t in _stretches(x)))
+
+
+@lru_cache(maxsize=8)
+def _alternating_sum(x: float) -> float:
+    """The all-minus-one pattern sum: each pattern weight times (-1)^k."""
+    signed = (_weights("pattern", x, t) * np.where(t.k % 2 == 0, 1.0, -1.0) for t in _stretches(x))
+    return math.fsum(chain.from_iterable(signed))
 
 
 @lru_cache(maxsize=8)
 def _pattern_sums(x: float, q: int, b: int) -> list[list[complex]]:
     """[i][0]: the pattern sum twisted by the character of index 16b + i."""
-    return _block_sums(q, b, _pattern_bins(x, q)[0])
+    return _block_sums(q, b, _pattern_bins(x, q))
 
 
 def negative_pattern_minimum(x: float, chi: DirichletCharacter) -> BoundReport:
@@ -486,7 +479,7 @@ def negative_pattern_minimum(x: float, chi: DirichletCharacter) -> BoundReport:
         raise ValueError("x >= 100 required")
     b, i = divmod(chi.index, _BLOCK)
     lhs = _pattern_sums(x, chi.q, b)[i][0].real
-    alternating = _pattern_bins(x, chi.q)[1]
+    alternating = _alternating_sum(x)
     return BoundReport.decide("lemma5.1", chi.q, f"x={x:g}:{chi.label}", lhs, lower=alternating, slack=float_sum_slack(alternating))
 
 

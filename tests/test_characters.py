@@ -617,6 +617,28 @@ def test_kth_power_contains_matches_units_to_the_k_everywhere():
         assert_subgroup_is(trivial_subgroup(q), np.arange(q) == 1 % q, range(q))
 
 
+def closure_one_coset_at_a_time(q: int, gens) -> np.ndarray:
+    """The mask of <gens> mod q, one coset g^j H per step for each generator g."""
+    h = {1 % q}
+    for g in gens:
+        members, x = list(h), g % q
+        while x not in h:
+            h.update(m * x % q for m in members)
+            x = x * g % q
+    mask = np.zeros(q, dtype=bool)
+    mask[list(h)] = True
+    return mask
+
+
+def test_generator_closure_matches_one_coset_at_a_time():
+    rng = np.random.default_rng(11)
+    for q in range(1, 301):
+        units = [g for g in range(q) if math.gcd(g, q) == 1]
+        pairs = [(a, b) for a in units for b in units] if q <= 24 else rng.choice(units, size=(20, 2)).tolist()
+        for gens in [[g] for g in units] + pairs:
+            assert np.array_equal(subgroup_from_generators(q, gens).mask, closure_one_coset_at_a_time(q, gens)), (q, gens)
+
+
 def test_kth_power_subgroup_needs_no_table():
     q = 1000000000000037  # prime, far above the ceiling of any O(q) table
     h = kth_power_subgroup(q, 2)

@@ -571,3 +571,12 @@ def test_ap_scan_near_the_modulus_ceiling_stays_under_300_mb(tmp_path):
         code, peak_mb = _run_cli(["scan", "ap", "--q", "9999991", "--format", "csv"], out)
     assert code == EXIT_OK
     assert peak_mb < 300, peak_mb
+
+
+@pytest.mark.slow
+def test_lemma_2_1_at_1e9_stays_under_200_mb(tmp_path):
+    # about 5 * 10^7 prime powers, read in stretches of 2^23 integers
+    with open(tmp_path / "out.csv", "w") as out:
+        code, peak_mb = _run_cli(["lemma", "2.1", "--x", "1e9", "--format", "csv"], out)
+    assert code == EXIT_OK
+    assert peak_mb < 200, peak_mb

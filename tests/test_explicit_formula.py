@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nonresidue import explicit_formula as ef
+from nonresidue import arith, explicit_formula as ef
 from nonresidue.cli import _coprime_excess_report_rows, _hadamard_row, _residual_report_row
 from nonresidue.arith import factorize
 from nonresidue.characters import _character_block, character_group, primitive_characters
@@ -23,6 +24,7 @@ from nonresidue.explicit_formula import (
     weighted_psi_sum,
 )
 from nonresidue.lfunctions import EULER_GAMMA, HADAMARD_B, l_at_1, re_b
+from nonresidue.search import least_prime_all_classes
 
 
 def brute_lambda(n: int) -> float:
@@ -266,6 +268,23 @@ def test_coprime_excess_per_sum_verdicts_at_the_checklist_range():
             assert min(rep.log_weighted_bound - rep.log_weighted, rep.harmonic_bound - rep.harmonic) > 1e-3, (m, x)
 
 
+def coprime_excess_by_selection(t, x: float, m: int) -> tuple[float, float]:
+    """Lemma 3.1's two sums by selecting, from every prime power <= x in t,
+    those whose prime divides m."""
+    shared = m % t.base == 0
+    nf = t.n.astype(float)[shared]
+    lam, logn = t.lam[shared], t.logn[shared]
+    return math.fsum(lam * (math.log(x) - logn)), math.fsum(lam / nf * (1.0 - nf / x))
+
+
+def test_coprime_excess_reads_the_powers_of_the_primes_of_m():
+    for x in (10.0, 100.0, 1e3, 1e5):
+        t = ef.prime_power_table(x)
+        for m in range(3, 201):
+            rep = coprime_excess_sums(x, m)
+            assert (rep.log_weighted, rep.harmonic) == coprime_excess_by_selection(t, x, m), (m, x)
+
+
 def imprimitivity_gap(x: float, chi) -> tuple[float, float]:
     """|S(x, chi) - S(x, induced primitive)| and its omega bound.
 
@@ -350,7 +369,8 @@ def test_binned_sums_match_the_gather_oracle():
             if x <= 1.5:
                 assert all(fn(x, chi) == 0j for chi in chars)
                 continue
-            w, n = ef._weights(kind, x)
+            t = ef.prime_power_table(x)
+            w, n = ef._weights(kind, x, t), t.n
             # Both orders round; the error grows with the weight mass,
             # which is about x for cheb_log_sum and about log x otherwise.
             tol = 1e-12 + 1e-14 * float(np.abs(w).sum())
@@ -363,11 +383,11 @@ def test_binned_sums_match_the_gather_oracle():
 def test_negative_pattern_minimum_matches_the_gather_oracle():
     for chi in primitive_characters(97) + character_group(12):
         for x in (100.0, 1e3):
-            t, cut = ef._prefix(x)
-            nf = t.n[:cut].astype(float)
-            w = t.lam[:cut] * (1.0 / (nf * t.logn[:cut]) - 1.0 / (x * math.log(x)))
+            t = ef.prime_power_table(x)
+            nf = t.n.astype(float)
+            w = t.lam * (1.0 / (nf * t.logn) - 1.0 / (x * math.log(x)))
             lhs = negative_pattern_minimum(x, chi).measured
-            assert lhs == pytest.approx(gathered(w, t.n[:cut], chi).real, abs=1e-12)
+            assert lhs == pytest.approx(gathered(w, t.n, chi).real, abs=1e-12)
 
 
 TWISTED_CACHES = (ef._twisted_weights, ef._bins, ef._twisted_sums, _character_block)
@@ -449,3 +469,82 @@ def test_negative_pattern_minimum_builds_no_per_character_table():
         assert not {"complex_table", "angles"} & vars(chi).keys(), chi.label
     assert ef._pattern_bins.cache_info().misses == 4  # binned once per (x, q)
     assert ef._pattern_sums.cache_info().misses == 2 * (4 + 6)  # one product per (x, q, block)
+
+
+# ----------------------------------------------------------------------
+# prime powers walked in stretches of at most arith._WINDOW integers
+# ----------------------------------------------------------------------
+
+STRETCH_CACHES = TWISTED_CACHES + (ef._pattern_bins, ef._pattern_sums, ef._alternating_sum)
+
+
+def _table_columns(t):
+    return t.n, t.base, t.k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**5))
+def test_stretches_concatenate_to_the_whole_table(x):
+    want = ef.prime_power_table(x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_WINDOW", 1 << 10)
+        stretches = list(ef._stretches(x))
+    assert len(stretches) == -(-x // (1 << 10))
+    for got, col in zip((np.concatenate(c) for c in zip(*map(_table_columns, stretches))), _table_columns(want)):
+        np.testing.assert_array_equal(got, col)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**5), st.integers(1, 10**5))
+def test_primes_between_is_a_slice_of_the_sieve(lo, width):
+    hi = min(lo + width, 10**5 + 1)
+    ps = arith.primes_up_to(hi)
+    want = ps[ps > lo]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_WINDOW", 1 << 10)  # hi > 2^10 is sieved apart
+        np.testing.assert_array_equal(arith.primes_between(lo, hi), want)
+    np.testing.assert_array_equal(arith.primes_between(lo, hi), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1.0, 1e5))
+def test_untwisted_sums_do_not_depend_on_the_stretch_width(x):
+    want = [fn(x) for fn in SUMS.values()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_WINDOW", 1 << 10)
+        assert [fn(x) for fn in SUMS.values()] == want
+
+
+@pytest.fixture
+def small_window(monkeypatch):
+    """arith._WINDOW at 2^10, with the caches keyed by x alone emptied on
+    both sides, so no sum cached under one width is read under the other."""
+    for cache in STRETCH_CACHES:
+        cache.cache_clear()
+    monkeypatch.setattr(arith, "_WINDOW", 1 << 10)
+    yield
+    for cache in STRETCH_CACHES:
+        cache.cache_clear()
+
+
+def test_searches_and_sums_share_one_patch_point(small_window):
+    # every walk past 2^10 reads stretches sieved apart from the shared cache
+    ps = arith.primes_up_to(10**5)
+    classes, first = np.unique(ps % 97, return_index=True)
+    least = least_prime_all_classes(97, 10**5)
+    np.testing.assert_array_equal(least[classes[1:]], ps[first[1:]])  # class 0 holds 97, not a unit
+    assert least.max() > 1 << 10
+    x = 3e4
+    assert len(list(ef._stretches(x))) == 30
+    t = ef.prime_power_table(x)
+    rep = coprime_excess_sums(x, 30)
+    assert (rep.log_weighted, rep.harmonic) == coprime_excess_by_selection(t, x, 30)
+    for chi in primitive_characters(97)[:20] + character_group(12):
+        for kind, fn in SUMS.items():
+            w = ef._weights(kind, x, t)
+            assert abs(fn(x, chi) - gathered(w, t.n, chi)) <= 1e-12 + 1e-14 * float(np.abs(w).sum()), (kind, chi.label)
+        nf = t.n.astype(float)
+        w = t.lam * (1.0 / (nf * t.logn) - 1.0 / (x * math.log(x)))
+        row = negative_pattern_minimum(x, chi)
+        assert row.measured == pytest.approx(gathered(w, t.n, chi).real, abs=1e-12)
+        assert row.bound == math.fsum(w * np.where(t.k % 2 == 0, 1.0, -1.0))

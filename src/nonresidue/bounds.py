@@ -256,16 +256,20 @@ def verify_subgroup_clean(q: int, subgroup: str = "squares", ceiling: int | None
 
 
 def _verify_off_subgroup(q: int, subgroup: str, ceiling: int | None, clean: bool) -> BoundReport:
-    """One search up to 4x (log q + B(q))^2, against thm12's clean branch or thm11."""
+    """One search up to 4x (log q + B(q))^2, against thm12's clean branch or
+    thm11.  When H is all of (Z/qZ)*, no prime lies off it: the row is
+    not-applicable, with no search."""
     vals = subgroup_bound_quantities(q)
     h = _subgroup_for(q, subgroup)
-    if ceiling is None:
-        ceiling = _search_ceiling(vals.bound, SUBGROUP_CEILING_FLOOR)
-    res = least_prime_outside_subgroup(q, h, ceiling)
     if clean:
         formula, bound, applicable = "thm12", math.log(q) ** 2, subgroup_bound_clean_applicable(q)
     else:
         formula, bound, applicable = "thm11", vals.bound, q >= SUBGROUP_THRESHOLD
+    if h.index == 1:
+        return BoundReport.value(formula, q, f"outside:{h.kind}", bound, applicable=False)
+    if ceiling is None:
+        ceiling = _search_ceiling(vals.bound, SUBGROUP_CEILING_FLOOR)
+    res = least_prime_outside_subgroup(q, h, ceiling)
     return BoundReport.decide(formula, q, res.target, res.prime, upper=bound, applicable=applicable)
 
 

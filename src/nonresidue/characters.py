@@ -4,10 +4,11 @@ Characters are exponent vectors on the cyclic components of (Z/qZ)*.
 A character's values are integer angles mod E = structure.exponent:
 chi(n) = e(angles[n] / E), so exact questions are integer tests (angle 0
 means the value is 1) and complex doubles are a gather from the E-th
-roots of unity.  The analytic sums of the sec2 checklist and L(1, chi)
-read no per-character table: they take the characters of a modulus 16 at
-a time, as the real cos and sin rows of one block built from the dlog
-tables, and evaluate the whole block with one real matrix product.  The
+roots of unity.  The twisted sums of the sec2 checklist and of lemma
+5.1, and L(1, chi), read no per-character table: `character_sums` takes
+the characters of a modulus 16 at a time, as the real cos and sin rows of
+one block built from the dlog tables, and evaluates the whole block with
+one real matrix product, in one cache for every caller.  The
 per-character `angles` and `complex_table` remain for the other sums and
 as the oracle for the blocks.  Also here: conductors, the Kronecker
 character table of a fundamental discriminant, and subgroups of (Z/qZ)*
@@ -29,6 +30,7 @@ __all__ = [
     "DirichletCharacter",
     "SubgroupSpec",
     "character_group",
+    "character_sums",
     "is_fundamental_discriminant",
     "kth_power_subgroup",
     "primitive_characters",
@@ -189,16 +191,30 @@ def _character_block(q: int, b: int) -> np.ndarray:
     return out
 
 
-def _block_sums(q: int, b: int, columns: np.ndarray) -> list[list[complex]]:
-    """rows[i][j] = sum_r chi(r) columns[r, j] for the character chi of
-    index 16b + i mod q, as Python complex.  One real product: with a
-    complex matrix numpy calls BLAS's threaded zgemv, which costs
-    milliseconds per call where a real dgemm costs microseconds."""
-    prod = _character_block(q, b) @ columns
+# An entry is a few complex numbers per character.  The sec2 checklist
+# reads five per block (four x and the Laurent data); 64 leaves room for
+# a `lemma` command given many x.
+@lru_cache(maxsize=64)
+def _block_sums(q: int, b: int, columns, args: tuple) -> list[list[complex]]:
+    """rows[i][j] = sum_r chi(r) C[r, j], C = columns(*args, q), for the
+    character chi of index 16b + i mod q, as Python complex.  One real
+    product: with a complex matrix numpy calls BLAS's threaded zgemv, which
+    costs milliseconds per call where a real dgemm costs microseconds."""
+    prod = _character_block(q, b) @ columns(*args, q)
     n = len(prod) // 2
     out = np.empty((n, prod.shape[1]), dtype=complex)
     out.real, out.imag = prod[:n], prod[n:]
     return out.tolist()
+
+
+def character_sums(chi: DirichletCharacter, columns, *args) -> list[complex]:
+    """[sum_r chi(r) C[r, j] for each column j of C = columns(*args, chi.q)],
+    C of shape (q, k): chi's row of one product with its 16-character block,
+    cached per (q, block, columns, args); do not mutate.  `columns` must be
+    a module-level function, since it is part of the cache key; chi builds
+    no table."""
+    b, i = divmod(chi.index, _BLOCK)
+    return _block_sums(chi.q, b, columns, args)[i]
 
 
 def character_group(q: int) -> list[DirichletCharacter]:

@@ -378,17 +378,6 @@ def _hadamard_row(x: float, chi, rb: float) -> BoundReport:
     return BoundReport.decide("lemma2.3", chi.q, f"x={x:g}:{chi.label}", rb, lower=win.lower, upper=win.upper, slack=ef.WINDOW_SLACK)
 
 
-def _coprime_excess_report_rows(rep: ef.CoprimeExcessReport) -> list[BoundReport]:
-    """Lemma 3.1 at (m, x): each sum against its own bound."""
-    return [
-        BoundReport.decide("lemma3.1", rep.m, f"x={rep.x:g}:{name}", lhs, upper=bound, slack=bounds.float_sum_slack(bound))
-        for name, lhs, bound in (
-            ("log-weighted", rep.log_weighted, rep.log_weighted_bound),
-            ("harmonic", rep.harmonic, rep.harmonic_bound),
-        )
-    ]
-
-
 def cmd_lemma(args) -> int:
     which, xs = args.what, args.x
     rows: list[BoundReport] = []
@@ -407,7 +396,7 @@ def cmd_lemma(args) -> int:
                     rows.append(_hadamard_row(x, chi, rb))
     elif which == "3.1":
         for x in xs:
-            rows.extend(_coprime_excess_report_rows(ef.coprime_excess_sums(x, args.m)))
+            rows.extend(ef.coprime_excess_sums(x, args.m))
     elif which == "5.1":
         for chi in character_group(args.q):
             for x in xs:
@@ -553,7 +542,7 @@ def _coprime_excess_rows(scale: str, workers: int) -> list[BoundReport]:
     rows = []
     for m in range(3, m_max + 1):
         for x in m_xs:
-            rows.extend(_coprime_excess_report_rows(ef.coprime_excess_sums(x, m)))
+            rows.extend(ef.coprime_excess_sums(x, m))
     return rows
 
 

@@ -32,7 +32,7 @@ from scipy.special import spence
 from . import arith
 from .arith import factorize
 from .bounds import BoundReport, float_sum_slack
-from .characters import _BLOCK, DirichletCharacter, _block_sums
+from .characters import DirichletCharacter, character_sums
 from .lfunctions import EULER_GAMMA, HADAMARD_B, PSI_AT_1, PSI_AT_HALF, l_at_1
 
 __all__ = [
@@ -80,11 +80,19 @@ def _iroot(n: int, k: int) -> int:
     return root - (root**k > n)
 
 
+def _walk_top(x: float) -> int:
+    """int(x) for a prime-power walk to x, which is exact only below 2^53
+    (_iroot, and the int64 powers)."""
+    if not x < 2**53:  # nan and inf too
+        raise ValueError(f"x = {x:g} is not below 2^53, the limit of exact prime powers")
+    return int(x)
+
+
 def prime_power_table(limit: float, above: float = 0, primes: np.ndarray | None = None) -> PrimePowers:
     """The prime powers in (above, limit], or only the powers of `primes`
     (int64, increasing) when given.  Caches nothing: the primes come from
     arith.primes_between per call."""
-    lo, hi = int(above), int(limit)
+    lo, hi = int(above), _walk_top(limit)
     between = arith.primes_between if primes is None else lambda a, b: primes[(primes > a) & (primes <= b)]
     # the bases of the k-th powers, for k = 1 and every k with 2^k <= hi
     bases = [between(_iroot(lo, k), _iroot(hi, k)) for k in range(1, max(hi.bit_length(), 2))]
@@ -98,7 +106,7 @@ def prime_power_table(limit: float, above: float = 0, primes: np.ndarray | None 
 
 def _stretches(x: float) -> Iterator[PrimePowers]:
     """The prime powers n <= x, in stretches of at most arith._WINDOW integers."""
-    top, width = math.floor(x), arith._WINDOW
+    top, width = _walk_top(x), arith._WINDOW
     for lo in range(0, top, width):
         yield prime_power_table(min(lo + width, top), lo)
 
@@ -143,21 +151,13 @@ def _bins(x: float, q: int) -> np.ndarray:
     return reduce(np.add, (_binned(w, n, q) for w, n in _twisted_weights(x)))
 
 
-@lru_cache(maxsize=32)
-def _twisted_sums(x: float, q: int, b: int) -> list[list[complex]]:
-    """[i][k]: the _KINDS[k] sum twisted by the character of index
-    16b + i mod q, for the whole block at once."""
-    return _block_sums(q, b, _bins(x, q))
-
-
 def _sum(kind: str, x: float, chi: DirichletCharacter | None):
     if x <= 1:
         return 0.0 if chi is None else 0j
     if chi is None:
         # fsum is correctly rounded, so the stretches do not change the sum
         return math.fsum(chain.from_iterable(_weights(kind, x, t) for t in _stretches(x)))
-    b, i = divmod(chi.index, _BLOCK)
-    return _twisted_sums(x, chi.q, b)[i][_KINDS.index(kind)]
+    return character_sums(chi, _bins, x)[_KINDS.index(kind)]
 
 
 def cheb_log_sum(x: float, chi: DirichletCharacter | None = None):
@@ -165,9 +165,9 @@ def cheb_log_sum(x: float, chi: DirichletCharacter | None = None):
 
     The prime powers come in stretches of at most arith._WINDOW integers.
     Twisted, all three kinds' weights are binned by n mod q once per (x, q),
-    and 16 characters' sums at a time come from one real product of their
-    block of values with the bins, cached per (x, q, block), with no table
-    per chi.  Untwisted, the stretches feed one math.fsum, uncached.
+    and characters.character_sums reads chi's three sums off its block's
+    product with the bins, with no table per chi.  Untwisted, the
+    stretches feed one math.fsum, uncached.
     """
     return _sum("cheb", x, chi)
 
@@ -412,18 +412,9 @@ def lemma_residual(lemma: str, x: float) -> ResidualReport:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoprimeExcessReport:
-    m: int
-    x: float
-    log_weighted: float
-    log_weighted_bound: float
-    harmonic: float
-    harmonic_bound: float
-
-
-def coprime_excess_sums(x: float, m: int) -> CoprimeExcessReport:
-    """Prime powers sharing a factor with m: both weighted sums and bounds.
+def coprime_excess_sums(x: float, m: int) -> list[BoundReport]:
+    """Lemma 3.1: prime powers sharing a factor with m, each weighted sum
+    against its own bound, with the float_sum_slack of that bound.
 
     sum_{n<=x, (n,m)>1} Lambda(n) log(x/n)      <= omega(m) (log x)^2 / 2
     sum_{n<=x, (n,m)>1} Lambda(n)/n (1 - n/x)   <= sum_{p|m} log p/(p-1)
@@ -435,11 +426,13 @@ def coprime_excess_sums(x: float, m: int) -> CoprimeExcessReport:
         raise ValueError("need m >= 3 and x >= 2")
     fac = factorize(m)
     t = prime_power_table(x, primes=np.array([p for p, _ in fac.factors], dtype=np.int64))
-    lhs_log = math.fsum(_weights("cheb", x, t))
-    lhs_harm = math.fsum(_weights("psi", x, t))
-    bound_log = 0.5 * fac.omega * math.log(x) ** 2
-    bound_harm = math.fsum(math.log(p) / (p - 1) for p, _ in fac.factors)
-    return CoprimeExcessReport(m, x, lhs_log, bound_log, lhs_harm, bound_harm)
+    return [
+        BoundReport.decide("lemma3.1", m, f"x={x:g}:{name}", math.fsum(_weights(kind, x, t)), upper=bound, slack=float_sum_slack(bound))
+        for name, kind, bound in (
+            ("log-weighted", "cheb", 0.5 * fac.omega * math.log(x) ** 2),
+            ("harmonic", "psi", math.fsum(math.log(p) / (p - 1) for p, _ in fac.factors)),
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -462,23 +455,15 @@ def _alternating_sum(x: float) -> float:
     return math.fsum(chain.from_iterable(signed))
 
 
-@lru_cache(maxsize=8)
-def _pattern_sums(x: float, q: int, b: int) -> list[list[complex]]:
-    """[i][0]: the pattern sum twisted by the character of index 16b + i."""
-    return _block_sums(q, b, _pattern_bins(x, q))
-
-
 def negative_pattern_minimum(x: float, chi: DirichletCharacter) -> BoundReport:
     """Lemma 5.1: Re sum Lambda(n) chi(n) (1/(n log n) - 1/(x log x)) is at
     least the all-minus-one pattern sum_{p^k<=x} Lambda(p^k)(-1)^k (...).
 
-    The weights are binned once per (x, q); the twisted sum is chi's row
-    of its 16-character block's product with the bins, cached per
-    (x, q, block), so chi builds no table of its own."""
+    The weights are binned once per (x, q); characters.character_sums
+    reads the twisted sum off the bins, so chi builds no table of its own."""
     if x < 100:
         raise ValueError("x >= 100 required")
-    b, i = divmod(chi.index, _BLOCK)
-    lhs = _pattern_sums(x, chi.q, b)[i][0].real
+    lhs = character_sums(chi, _pattern_bins, x)[0].real
     alternating = _alternating_sum(x)
     return BoundReport.decide("lemma5.1", chi.q, f"x={x:g}:{chi.label}", lhs, lower=alternating, slack=float_sum_slack(alternating))
 

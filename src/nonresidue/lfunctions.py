@@ -25,9 +25,8 @@ import numpy as np
 
 from .arith import factorize
 from .characters import (
-    _BLOCK,
     DirichletCharacter,
-    _block_sums,
+    character_sums,
     is_fundamental_discriminant,
     kronecker_character_table,
 )
@@ -151,20 +150,13 @@ def _require_primitive_nonprincipal(chi: DirichletCharacter) -> None:
         raise ValueError(f"character {chi.label} has conductor {chi.conductor} != {chi.q}")
 
 
-@lru_cache(maxsize=8)
-def _laurent_sums(q: int, b: int) -> list[tuple[complex, complex]]:
-    """(L(1, chi), L'(1, chi)) for the characters of index 16b .. 16b+15
-    mod q, from one real product of their block with (c0, c1)."""
+def _laurent_columns(q: int) -> np.ndarray:
+    """Row r holds (c0, c1) of zeta(s, r/q) for r = 1..q-1, shape (q, 2);
+    row 0 stays zero, since chi(0) = 0 drops a = q."""
     c0, c1 = hurwitz_laurent_pair(q)
-    # column r holds a = r for r = 1..q-1; chi(0) = 0 drops a = q
     cols = np.zeros((q, 2))
     cols[1:, 0], cols[1:, 1] = c0[:-1], c1[:-1]
-    log_q = math.log(q)
-    out = []
-    for s0, s1 in _block_sums(q, b, cols):
-        l1 = s0 / q
-        out.append((l1, s1 / q - log_q * l1))
-    return out
+    return cols
 
 
 def l_and_lprime_at_1(chi: DirichletCharacter) -> tuple[complex, complex]:
@@ -173,13 +165,13 @@ def l_and_lprime_at_1(chi: DirichletCharacter) -> tuple[complex, complex]:
     The character sum annihilates the Hurwitz poles, leaving
     L(1) = (1/q) sum chi(a) c0(a/q) and
     L'(1) = (1/q) sum chi(a) c1(a/q) - log(q) L(1).
-    Both sums come for 16 characters at a time from one real product of
-    their block of values with (c0, c1), cached per (q, block); chi
-    builds no table of its own.
+    characters.character_sums reads both sums off the Laurent columns;
+    chi builds no table of its own.
     """
     _require_primitive_nonprincipal(chi)
-    b, i = divmod(chi.index, _BLOCK)
-    return _laurent_sums(chi.q, b)[i]
+    s0, s1 = character_sums(chi, _laurent_columns)
+    l1 = s0 / chi.q
+    return l1, s1 / chi.q - math.log(chi.q) * l1
 
 
 def _l1_finite_real_odd(chi: DirichletCharacter) -> float:

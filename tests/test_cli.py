@@ -203,6 +203,36 @@ def test_lemma31_command_writes_the_checklist_rows():
     ]
 
 
+@pytest.mark.parametrize("variant", ["subgroup", "subgroup-clean"])
+def test_subgroup_scan_writes_not_applicable_where_h_is_the_whole_group(variant):
+    # the cubes are all of (Z/3000Z)*: no prime 1 mod 3 divides 3000, nor does 9
+    code, out = run_main(["scan", variant, "--q", "3000..3100", "--subgroup", "powers:3", "--format", "csv"])
+    assert code == EXIT_OK
+    rows = {r["q"]: r for r in csv.DictReader(io.StringIO(out))}
+    assert len(rows) == 101
+    whole = rows["3000"]
+    assert (whole["target"], whole["measured"], whole["margin"]) == ("outside:powers:3", "", "")
+    assert (whole["applicable"], whole["verdict"]) == ("false", "not-applicable")
+    assert float(whole["bound"]) > 0
+    assert rows["3001"]["verdict"] == "pass"  # 3 | 3000 = phi(3001)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemma", "3.1", "--m", "6", "--x", "1e20"],
+        ["lemma", "2.1", "--x", "nan"],
+        ["lemma", "2.1", "--x", "inf"],
+        ["lemma", "2.3", "--q", "5", "--x", "1e300"],
+    ],
+)
+def test_prime_power_sums_refuse_x_at_or_above_2_53(argv, capsys):
+    # the walk is exact only below 2^53: beyond it, a usage error before any work
+    code, out = run_main([*argv, "--format", "csv"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "2^53" in capsys.readouterr().err
+
+
 def test_json_output_deterministic_and_parsable():
     args = ["scan", "qnr", "--qmin", "5", "--qmax", "200", "--format", "json"]
     code1, out1 = run_main(args)

@@ -1,16 +1,14 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonresidue import arith, explicit_formula as ef
-from nonresidue.cli import _coprime_excess_report_rows, _hadamard_row, _residual_report_row
+from nonresidue import arith, characters, explicit_formula as ef
+from nonresidue.cli import _hadamard_row, _residual_report_row
 from nonresidue.arith import factorize
 from nonresidue.characters import _character_block, character_group, primitive_characters
 from nonresidue.explicit_formula import (
-    CoprimeExcessReport,
     character_log_residual,
     cheb_log_sum,
     coprime_excess_sums,
@@ -215,57 +213,64 @@ def test_residual_rejects_imprimitive():
 
 
 def test_coprime_excess_example_m4():
-    rep = coprime_excess_sums(16.0, 4)
+    log_row, harm_row = coprime_excess_sums(16.0, 4)
     hand = math.log(2) * (math.log(8.0) + math.log(4.0) + math.log(2.0))
-    assert rep.log_weighted == pytest.approx(hand, rel=1e-13)
-    assert rep.log_weighted_bound == pytest.approx(0.5 * math.log(16.0) ** 2, rel=1e-15)
-    assert all(r.verdict == "pass" for r in _coprime_excess_report_rows(rep))
+    assert log_row.measured == pytest.approx(hand, rel=1e-13)
+    assert log_row.bound == pytest.approx(0.5 * math.log(16.0) ** 2, rel=1e-15)
+    assert log_row.verdict == harm_row.verdict == "pass"
 
 
 def test_coprime_excess_prime_larger_than_x():
-    rep = coprime_excess_sums(10.0, 101)
-    assert rep.log_weighted == 0.0
-    assert rep.harmonic == 0.0
-    assert all(r.verdict == "pass" for r in _coprime_excess_report_rows(rep))
+    rows = coprime_excess_sums(10.0, 101)
+    assert [r.measured for r in rows] == [0.0, 0.0]
+    assert all(r.verdict == "pass" for r in rows)
 
 
 def test_coprime_excess_m30():
-    rep = coprime_excess_sums(100.0, 30)
-    assert all(r.verdict == "pass" for r in _coprime_excess_report_rows(rep))
+    assert all(r.verdict == "pass" for r in coprime_excess_sums(100.0, 30))
 
 
 def test_coprime_excess_exhaustive_small():
     for m in range(3, 80):
         for x in (10.0, 100.0):
-            rows = _coprime_excess_report_rows(coprime_excess_sums(x, m))
+            rows = coprime_excess_sums(x, m)
             assert all(r.verdict == "pass" for r in rows), (m, x)
 
 
-def verdicts(rep: CoprimeExcessReport) -> dict[str, str]:
+def verdicts(rows) -> dict[str, str]:
     """Lemma 3.1's verdict for each sum, keyed by its target suffix."""
-    return {r.target.split(":")[1]: r.verdict for r in _coprime_excess_report_rows(rep)}
+    return {r.target.split(":")[1]: r.verdict for r in rows}
 
 
-def test_coprime_excess_decides_each_sum_by_its_own_slack():
-    # slack 1e-12 (1 + |bound|) per sum: 2e-12 for the harmonic bound 1,
-    # about 1e-9 for the log-weighted bound 1000
-    rep = CoprimeExcessReport(6, 1e3, 10.0, 1e3, 1.0 + 3e-12, 1.0)
-    assert verdicts(rep) == {"log-weighted": "pass", "harmonic": "fail"}
-    rep = replace(rep, harmonic=1.0 + 1e-12)
-    assert verdicts(rep) == {"log-weighted": "pass", "harmonic": "pass"}
-    assert verdicts(replace(rep, log_weighted=1e3 + 5e-10)) == {"log-weighted": "pass", "harmonic": "pass"}
-    assert verdicts(replace(rep, log_weighted=1e3 + 2e-9)) == {"log-weighted": "fail", "harmonic": "pass"}
-    slacks = [r.slack for r in _coprime_excess_report_rows(rep)]
-    assert slacks == [1e-12 * (1 + 1e3), 1e-12 * (1 + 1.0)]
+def test_coprime_excess_decides_each_sum_by_its_own_slack(monkeypatch):
+    # slack 1e-12 (1 + |bound|) per sum: about 2e-12 for the harmonic bound
+    # log 2 + log(3)/2 of m = 6, about 1e-9 for the log-weighted bound 1000
+    # at x = e^sqrt(1000); _weights is patched so each sum takes a chosen value
+    x = math.exp(math.sqrt(1e3))
+
+    def rows_at(log_weighted: float, harmonic: float):
+        chosen = {"cheb": log_weighted, "psi": harmonic}
+        monkeypatch.setattr(ef, "_weights", lambda kind, x, t: np.array([chosen[kind]]))
+        return coprime_excess_sums(x, 6)
+
+    log_bound, harm_bound = (r.bound for r in rows_at(0.0, 0.0))
+    assert log_bound == pytest.approx(1e3, rel=1e-14)
+    assert harm_bound == pytest.approx(math.log(2) + math.log(3) / 2, rel=1e-15)
+    rows = rows_at(10.0, harm_bound + 3e-12)
+    assert verdicts(rows) == {"log-weighted": "pass", "harmonic": "fail"}
+    assert verdicts(rows_at(10.0, harm_bound + 1e-12)) == {"log-weighted": "pass", "harmonic": "pass"}
+    assert verdicts(rows_at(log_bound + 5e-10, harm_bound + 1e-12)) == {"log-weighted": "pass", "harmonic": "pass"}
+    assert verdicts(rows_at(log_bound + 2e-9, harm_bound + 1e-12)) == {"log-weighted": "fail", "harmonic": "pass"}
+    assert [r.slack for r in rows] == [1e-12 * (1 + log_bound), 1e-12 * (1 + harm_bound)]
 
 
 def test_coprime_excess_per_sum_verdicts_at_the_checklist_range():
     for m in range(3, 201):
         for x in (10.0, 100.0, 1000.0):
-            rep = coprime_excess_sums(x, m)
-            assert verdicts(rep) == {"log-weighted": "pass", "harmonic": "pass"}, (m, x)
+            rows = coprime_excess_sums(x, m)
+            assert verdicts(rows) == {"log-weighted": "pass", "harmonic": "pass"}, (m, x)
             # every sum clears its bound by far more than either slack
-            assert min(rep.log_weighted_bound - rep.log_weighted, rep.harmonic_bound - rep.harmonic) > 1e-3, (m, x)
+            assert min(r.margin for r in rows) > 1e-3, (m, x)
 
 
 def coprime_excess_by_selection(t, x: float, m: int) -> tuple[float, float]:
@@ -281,8 +286,8 @@ def test_coprime_excess_reads_the_powers_of_the_primes_of_m():
     for x in (10.0, 100.0, 1e3, 1e5):
         t = ef.prime_power_table(x)
         for m in range(3, 201):
-            rep = coprime_excess_sums(x, m)
-            assert (rep.log_weighted, rep.harmonic) == coprime_excess_by_selection(t, x, m), (m, x)
+            rows = coprime_excess_sums(x, m)
+            assert tuple(r.measured for r in rows) == coprime_excess_by_selection(t, x, m), (m, x)
 
 
 def imprimitivity_gap(x: float, chi) -> tuple[float, float]:
@@ -390,7 +395,7 @@ def test_negative_pattern_minimum_matches_the_gather_oracle():
             assert lhs == pytest.approx(gathered(w, t.n, chi).real, abs=1e-12)
 
 
-TWISTED_CACHES = (ef._twisted_weights, ef._bins, ef._twisted_sums, _character_block)
+TWISTED_CACHES = (ef._twisted_weights, ef._bins, characters._block_sums, _character_block)
 
 
 def _clear_twisted_caches():
@@ -461,21 +466,40 @@ def test_checklist_builds_no_per_character_table():
 
 def test_negative_pattern_minimum_builds_no_per_character_table():
     ef._pattern_bins.cache_clear()
-    ef._pattern_sums.cache_clear()
+    characters._block_sums.cache_clear()
     chars = character_group(240) + character_group(97)
     for chi in chars:
         for x in (100.0, 1e3):
             negative_pattern_minimum(x, chi)
         assert not {"complex_table", "angles"} & vars(chi).keys(), chi.label
     assert ef._pattern_bins.cache_info().misses == 4  # binned once per (x, q)
-    assert ef._pattern_sums.cache_info().misses == 2 * (4 + 6)  # one product per (x, q, block)
+    assert characters._block_sums.cache_info().misses == 2 * (4 + 6)  # one product per (x, q, block)
+
+
+def test_sums_and_l_values_share_one_block_product_per_block():
+    # the sec2 rows of every primitive chi mod 97 (95 characters, 6 blocks):
+    # one product per block for the Laurent data and one per twisted x
+    characters._block_sums.cache_clear()
+    chars, xs = primitive_characters(97), (50.0, 100.0, 1e3, 1e4)
+    for chi in chars:
+        rb = re_b(chi)
+        logl = math.log(abs(l_at_1(chi).value))
+        for x in xs:
+            _residual_report_row(character_log_residual(x, chi, rb))
+            _hadamard_row(x, chi, rb)
+            _residual_report_row(log_l_residual(x, chi, rb, logl))
+    info = characters._block_sums.cache_info()
+    assert info.misses == 6 * (len(xs) + 1)
+    # re_b, l_at_1, and the three twisted sums at each x: every one a read
+    assert info.hits + info.misses == len(chars) * (2 + 3 * len(xs))
+    characters._block_sums.cache_clear()
 
 
 # ----------------------------------------------------------------------
 # prime powers walked in stretches of at most arith._WINDOW integers
 # ----------------------------------------------------------------------
 
-STRETCH_CACHES = TWISTED_CACHES + (ef._pattern_bins, ef._pattern_sums, ef._alternating_sum)
+STRETCH_CACHES = TWISTED_CACHES + (ef._pattern_bins, ef._alternating_sum)
 
 
 def _table_columns(t):
@@ -537,8 +561,8 @@ def test_searches_and_sums_share_one_patch_point(small_window):
     x = 3e4
     assert len(list(ef._stretches(x))) == 30
     t = ef.prime_power_table(x)
-    rep = coprime_excess_sums(x, 30)
-    assert (rep.log_weighted, rep.harmonic) == coprime_excess_by_selection(t, x, 30)
+    rows = coprime_excess_sums(x, 30)
+    assert tuple(r.measured for r in rows) == coprime_excess_by_selection(t, x, 30)
     for chi in primitive_characters(97)[:20] + character_group(12):
         for kind, fn in SUMS.items():
             w = ef._weights(kind, x, t)

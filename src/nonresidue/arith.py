@@ -30,8 +30,13 @@ __all__ = [
 
 DLOG_CEILING = 10**7
 
-# Witness set proving primality for every n < 3.3e24, far past 2^63.
+# The first twelve primes as strong-probable-prime witnesses prove every
+# n < psi_12 ~ 3.19e23, far past 2^63 (3.3e24 is psi_13, which needs 41).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (psi_k, k): the first k witnesses prove every n < psi_k (Jaeschke, Math. Comp. 61, 1993;
+# Sorenson and Webster, Math. Comp. 86, 2017; OEIS A014233).
+_MR_PREFIXES = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+                (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9))
 
 _TRIAL_LIMIT = 10**5
 
@@ -41,16 +46,22 @@ class ModulusTooLargeError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for 0 <= n < 2**63."""
+    """Deterministic primality test, exact for 0 <= n < 2**63: trial division by
+    the witnesses, then Miller-Rabin on the shortest prefix _MR_PREFIXES proves."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    for bound, k in _MR_PREFIXES:
+        if n < bound:
+            break
+    else:
+        k = len(_MR_WITNESSES)
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -90,15 +101,18 @@ _WINDOW = 1 << 23  # widest stretch of a prime walk; past it each stretch has it
 def primes_between(lo: int, hi: int) -> np.ndarray:
     """The primes in (lo, hi] in increasing order, 0 <= lo <= hi: a slice of
     the shared primes_up_to cache for hi <= _WINDOW, else sieved on its own
-    by the primes <= sqrt(hi) in one byte per integer of (lo, hi]."""
+    by the odd primes <= sqrt(hi) in one byte per odd integer of (lo, hi]."""
     if hi <= _WINDOW:
         ps = primes_up_to(hi)
         return ps[ps.searchsorted(lo, side="right") :]
-    mask = np.ones(hi - lo, dtype=bool)  # mask[i] is lo + 1 + i
+    first = (lo + 1) // 2  # mask[i] is 2 (first + i) + 1
+    mask = np.ones((hi + 1) // 2 - first, dtype=bool)
     mask[: max(1 - lo, 0)] = False  # 1 is not prime
-    for p in map(int, primes_up_to(math.isqrt(hi))):
-        mask[max(p * p, lo // p * p + p) - lo - 1 :: p] = False
-    return np.flatnonzero(mask) + (lo + 1)
+    for p in map(int, primes_up_to(math.isqrt(hi))[1:]):
+        m = max(p, (lo // p + 1) | 1)  # least odd m with p m >= max(p^2, lo + 1)
+        mask[(p * m) // 2 - first :: p] = False
+    odd = 2 * (np.flatnonzero(mask) + first) + 1
+    return np.concatenate(([2], odd)) if lo < 2 else odd
 
 
 def prime_windows(ceiling: int, first: int) -> Iterator[np.ndarray]:

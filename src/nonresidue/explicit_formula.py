@@ -481,8 +481,8 @@ def two_adic_trig_polynomial(x: float, grid: int = 2001) -> BoundReport:
     g(0) = 0 and g should stay >= 0 on the whole circle: its least value on
     the grid is checked against 0, up to 1e-12 of rounding.
     """
-    if x < 100:
-        raise ValueError("x >= 100 required")
+    if not (math.isfinite(x) and x >= 100):
+        raise ValueError(f"x = {x:g} must be a finite number >= 100")
     log2 = math.log(2)
     k_max = int(math.log(x) / log2)
     tail_weight = 1.0 / (x * math.log(x))

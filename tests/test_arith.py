@@ -81,6 +81,39 @@ def test_factorization_accessors():
     assert factorize(30).squarefree
 
 
+# psi_k: the least strong pseudoprime to the first k prime bases (OEIS A014233)
+WITNESS_PREFIX_BOUNDS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+)
+
+
+def _window_is_prime(lo: int, hi: int) -> np.ndarray:
+    """Primality of lo..hi-1 by striking the multiples of every prime <= sqrt(hi)."""
+    limit = math.isqrt(hi) + 1
+    small = np.ones(limit + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if small[p]:
+            small[p * p :: p] = False
+    ps = np.flatnonzero(small)
+    starts = np.maximum(ps * ps, -(-lo // ps) * ps) - lo  # first multiple to strike, as an offset
+    out = np.ones(hi - lo, dtype=bool)
+    out[: max(2 - lo, 0)] = False
+    few = ps < hi - lo
+    for start, p in zip(starts[few].tolist(), ps[few].tolist()):
+        out[start::p] = False
+    once = starts[~few]  # a prime at least as wide as the window strikes it at most once
+    out[once[once < hi - lo]] = False
+    return out
+
+
 def test_is_prime_examples():
     assert is_prime(2)
     assert not is_prime(1)
@@ -89,11 +122,7 @@ def test_is_prime_examples():
 
 def test_is_prime_exhaustive_small():
     limit = 200_000
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
+    sieve = _window_is_prime(0, limit + 1)
     for n in range(limit + 1):
         assert is_prime(n) == bool(sieve[n]), n
 
@@ -106,6 +135,33 @@ def test_is_prime_large_samples():
     assert not is_prime(3215031751)  # 151 * 751 * 28351
     assert not is_prime(3825123056546413051)
     assert is_prime(2**61 - 1)
+
+
+def test_every_witness_prefix_bound_is_composite():
+    # psi_k passes the first k witnesses, so n < psi_k must stay strict
+    for psi in WITNESS_PREFIX_BOUNDS:
+        assert not is_prime(psi), psi
+
+
+def test_known_primes_below_the_bounds_are_prime():
+    for p, bound in ((2**31 - 1, 3215031751), (10**12 + 39, 2152302898747), (2**61 - 1, 3825123056546413051)):
+        assert p < bound and is_prime(p), p
+    assert is_prime(2**63 - 25) and not is_prime(2**63 - 1)
+
+
+def test_is_prime_across_each_prefix_switch():
+    # a window on each side of psi_k that a sieve can reach tests the prefixes k and k + 1
+    for psi in WITNESS_PREFIX_BOUNDS[:-1]:
+        lo = psi - 1000
+        want = _window_is_prime(lo, psi + 1000)
+        assert [is_prime(n) for n in range(lo, psi + 1000)] == want.tolist(), psi
+
+
+@pytest.mark.slow
+def test_is_prime_exhaustive_to_2e6():
+    # past psi_2 = 1,373,653, where three witnesses take over from two
+    limit = 2_000_000
+    assert [is_prime(n) for n in range(limit + 1)] == _window_is_prime(0, limit + 1).tolist()
 
 
 def von_mangoldt(n: int) -> float:

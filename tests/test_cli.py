@@ -504,6 +504,13 @@ def test_trig_grid_below_three_is_a_usage_error(grid, capsys):
     assert "--grid: not an integer >= 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x", ["nan", "inf", "99"])
+def test_trig_x_must_be_finite_and_at_least_100(x, capsys):
+    code, out = run_main(["lemma", "trig", "--x", x, "--format", "csv"])
+    assert code == EXIT_USAGE and out == ""
+    assert f"x = {x} must be a finite number >= 100" in capsys.readouterr().err
+
+
 def test_trig_grid_is_an_exact_integer():
     code, out = run_main(["lemma", "trig", "--grid", "1e3", "--format", "csv"])
     assert code == EXIT_OK and (code, out) == run_main(["lemma", "trig", "--grid", "1000", "--format", "csv"])

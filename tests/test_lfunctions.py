@@ -5,10 +5,13 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import assume, given, settings, strategies as st
 
+from nonresidue.arith import factorize
 from nonresidue.characters import (
     DirichletCharacter,
     character_group,
+    is_fundamental_discriminant,
     kronecker_character_table,
     primitive_characters,
 )
@@ -295,6 +298,47 @@ def test_re_b_identity_shape():
 # ----------------------------------------------------------------------
 # class numbers
 # ----------------------------------------------------------------------
+
+
+def reference_class_number_bqf(q: int) -> int:
+    """h(-q) by the per-b divisor walk: for each b, the divisors a of
+    (b^2 + q)/4 with max(b, 1) <= a <= c, edge forms once, others twice."""
+    h = 0
+    for b in range(q % 2, math.isqrt(q // 3) + 1, 2):
+        n = (b * b + q) // 4
+        for a in factorize(n).divisors():
+            if a * a > n:
+                break
+            if a >= max(b, 1):
+                h += 1 if (b == 0 or a == b or a == n // a) else 2
+    return h
+
+
+def test_class_number_bqf_matches_reference_loop():
+    assert type(class_number_bqf(23).h) is int
+    for q in fundamental_q_values(20_000):
+        assert class_number_bqf(q).h == reference_class_number_bqf(q), q
+
+
+@pytest.mark.slow
+def test_class_number_bqf_matches_reference_loop_to_1e5():
+    for q in fundamental_q_values(100_000):
+        assert class_number_bqf(q).h == reference_class_number_bqf(q), q
+
+
+def test_class_number_bqf_adds_no_factorize_miss():
+    # each q's own factorization is the fundamental-discriminant check's, read first
+    qs = [q for q in range(400_001, 400_200) if is_fundamental_discriminant(q)]
+    misses = factorize.cache_info().misses
+    assert sum(class_number_bqf(q).h for q in qs) > 0
+    assert factorize.cache_info().misses == misses
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(5, 10**6))
+def test_class_number_bqf_equals_class_formula(q):
+    assume(is_fundamental_discriminant(q))
+    assert class_number_bqf(q).h == class_number_via_formula(q).h
 
 
 def test_class_number_bqf_examples():

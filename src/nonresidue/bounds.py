@@ -151,6 +151,8 @@ SUBGROUP_CEILING_FLOOR = 1000
 def subgroup_bound_clean_applicable(q: int) -> bool:
     """q >= SUBGROUP_THRESHOLD and no prime below (log q)^2 divides q (the
     clean (log q)^2 branch)."""
+    if q < 3:
+        raise ValueError("q >= 3 required")
     return q >= SUBGROUP_THRESHOLD and all(p >= math.log(q) ** 2 for p, _ in factorize(q).factors)
 
 
@@ -228,14 +230,16 @@ def class_number_bounds(q: float) -> ClassNumberBounds:
 def _subgroup_for(q: int, spec: str) -> SubgroupSpec:
     if spec == "squares":
         return kth_power_subgroup(q, 2)
-    if spec.startswith("powers:"):
-        return kth_power_subgroup(q, int(spec.split(":", 1)[1]))
-    if spec.startswith("gens:"):
-        gens = [int(g) for g in spec.split(":", 1)[1].split(",")]
-        return subgroup_from_generators(q, gens)
     if spec == "trivial":
         return trivial_subgroup(q)
-    raise ValueError(f"unknown subgroup spec {spec!r}")
+    kind, _, arg = spec.partition(":")
+    parts = arg.split(",")
+    numbers = [int(a) for a in parts if a.removeprefix("-").isdecimal()]
+    if kind == "powers" and len(numbers) == len(parts) == 1:
+        return kth_power_subgroup(q, numbers[0])
+    if kind == "gens" and len(numbers) == len(parts):
+        return subgroup_from_generators(q, numbers)
+    raise ValueError(f"unknown subgroup spec {spec!r}: expected squares | powers:K | gens:a,b | trivial")
 
 
 def verify_qnr(q: int) -> BoundReport:

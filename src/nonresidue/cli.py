@@ -296,7 +296,8 @@ def cmd_eval(args) -> int:
         vals = bounds.subgroup_bound_quantities(q)
         rows.append(BoundReport.value("thm11", q, f"(log q + B)^2 with A={vals.a_term!r};B={vals.b_term!r}", vals.bound, q >= bounds.SUBGROUP_THRESHOLD))
     elif name == "thm12":
-        rows.append(BoundReport.value("thm12", q, "(log q)^2 when no prime below it divides q", math.log(q) ** 2, bounds.subgroup_bound_clean_applicable(q)))
+        applicable = bounds.subgroup_bound_clean_applicable(q)  # q >= 3, as the scan asks
+        rows.append(BoundReport.value("thm12", q, "(log q)^2 when no prime below it divides q", math.log(q) ** 2, applicable))
     elif name == "thm14":
         rows.append(BoundReport.value("thm14", q, f"((h-1)log q + 3(h+1) + 2.5(loglog q)^2)^2 at h={h}", bounds.coset_bound(q, h), q >= bounds.COSET_THRESHOLD))
     elif name == "cor15":

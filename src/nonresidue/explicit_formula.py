@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -33,7 +33,7 @@ from . import arith
 from .arith import factorize
 from .bounds import BoundReport, float_sum_slack
 from .characters import DirichletCharacter, character_sums
-from .lfunctions import EULER_GAMMA, HADAMARD_B, PSI_AT_1, PSI_AT_HALF, l_at_1
+from .lfunctions import EULER_GAMMA, HADAMARD_B, PSI_AT_1, PSI_AT_HALF, _require_primitive_nonprincipal, l_at_1
 
 __all__ = [
     "DegenerateWindowError",
@@ -128,27 +128,31 @@ def _weights(kind: str, x: float, t: PrimePowers) -> np.ndarray:
 _KINDS = ("cheb", "psi", "loglog")
 
 
-@lru_cache(maxsize=8)
-def _twisted_weights(x: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """One (W, n) per stretch: row k of W holds the weights of _KINDS[k]
-    over the stretch's prime powers n, x > 1.  They do not depend on q,
-    so every modulus shares them.  Cached; do not mutate."""
-    return tuple((np.stack([_weights(kind, x, t) for kind in _KINDS]), t.n) for t in _stretches(x))
-
-
-def _binned(w: np.ndarray, n: np.ndarray, q: int) -> np.ndarray:
-    """B[r, k] = sum of row k of w over n = r (mod q), shape (q, rows)."""
-    r = n % q
-    return np.stack([np.bincount(r, weights=row, minlength=q) for row in w], axis=1)
+# Four entries are the sec2 checklist's four x, one stretch each, so every
+# modulus after the first finds its weights here.  An x of many stretches
+# walks the primes again for each q, holding at most four stretches.
+@lru_cache(maxsize=4)
+def _stretch_weights(kinds: tuple[str, ...], x: float, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W, n) over the stretch of prime powers n in (lo, lo + arith._WINDOW],
+    all <= x, x > 1: row k of W holds the weights of kinds[k].  They do
+    not depend on q, so every modulus shares them.  Cached; do not mutate."""
+    t = prime_power_table(min(lo + arith._WINDOW, _walk_top(x)), lo)
+    return np.stack([_weights(kind, x, t) for kind in kinds]), t.n
 
 
 # The sec2 checklist asks for four x per modulus.
 @lru_cache(maxsize=64)
-def _bins(x: float, q: int) -> np.ndarray:
-    """B[r, k] = sum of _KINDS[k]'s weights over n = r (mod q), shape
-    (q, 3), shared by every character mod q: the first stretch's bins
-    plus each later one's.  Cached; do not mutate."""
-    return reduce(np.add, (_binned(w, n, q) for w, n in _twisted_weights(x)))
+def _bins(kinds: tuple[str, ...], x: float, q: int) -> np.ndarray:
+    """B[r, k] = sum of kinds[k]'s weights over n = r (mod q), shape
+    (q, len(kinds)), shared by every character mod q: zeros plus one
+    bincount per kind and stretch.  Cached; do not mutate."""
+    out = np.zeros((q, len(kinds)))
+    for lo in range(0, _walk_top(x), arith._WINDOW):
+        w, n = _stretch_weights(kinds, x, lo)
+        r = n % q
+        for k, row in enumerate(w):
+            out[:, k] += np.bincount(r, weights=row, minlength=q)
+    return out
 
 
 def _sum(kind: str, x: float, chi: DirichletCharacter | None):
@@ -157,7 +161,7 @@ def _sum(kind: str, x: float, chi: DirichletCharacter | None):
     if chi is None:
         # fsum is correctly rounded, so the stretches do not change the sum
         return math.fsum(chain.from_iterable(_weights(kind, x, t) for t in _stretches(x)))
-    return character_sums(chi, _bins, x)[_KINDS.index(kind)]
+    return character_sums(chi, _bins, _KINDS, x)[_KINDS.index(kind)]
 
 
 def cheb_log_sum(x: float, chi: DirichletCharacter | None = None):
@@ -317,8 +321,7 @@ def character_log_residual(x: float, chi: DirichletCharacter, re_b_value: float)
     """
     if x <= 1:
         raise ValueError("x > 1 required")
-    if not chi.is_primitive or chi.is_principal:
-        raise ValueError("primitive non-principal character required")
+    _require_primitive_nonprincipal(chi)
     lhs = cheb_log_sum(x, chi).real
     lx = math.log(x)
     main = re_b_value * lx + 0.5 * math.log(chi.q / math.pi) * lx + error_terms(x, chi.parity, "Etilde")
@@ -348,8 +351,7 @@ def hadamard_window(x: float, chi: DirichletCharacter) -> ThetaWindow:
     """
     if x <= 1:
         raise ValueError("x > 1 required")
-    if not chi.is_primitive or chi.is_principal:
-        raise ValueError("primitive non-principal character required")
+    _require_primitive_nonprincipal(chi)
     bracket = (
         0.5 * (1 - 1 / x) * math.log(chi.q / math.pi)
         - weighted_psi_sum(x, chi).real
@@ -376,8 +378,7 @@ def log_l_residual(
     """
     if x < 2:
         raise ValueError("x >= 2 required")
-    if not chi.is_primitive or chi.is_principal:
-        raise ValueError("primitive non-principal character required")
+    _require_primitive_nonprincipal(chi)
     if log_abs_l is None:
         log_abs_l = math.log(abs(l_at_1(chi).value))
     lx = math.log(x)
@@ -441,14 +442,6 @@ def coprime_excess_sums(x: float, m: int) -> list[BoundReport]:
 
 
 @lru_cache(maxsize=8)
-def _pattern_bins(x: float, q: int) -> np.ndarray:
-    """B[r, 0] sums the pattern weights Lambda(n)(1/(n log n) - 1/(x log x))
-    over n = r (mod q), shape (q, 1), shared by every character mod q: the
-    first stretch's bins plus each later one's.  Cached; do not mutate."""
-    return reduce(np.add, (_binned(_weights("pattern", x, t)[None], t.n, q) for t in _stretches(x)))
-
-
-@lru_cache(maxsize=8)
 def _alternating_sum(x: float) -> float:
     """The all-minus-one pattern sum: each pattern weight times (-1)^k."""
     signed = (_weights("pattern", x, t) * np.where(t.k % 2 == 0, 1.0, -1.0) for t in _stretches(x))
@@ -463,7 +456,7 @@ def negative_pattern_minimum(x: float, chi: DirichletCharacter) -> BoundReport:
     reads the twisted sum off the bins, so chi builds no table of its own."""
     if x < 100:
         raise ValueError("x >= 100 required")
-    lhs = character_sums(chi, _pattern_bins, x)[0].real
+    lhs = character_sums(chi, _bins, ("pattern",), x)[0].real
     alternating = _alternating_sum(x)
     return BoundReport.decide("lemma5.1", chi.q, f"x={x:g}:{chi.label}", lhs, lower=alternating, slack=float_sum_slack(alternating))
 

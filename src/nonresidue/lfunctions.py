@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arith import DLOG_CEILING, ModulusTooLargeError
 from .characters import (
     DirichletCharacter,
     character_sums,
@@ -137,11 +138,6 @@ class LValueResult:
     est_error: float
 
 
-def _chi_on_1_to_q(chi: DirichletCharacter) -> np.ndarray:
-    tab = chi.complex_table
-    return np.concatenate([tab[1:], tab[:1]])  # index i holds chi(i+1)
-
-
 def _require_primitive_nonprincipal(chi: DirichletCharacter) -> None:
     if chi.is_principal:
         raise PrincipalCharacterError("principal character not allowed here")
@@ -209,7 +205,7 @@ def _l1_dirichlet_series(chi: DirichletCharacter) -> tuple[complex, float]:
     """Tail-corrected partial sum of sum chi(n)/n; independent oracle."""
     q = chi.q
     weights, blocks = _series_weights(q)
-    vals = _chi_on_1_to_q(chi)  # chi(1..q), chi(q) = 0
+    vals = np.roll(chi.complex_table, -1)  # chi(1..q), chi(q) = chi(0) = 0
     # next Euler-Maclaurin term is ~ g'''(edge)/720
     est = 6 * q**3 * float(np.abs(vals).sum()) / ((blocks + 1.0) * q) ** 4 / 720 + 1e-14
     return complex(np.dot(vals, weights)), est
@@ -237,8 +233,7 @@ def re_b(chi: DirichletCharacter) -> float:
     Positive whenever the zeros lie on the critical line, so a negative
     return value signals an implementation problem, not new mathematics.
     """
-    _require_primitive_nonprincipal(chi)
-    l1, lp = l_and_lprime_at_1(chi)
+    l1, lp = l_and_lprime_at_1(chi)  # raises unless chi is primitive and non-principal
     psi_term = PSI_AT_1 if chi.parity == 1 else PSI_AT_HALF
     return 0.5 * math.log(chi.q / math.pi) + 0.5 * psi_term + (lp / l1).real
 
@@ -257,6 +252,14 @@ class ClassNumberResult:
     distance: float | None = None
 
 
+def _check_class_q(q: int) -> None:
+    """-q fundamental below -4 and q <= DLOG_CEILING, before either route's O(q) arrays."""
+    if q <= 4 or not is_fundamental_discriminant(q):
+        raise NotFundamentalError(f"-{q} is not a fundamental discriminant below -4")
+    if q > DLOG_CEILING:
+        raise ModulusTooLargeError(f"q={q} exceeds the ceiling {DLOG_CEILING} of O(q) class-number arrays")
+
+
 def class_number_bqf(q: int) -> ClassNumberResult:
     """h(-q) by counting reduced forms (a, b, c), b^2 - 4ac = -q.
 
@@ -267,8 +270,7 @@ def class_number_bqf(q: int) -> ClassNumberResult:
     every other twice, for b and -b.  About q/6 cells, no factorization.
     Exact integer; serves as the oracle for the class-formula route.
     """
-    if q <= 4 or not is_fundamental_discriminant(q):
-        raise NotFundamentalError(f"-{q} is not a fundamental discriminant below -4")
+    _check_class_q(q)
     b = np.arange(q % 2, math.isqrt(q // 3) + 1, 2, dtype=np.int64)
     n = (b * b + q) // 4
     a = np.arange(1, math.isqrt(int(n[-1])) + 1, dtype=np.int64)[:, None]
@@ -286,8 +288,7 @@ def class_number_via_formula(q: int) -> ClassNumberResult:
     psi_0(x) = pi cot(pi x) folds -1/q sum chi(a) psi_0(a/q) into
     L(1) = (pi/q) sum_{0 < a < q/2} chi(a) cot(pi a/q).
     """
-    if q <= 4 or not is_fundamental_discriminant(q):
-        raise NotFundamentalError(f"-{q} is not a fundamental discriminant below -4")
+    _check_class_q(q)
     half = np.arange(1, (q + 1) // 2)
     cot = 1.0 / np.tan(np.pi * half / q)
     lval = math.pi * float(np.dot(kronecker_character_table(q)[half], cot)) / q

@@ -81,6 +81,14 @@ def test_usage_errors():
     assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == ["5", "7"]
 
 
+@pytest.mark.parametrize("spec", ["powers:abc", "powers:", "powers:2,3", "gens:", "gens:2,x", "cubes"])
+def test_malformed_subgroup_specs_are_usage_errors(spec, capsys):
+    code, out = run_main(["scan", "subgroup", "--q", "3000", "--subgroup", spec, "--format", "csv"])
+    assert code == EXIT_USAGE and out == ""
+    err = capsys.readouterr().err
+    assert f"unknown subgroup spec {spec!r}: expected squares | powers:K | gens:a,b | trivial" in err
+
+
 def test_eval_commands():
     code, out = run_main(["eval", "alpha", "--h", "2", "--format", "csv"])
     assert code == EXIT_OK and "0.42" in out
@@ -302,6 +310,13 @@ def test_classnum_rejects_missing_or_non_fundamental_q(capsys):
     assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == ["8", "11"]
 
 
+def test_classnum_above_the_modulus_ceiling_is_a_usage_error(capsys):
+    # 10000019 is prime and -q fundamental: the ceiling stops it before any array
+    code, out = run_main(["classnum", "--q", "10000019", "--format", "csv"])
+    assert code == EXIT_USAGE and out == ""
+    assert "error: q=10000019 exceeds the ceiling 10000000" in capsys.readouterr().err
+
+
 def test_integer_flags_are_parsed_exactly(capsys):
     big = "100000000000000003"  # prime; its float is 10^17
     code, out = run_main(["scan", "qnr", "--q", big, "--format", "csv"])
@@ -452,14 +467,16 @@ def test_flags_read_only_with_another_are_usage_errors(argv, flag, capsys):
     assert flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("q", ["101", "3001"])
-def test_eval_and_scan_agree_on_thm12_applicability(q):
-    rows = []
+@pytest.mark.parametrize("q", ["0", "2", "101", "3001"])
+def test_eval_and_scan_agree_on_thm12_applicability(q, capsys):
     for argv in (["eval", "thm12"], ["scan", "subgroup-clean"]):
         code, out = run_main(argv + ["--q", q, "--format", "csv"])
-        assert code == EXIT_OK, argv
-        rows.append(out.splitlines()[1].split(",")[6])
-    assert rows[0] == rows[1] == ("true" if q == "3001" else "false")
+        if int(q) < 3:
+            assert code == EXIT_USAGE and out == "", argv
+            assert "error: q >= 3 required" in capsys.readouterr().err, argv
+        else:
+            assert code == EXIT_OK, argv
+            assert out.splitlines()[1].split(",")[6] == ("true" if q == "3001" else "false"), argv
 
 
 def test_options_follow_the_variant():
@@ -617,3 +634,12 @@ def test_lemma_2_1_at_1e9_stays_under_200_mb(tmp_path):
         code, peak_mb = _run_cli(["lemma", "2.1", "--x", "1e9", "--format", "csv"], out)
     assert code == EXIT_OK
     assert peak_mb < 200, peak_mb
+
+
+@pytest.mark.slow
+def test_lemma_2_2_at_1e9_stays_under_300_mb(tmp_path):
+    # the twisted weights are cached per stretch, at most four of them
+    with open(tmp_path / "out.csv", "w") as out:
+        code, peak_mb = _run_cli(["lemma", "2.2", "--q", "7", "--x", "1e9", "--format", "csv"], out)
+    assert code == EXIT_OK
+    assert peak_mb < 300, peak_mb

@@ -395,7 +395,7 @@ def test_negative_pattern_minimum_matches_the_gather_oracle():
             assert lhs == pytest.approx(gathered(w, t.n, chi).real, abs=1e-12)
 
 
-TWISTED_CACHES = (ef._twisted_weights, ef._bins, characters._block_sums, _character_block)
+TWISTED_CACHES = (ef._stretch_weights, ef._bins, characters._block_sums, _character_block)
 
 
 def _clear_twisted_caches():
@@ -429,7 +429,7 @@ def test_untwisted_sums_bypass_the_bin_cache():
 
 def test_bin_cache_stays_within_its_cap():
     # the per-(x, q) bins and the per-(q, block) character values
-    for cache, key in ((ef._bins, lambda q: (50.0, q)), (_character_block, lambda q: (q, 0))):
+    for cache, key in ((ef._bins, lambda q: (ef._KINDS, 50.0, q)), (_character_block, lambda q: (q, 0))):
         _clear_twisted_caches()
         cap = cache.cache_info().maxsize
         qs = range(3, 3 + cap + cap // 2)  # evicts fewer than the cap - 1 before q = 3
@@ -465,14 +465,14 @@ def test_checklist_builds_no_per_character_table():
 
 
 def test_negative_pattern_minimum_builds_no_per_character_table():
-    ef._pattern_bins.cache_clear()
+    ef._bins.cache_clear()
     characters._block_sums.cache_clear()
     chars = character_group(240) + character_group(97)
     for chi in chars:
         for x in (100.0, 1e3):
             negative_pattern_minimum(x, chi)
         assert not {"complex_table", "angles"} & vars(chi).keys(), chi.label
-    assert ef._pattern_bins.cache_info().misses == 4  # binned once per (x, q)
+    assert ef._bins.cache_info().misses == 4  # binned once per (x, q)
     assert characters._block_sums.cache_info().misses == 2 * (4 + 6)  # one product per (x, q, block)
 
 
@@ -499,7 +499,7 @@ def test_sums_and_l_values_share_one_block_product_per_block():
 # prime powers walked in stretches of at most arith._WINDOW integers
 # ----------------------------------------------------------------------
 
-STRETCH_CACHES = TWISTED_CACHES + (ef._pattern_bins, ef._alternating_sum)
+STRETCH_CACHES = TWISTED_CACHES + (ef._alternating_sum,)
 
 
 def _table_columns(t):
@@ -572,3 +572,19 @@ def test_searches_and_sums_share_one_patch_point(small_window):
         row = negative_pattern_minimum(x, chi)
         assert row.measured == pytest.approx(gathered(w, t.n, chi).real, abs=1e-12)
         assert row.bound == math.fsum(w * np.where(t.k % 2 == 0, 1.0, -1.0))
+
+
+def test_twisted_sums_hold_at_most_four_stretches(small_window):
+    # 30 stretches mod 97 (95 characters, 6 blocks): each kind set walks
+    # them once, and never keeps more than four
+    x = 3e4
+    t = ef.prime_power_table(x)
+    pattern = t.lam * (1.0 / (t.n * t.logn) - 1.0 / (x * math.log(x)))
+    for chi in primitive_characters(97):
+        for kind, fn in SUMS.items():
+            w = ef._weights(kind, x, t)
+            assert abs(fn(x, chi) - gathered(w, t.n, chi)) <= 1e-12 + 1e-14 * float(np.abs(w).sum()), (kind, chi.label)
+            assert ef._stretch_weights.cache_info().currsize <= 4
+        assert negative_pattern_minimum(x, chi).measured == pytest.approx(gathered(pattern, t.n, chi).real, abs=1e-12)
+        assert ef._stretch_weights.cache_info().currsize <= 4
+    assert ef._stretch_weights.cache_info().misses == 2 * 30

@@ -7,7 +7,7 @@ import pytest
 import scipy.special
 from hypothesis import assume, given, settings, strategies as st
 
-from nonresidue.arith import factorize
+from nonresidue.arith import DLOG_CEILING, ModulusTooLargeError, factorize
 from nonresidue.characters import (
     DirichletCharacter,
     character_group,
@@ -364,6 +364,13 @@ def test_class_number_errors():
         class_number_via_formula(9)
     with pytest.raises(NotFundamentalError):
         class_number_bqf(4)  # below the q > 4 floor
+
+
+@pytest.mark.parametrize("route", [class_number_bqf, class_number_via_formula])
+def test_class_numbers_stop_above_the_modulus_ceiling(route):
+    # 10000019 is prime and 3 mod 4, so -q is fundamental: only the ceiling stops it
+    with pytest.raises(ModulusTooLargeError, match=f"ceiling {DLOG_CEILING}"):
+        route(10000019)
 
 
 def test_class_number_scan_small():

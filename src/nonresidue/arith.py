@@ -192,7 +192,9 @@ class Factorization:
         return sorted(divs)
 
 
-@lru_cache(maxsize=200_000)
+# One modulus reads q, q/4 and p - 1 for each p | q; 64 entries hold
+# those, and a larger cache only keeps moduli already done.
+@lru_cache(maxsize=64)
 def factorize(n: int) -> Factorization:
     """Factor 1 <= n < 2**63; n = 1 gives the empty product."""
     if n < 1:
@@ -319,7 +321,8 @@ def _crt_lift(residue: int, pk: int, q: int) -> int:
     return (residue * rest * pow(rest, -1, pk) + pk * pow(pk, -1, rest)) % q
 
 
-@lru_cache(maxsize=4096)
+# Each entry holds a q-byte unit mask, and a scan reads one modulus at a time.
+@lru_cache(maxsize=4)
 def unit_group_structure(q: int) -> UnitGroupStructure:
     """Cyclic decomposition of (Z/qZ)*: generators, orders and unit mask.
 

@@ -327,10 +327,10 @@ def subgroup_from_generators(q: int, gens) -> SubgroupSpec:
     """H = <gens>, one generator g at a time, by doubling: after t steps
     the mask is H{g^i : i < 2^t}, which is H<g> exactly when g^(2^t) lies
     in it, so about log2 of g's order mod H steps, not that order."""
-    gens = [g % q for g in gens]
     for g in gens:
         if math.gcd(g, q) != 1:
             raise ValueError(f"generator {g} is not a unit mod {q}")
+    gens = [g % q for g in gens]
     struct = unit_group_structure(q)
     mask = np.zeros(q, dtype=bool)
     mask[1 % q] = True

@@ -7,7 +7,7 @@ pass or not-applicable, 2 at least one fail, 3 not-found without fails,
 1 usage error.  Options follow the variant (`scan qnr --q 7`), and each
 variant takes only the flags it reads.  Output is byte-deterministic for
 a fixed configuration:
-rows are merge-sorted by (q, target) and floats use shortest round-trip
+rows are sorted by (formula, q, target) and floats use shortest round-trip
 formatting, so the worker count never changes the bytes.
 """
 
@@ -22,6 +22,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal, InvalidOperation
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from scipy.integrate import quad
@@ -33,7 +34,6 @@ from .lfunctions import (
     FINITE_METHOD,
     HURWITZ_METHOD,
     SERIES_METHOD,
-    fundamental_q_values,
     l_at_1,
     re_b,
 )
@@ -108,25 +108,20 @@ def _sorted_reports(reports: Iterable[BoundReport]) -> list[BoundReport]:
 # ----------------------------------------------------------------------
 
 
-def _scan_task(payload) -> list[BoundReport]:
-    formula, q, kwargs = payload
-    return list(bounds.verify_stream(formula, [q], **kwargs))
+def _scan_task(formula: str, kwargs: dict, qs: Sequence[int]) -> list[BoundReport]:
+    return list(bounds.verify_stream(formula, qs, **kwargs))
 
 
 def run_scan(formula: str, qs: Sequence[int], workers: int = 1, **kwargs) -> list[BoundReport]:
-    payloads = [(formula, q, kwargs) for q in qs]
-    out: list[BoundReport] = []
     # the pool starts every worker at once: no more than CPUs or moduli
-    workers = min(workers, os.cpu_count() or 1, len(payloads))
-    if workers <= 1 or len(payloads) < 4:
-        for p in payloads:
-            out.extend(_scan_task(p))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(payloads) // (8 * workers))
-            for part in pool.map(_scan_task, payloads, chunksize=chunk):
-                out.extend(part)
-    return _sorted_reports(out)
+    workers = min(workers, os.cpu_count() or 1, len(qs))
+    if workers <= 1 or len(qs) < 4:
+        return _sorted_reports(bounds.verify_stream(formula, qs, **kwargs))
+    # contiguous slices, about eight per worker; a slice of a range is a range
+    step = max(1, len(qs) // (8 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(partial(_scan_task, formula, kwargs), [qs[i : i + step] for i in range(0, len(qs), step)])
+        return _sorted_reports(r for part in parts for r in part)
 
 
 def _progress(msg: str) -> None:
@@ -446,26 +441,27 @@ def _tolerance_row(formula: str, target: str, value: float, reference: float, to
 
 
 def _qnr_rows(scale: str, workers: int) -> list[BoundReport]:
-    return run_scan("cor12", list(range(5, 3001)), workers=workers)
+    return run_scan("cor12", range(5, 3001), workers=workers)
 
 
 _AP_QMAX = {"quick": 300, "default": 2000, "full": 20000}
 
 
 def _ap_rows(scale: str, workers: int) -> list[BoundReport]:
-    return run_scan("cor15", list(range(4, _AP_QMAX[scale] + 1)), workers=workers)
+    return run_scan("cor15", range(4, _AP_QMAX[scale] + 1), workers=workers)
 
 
 def _subgroup_rows(scale: str, workers: int) -> list[BoundReport]:
     qs = range(3000, 3031) if scale == "quick" else range(3000, 3101)
-    return run_scan("thm11", list(qs), workers=workers, subgroup="squares")
+    return run_scan("thm11", qs, workers=workers, subgroup="squares")
 
 
 _CLASSNUM_QMAX = {"quick": 800, "default": 10000, "full": 10000}
 
 
 def _classnum_rows(scale: str, workers: int) -> list[BoundReport]:
-    return run_scan("eq13", fundamental_q_values(_CLASSNUM_QMAX[scale]), workers=workers)
+    # verify_stream picks the q with -q fundamental
+    return run_scan("eq13", range(5, _CLASSNUM_QMAX[scale] + 1), workers=workers)
 
 
 # (lambda, h, c): the paper's kernel choices and the constants they give.

@@ -298,14 +298,3 @@ def class_number_via_formula(q: int) -> ClassNumberResult:
     if dist >= 0.25:
         raise RoundingAmbiguousError(f"class value {real} for q={q} too far from integer")
     return ClassNumberResult(q, int(h), "class-formula", real_value=real, distance=dist)
-
-
-def fundamental_q_values(limit: int) -> list[int]:
-    """All q with 4 < q <= limit such that -q is fundamental, ascending."""
-    out = []
-    for q in range(5, limit + 1):
-        if q % 4 in (1, 2):
-            continue
-        if is_fundamental_discriminant(q):
-            out.append(q)
-    return out

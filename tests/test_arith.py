@@ -348,6 +348,18 @@ def test_subgroup_scan_memory_stays_small():
     assert peak < 16 * 2**20, peak
 
 
+def test_ap_scan_near_1e6_keeps_few_unit_masks_live():
+    # each cached unit group keeps a q-byte mask: about 1 MB a modulus here
+    tracemalloc.start()
+    try:
+        for q in range(10**6, 10**6 + 200):
+            bounds.verify_ap(q, ceiling=1000)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live < 20 * 2**20, live
+
+
 def test_unit_group_ceiling():
     with pytest.raises(ModulusTooLargeError):
         unit_group_structure(10**7 + 1)  # raises before anything is allocated

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from nonresidue import cli
+from nonresidue.arith import is_prime
 from nonresidue.cli import (
     CSV_FIELDS,
     EXIT_FAIL,
@@ -87,6 +88,13 @@ def test_malformed_subgroup_specs_are_usage_errors(spec, capsys):
     assert code == EXIT_USAGE and out == ""
     err = capsys.readouterr().err
     assert f"unknown subgroup spec {spec!r}: expected squares | powers:K | gens:a,b | trivial" in err
+
+
+@pytest.mark.parametrize("spec, g", [("gens:7", 7), ("gens:3,14", 14)])
+def test_non_unit_generator_is_named_as_given(spec, g, capsys):
+    code, out = run_main(["scan", "subgroup", "--q", "7", "--subgroup", spec, "--format", "csv"])
+    assert code == EXIT_USAGE and out == ""
+    assert f"generator {g} is not a unit mod 7" in capsys.readouterr().err
 
 
 def test_eval_commands():
@@ -538,6 +546,7 @@ class _FakePool:
     this process, so no process starts."""
 
     started: list[int] = []
+    mapped: list[list] = []
 
     def __init__(self, max_workers):
         self.started.append(max_workers)
@@ -549,6 +558,8 @@ class _FakePool:
         return False
 
     def map(self, fn, items, chunksize=1):
+        items = list(items)
+        self.mapped.append(items)
         return map(fn, items)
 
 
@@ -567,6 +578,33 @@ def test_scan_pool_is_no_larger_than_cpus_or_moduli(monkeypatch):
     _FakePool.started.clear()
     cli.run_scan("cor12", qs[:5], workers=10**6)
     assert _FakePool.started == [5]
+
+
+@pytest.mark.parametrize("qs", [range(5, 3001), list(range(5, 300))])
+def test_scan_pool_maps_contiguous_slices(monkeypatch, qs):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    serial = cli.run_scan("cor12", qs)
+    _FakePool.mapped.clear()
+    assert cli.run_scan("cor12", qs, workers=2) == serial
+    (items,) = _FakePool.mapped
+    # slices of qs in order, not one item per modulus
+    assert len(items) < len(qs) and all(type(part) is type(qs) for part in items)
+    assert [q for part in items for q in part] == list(qs)
+
+
+def test_serial_scan_is_one_verify_stream_call(monkeypatch):
+    calls = []
+    stream = cli.bounds.verify_stream
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stream(*args, **kwargs)
+
+    monkeypatch.setattr(cli.bounds, "verify_stream", counted)
+    rows = cli.run_scan("cor12", range(5, 3001))
+    assert len(calls) == 1
+    assert [r.q for r in rows] == [q for q in range(5, 3001) if is_prime(q)]
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "x"])
@@ -634,6 +672,15 @@ def test_lemma_2_1_at_1e9_stays_under_200_mb(tmp_path):
         code, peak_mb = _run_cli(["lemma", "2.1", "--x", "1e9", "--format", "csv"], out)
     assert code == EXIT_OK
     assert peak_mb < 200, peak_mb
+
+
+@pytest.mark.slow
+def test_qnr_scan_to_2e6_stays_under_160_mb(tmp_path):
+    # the range reaches verify_stream whole, not as one payload per integer
+    with open(tmp_path / "out.csv", "w") as out:
+        code, peak_mb = _run_cli(["scan", "qnr", "--qmin", "5", "--qmax", "2000000", "--format", "csv"], out)
+    assert code == EXIT_OK
+    assert peak_mb < 160, peak_mb
 
 
 @pytest.mark.slow

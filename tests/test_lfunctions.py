@@ -28,7 +28,6 @@ from nonresidue.lfunctions import (
     PrincipalCharacterError,
     class_number_bqf,
     class_number_via_formula,
-    fundamental_q_values,
     hurwitz_laurent_pair,
     l_and_lprime_at_1,
     l_at_1,
@@ -314,24 +313,30 @@ def reference_class_number_bqf(q: int) -> int:
     return h
 
 
+def _fundamental_qs(limit: int) -> list[int]:
+    """Every q with 4 < q <= limit and -q fundamental, ascending."""
+    return [q for q in range(5, limit + 1) if is_fundamental_discriminant(q)]
+
+
 def test_class_number_bqf_matches_reference_loop():
     assert type(class_number_bqf(23).h) is int
-    for q in fundamental_q_values(20_000):
+    for q in _fundamental_qs(20_000):
         assert class_number_bqf(q).h == reference_class_number_bqf(q), q
 
 
 @pytest.mark.slow
 def test_class_number_bqf_matches_reference_loop_to_1e5():
-    for q in fundamental_q_values(100_000):
+    for q in _fundamental_qs(100_000):
         assert class_number_bqf(q).h == reference_class_number_bqf(q), q
 
 
 def test_class_number_bqf_adds_no_factorize_miss():
     # each q's own factorization is the fundamental-discriminant check's, read first
-    qs = [q for q in range(400_001, 400_200) if is_fundamental_discriminant(q)]
-    misses = factorize.cache_info().misses
-    assert sum(class_number_bqf(q).h for q in qs) > 0
-    assert factorize.cache_info().misses == misses
+    for q in range(400_001, 400_200):
+        if is_fundamental_discriminant(q):
+            misses = factorize.cache_info().misses
+            assert class_number_bqf(q).h > 0
+            assert factorize.cache_info().misses == misses, q
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -350,7 +355,7 @@ def test_class_number_bqf_examples():
 
 
 def test_class_number_formula_examples():
-    near_top = fundamental_q_values(10000)[-1]
+    near_top = _fundamental_qs(10000)[-1]
     for q in (7, 23, 163, near_top):
         r = class_number_via_formula(q)
         assert r.h == class_number_bqf(q).h
@@ -374,7 +379,7 @@ def test_class_numbers_stop_above_the_modulus_ceiling(route):
 
 
 def test_class_number_scan_small():
-    for q in fundamental_q_values(500):
+    for q in _fundamental_qs(500):
         a = class_number_bqf(q)
         b = class_number_via_formula(q)
         assert a.h == b.h, q
@@ -399,5 +404,5 @@ def test_cotangent_real_value_matches_digamma_sum():
 
 @pytest.mark.slow
 def test_class_number_formula_matches_form_count_to_3e4():
-    for q in fundamental_q_values(30_000):
+    for q in _fundamental_qs(30_000):
         assert class_number_via_formula(q).h == class_number_bqf(q).h, q

@@ -9,6 +9,9 @@ variant takes only the flags it reads.  Output is byte-deterministic for
 a fixed configuration:
 rows are sorted by (formula, q, target) and floats use shortest round-trip
 formatting, so the worker count never changes the bytes.
+
+`reproduce-paper` runs the checklist `CHECKS`.  Its twisted sec2 rows and
+those of `lemma 2.2|2.3|2.5` come from one per-modulus builder, `sec2_rows`.
 """
 
 from __future__ import annotations
@@ -358,13 +361,9 @@ def _residual_report_row(rep: ef.ResidualReport) -> BoundReport:
     return BoundReport.decide(f"lemma{rep.lemma}", rep.q, target, abs(rep.theta), upper=1.0)
 
 
-def _primitive_characters(q: int) -> list:
-    """primitive_characters(q), or a usage error when there are none."""
-    chars = primitive_characters(q)
-    if not chars:
-        _progress(f"error: no primitive character mod {q} (there is none for q = 1 or q = 2 mod 4)")
-        raise SystemExit(EXIT_USAGE)
-    return chars
+def _no_primitive_character(q: int) -> int:
+    _progress(f"error: no primitive character mod {q} (there is none for q = 1 or q = 2 mod 4)")
+    return EXIT_USAGE
 
 
 def _hadamard_row(x: float, chi, rb: float) -> BoundReport:
@@ -374,39 +373,49 @@ def _hadamard_row(x: float, chi, rb: float) -> BoundReport:
     return BoundReport.decide("lemma2.3", chi.q, f"x={x:g}:{chi.label}", rb, lower=win.lower, upper=win.upper, slack=ef.WINDOW_SLACK)
 
 
+def sec2_rows(q: int, xs: Sequence[float], lemmas: Sequence[str] = ("2.2", "2.3", "2.5")) -> list[BoundReport]:
+    """The twisted sec2 rows mod q: for each primitive character, each x,
+    each of `lemmas` in the order given, with |Re B| and log |L(1, chi)|
+    read once per character.  No rows when q has no primitive character."""
+    if not set(lemmas) <= {"2.2", "2.3", "2.5"}:
+        raise ValueError(f"not a twisted sec2 identity: {lemmas!r}")
+    rows = []
+    for chi in primitive_characters(q):
+        rb, logl = re_b(chi), math.log(abs(l_at_1(chi).value))
+        for x in xs:
+            for lemma in lemmas:
+                if lemma == "2.2":
+                    rows.append(_residual_report_row(ef.character_log_residual(x, chi, rb)))
+                elif lemma == "2.3":
+                    rows.append(_hadamard_row(x, chi, rb))
+                else:
+                    rows.append(_residual_report_row(ef.log_l_residual(x, chi, rb, logl)))
+    return rows
+
+
 def cmd_lemma(args) -> int:
     which, xs = args.what, args.x
-    rows: list[BoundReport] = []
     if which in ("2.1", "2.4", "2.6"):
-        for x in xs:
-            rows.append(_residual_report_row(ef.lemma_residual(which, x)))
+        rows = [_residual_report_row(ef.lemma_residual(which, x)) for x in xs]
     elif which in ("2.2", "2.3", "2.5"):
-        for chi in _primitive_characters(args.q):
-            rb = re_b(chi)
-            for x in xs:
-                if which == "2.2":
-                    rows.append(_residual_report_row(ef.character_log_residual(x, chi, rb)))
-                elif which == "2.5":
-                    rows.append(_residual_report_row(ef.log_l_residual(x, chi, rb)))
-                else:
-                    rows.append(_hadamard_row(x, chi, rb))
+        rows = sec2_rows(args.q, xs, (which,))
+        if not rows:
+            return _no_primitive_character(args.q)
     elif which == "3.1":
-        for x in xs:
-            rows.extend(ef.coprime_excess_sums(x, args.m))
+        rows = [r for x in xs for r in ef.coprime_excess_sums(x, args.m)]
     elif which == "5.1":
-        for chi in character_group(args.q):
-            for x in xs:
-                rows.append(ef.negative_pattern_minimum(x, chi))
+        rows = [ef.negative_pattern_minimum(x, chi) for chi in character_group(args.q) for x in xs]
     else:  # trig
-        for x in xs:
-            rows.append(ef.two_adic_trig_polynomial(x, grid=args.grid))
+        rows = [ef.two_adic_trig_polynomial(x, grid=args.grid) for x in xs]
     _write_output(args, rows)
     return exit_code(rows)
 
 
 def cmd_lvalue(args) -> int:
     q = args.q
-    chars = _primitive_characters(q)
+    chars = primitive_characters(q)
+    if not chars:
+        return _no_primitive_character(q)
     if args.index is not None:
         chars = [c for c in chars if c.index == args.index]
         if not chars:
@@ -518,18 +527,9 @@ def _residual_rows(scale: str, workers: int) -> list[BoundReport]:
     untwisted_xs = [10.0, 100.0, 1e3, 1e4] if quick else [10.0, 100.0, 1e3, 1e4, 1e5, 1e6]
     twisted_qmax = 50 if quick else 300
     twisted_xs = [50.0, 100.0] if quick else [50.0, 100.0, 1e3, 1e4]
-    rows = []
-    for x in untwisted_xs:
-        for lemma in ("2.1", "2.4", "2.6"):
-            rows.append(_residual_report_row(ef.lemma_residual(lemma, x)))
+    rows = [_residual_report_row(ef.lemma_residual(lemma, x)) for x in untwisted_xs for lemma in ("2.1", "2.4", "2.6")]
     for q in range(3, twisted_qmax + 1):
-        for chi in primitive_characters(q):
-            rb = re_b(chi)
-            logl = math.log(abs(l_at_1(chi).value))
-            for x in twisted_xs:
-                rows.append(_residual_report_row(ef.character_log_residual(x, chi, rb)))
-                rows.append(_hadamard_row(x, chi, rb))
-                rows.append(_residual_report_row(ef.log_l_residual(x, chi, rb, logl)))
+        rows.extend(sec2_rows(q, twisted_xs))
     return rows
 
 

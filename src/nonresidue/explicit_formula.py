@@ -15,6 +15,11 @@ Sum kinds (chi optional in each):
     cheb_log_sum      sum_{n<=x} Lambda(n) chi(n) log(x/n)
     weighted_psi_sum  sum_{n<=x} Lambda(n)/n chi(n) (1 - n/x)
     loglog_sum        sum_{n<=x} Lambda(n)/(n log n) chi(n) log(x/n)/log(x)
+
+`lemma_residual` evaluates the untwisted identities (Lemmas 2.1, 2.4, 2.6).
+The twisted ones, `character_log_residual`, `hadamard_window` and
+`log_l_residual` (2.2, 2.3, 2.5), take |Re B| and log |L(1, chi)| from
+the caller: `cli.sec2_rows` reads each once per character.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from . import arith
 from .arith import factorize
 from .bounds import BoundReport, float_sum_slack
 from .characters import DirichletCharacter, character_sums
-from .lfunctions import EULER_GAMMA, HADAMARD_B, PSI_AT_1, PSI_AT_HALF, _require_primitive_nonprincipal, l_at_1
+from .lfunctions import EULER_GAMMA, HADAMARD_B, PSI_AT_1, PSI_AT_HALF, _require_primitive_nonprincipal
 
 __all__ = [
     "DegenerateWindowError",
@@ -276,43 +281,6 @@ def _report(lemma: str, x: float, chi, lhs: float, main: float, env: float) -> R
     return ResidualReport(lemma, x, q, char, lhs, main, env, (lhs - main) / env)
 
 
-def smoothed_psi_log_residual(x: float) -> ResidualReport:
-    """Untwisted log-weighted identity; envelope 2|B|(sqrt(x) + 1)."""
-    if x <= 1:
-        raise ValueError("x > 1 required")
-    lhs = cheb_log_sum(x)
-    series = math.pi**2 / 24 - tail_series(x, "square-even")
-    main = x - math.log(2 * math.pi) * math.log(x) - 1 + series
-    env = 2 * abs(HADAMARD_B) * (math.sqrt(x) + 1)
-    return _report("2.1", x, None, lhs, main, env)
-
-
-def smoothed_psi_harmonic_residual(x: float) -> ResidualReport:
-    """Untwisted (1 - n/x) identity; envelope 2|B|/sqrt(x)."""
-    if x <= 1:
-        raise ValueError("x > 1 required")
-    lhs = weighted_psi_sum(x)
-    main = (
-        math.log(x)
-        - (1 + EULER_GAMMA)
-        + math.log(2 * math.pi) / x
-        - tail_series(x, "harmonic-odd")
-    )
-    env = 2 * abs(HADAMARD_B) / math.sqrt(x)
-    return _report("2.4", x, None, lhs, main, env)
-
-
-def loglog_residual(x: float) -> ResidualReport:
-    """Untwisted log log identity, x >= e."""
-    if x < math.e:
-        raise ValueError("x >= e required")
-    lhs = loglog_sum(x)
-    lx = math.log(x)
-    main = math.log(lx) + EULER_GAMMA - 1 + EULER_GAMMA / lx
-    env = 2 * abs(HADAMARD_B) / (math.sqrt(x) * lx**2) + 1 / (3 * x**3 * lx**2)
-    return _report("2.6", x, None, lhs, main, env)
-
-
 def character_log_residual(x: float, chi: DirichletCharacter, re_b_value: float) -> ResidualReport:
     """Twisted log-weighted identity for primitive chi.
 
@@ -369,9 +337,9 @@ def log_l_residual(
     x: float,
     chi: DirichletCharacter,
     re_b_value: float,
-    log_abs_l: float | None = None,
+    log_abs_l: float,
 ) -> ResidualReport:
-    """Identity for log |L(1, chi)| with combined theta envelope.
+    """Identity for log |L(1, chi)| = log_abs_l with combined theta envelope.
 
     The two theta terms (zero sum and trivial-zero tail) are merged:
     envelope = 2|Re B|/(sqrt(x) log^2 x) + 2/(x log^2 x).
@@ -379,8 +347,6 @@ def log_l_residual(
     if x < 2:
         raise ValueError("x >= 2 required")
     _require_primitive_nonprincipal(chi)
-    if log_abs_l is None:
-        log_abs_l = math.log(abs(l_at_1(chi).value))
     lx = math.log(x)
     psi_term = PSI_AT_1 if chi.parity == 1 else PSI_AT_HALF
     main = (
@@ -392,20 +358,33 @@ def log_l_residual(
     return _report("2.5", x, chi, log_abs_l, main, env)
 
 
-_RESIDUALS = {
-    "2.1": smoothed_psi_log_residual,
-    "2.4": smoothed_psi_harmonic_residual,
-    "2.6": loglog_residual,
-}
-
-
 def lemma_residual(lemma: str, x: float) -> ResidualReport:
-    """Dispatch for the untwisted identities, keyed by checklist id."""
-    try:
-        fn = _RESIDUALS[str(lemma)]
-    except KeyError:
-        raise ValueError(f"unknown untwisted identity {lemma!r}") from None
-    return fn(x)
+    """The untwisted identity of checklist id 2.1 (cheb_log_sum, x > 1),
+    2.4 (weighted_psi_sum, x > 1) or 2.6 (loglog_sum, x >= e), with the
+    envelope 2|B| (sqrt(x) + 1), 2|B|/sqrt(x) or 2|B|/(sqrt(x) log^2 x)
+    + 1/(3 x^3 log^2 x)."""
+    lemma = str(lemma)
+    if lemma not in ("2.1", "2.4", "2.6"):
+        raise ValueError(f"unknown untwisted identity {lemma!r}")
+    if lemma == "2.6" and x < math.e:
+        raise ValueError("x >= e required")
+    if x <= 1:
+        raise ValueError("x > 1 required")
+    b2 = 2 * abs(HADAMARD_B)
+    if lemma == "2.1":
+        lhs = cheb_log_sum(x)
+        main = x - math.log(2 * math.pi) * math.log(x) - 1 + (math.pi**2 / 24 - tail_series(x, "square-even"))
+        env = b2 * (math.sqrt(x) + 1)
+    elif lemma == "2.4":
+        lhs = weighted_psi_sum(x)
+        main = math.log(x) - (1 + EULER_GAMMA) + math.log(2 * math.pi) / x - tail_series(x, "harmonic-odd")
+        env = b2 / math.sqrt(x)
+    else:
+        lhs = loglog_sum(x)
+        lx = math.log(x)
+        main = math.log(lx) + EULER_GAMMA - 1 + EULER_GAMMA / lx
+        env = b2 / (math.sqrt(x) * lx**2) + 1 / (3 * x**3 * lx**2)
+    return _report(lemma, x, None, lhs, main, env)
 
 
 # ----------------------------------------------------------------------

@@ -91,7 +91,9 @@ _EM_SHIFT = 30
 _EM_DEPTH = 12
 
 
-@lru_cache(maxsize=2048)
+# Four entries: every block of a modulus reads the same one, callers take one
+# modulus at a time, and each entry holds 16 q bytes.
+@lru_cache(maxsize=4)
 def hurwitz_laurent_pair(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Laurent data of zeta(s, a/q) at s = 1 for a = 1..q.
 
@@ -190,12 +192,14 @@ def _series_weights(q: int) -> tuple[np.ndarray, int]:
     k^(-2), and the truncated tail is restored by Euler-Maclaurin in the
     block index.  Every piece is linear in the character's values, so W_j
     holds the head 1/j, the blocks sum_k 1/(kq + j) and the three tail
-    terms at the edge.  Cached; do not mutate.
+    terms at the edge.  The blocks are summed 64 at a time, so the
+    temporaries are q x 64, not q x blocks.  Cached; do not mutate.
     """
     j = np.arange(1, q + 1, dtype=float)
     blocks = max(600, 300_000 // q)
     k = np.arange(1, blocks + 1, dtype=float)
-    body = (1.0 / (j[:, None] + q * k[None, :])).sum(axis=1)  # pairwise along rows
+    parts = [(1.0 / (j[:, None] + q * ks)).sum(axis=1) for ks in np.split(k, range(64, blocks, 64))]
+    body = np.stack(parts, axis=1).sum(axis=1)  # pairwise along rows
     edge = (blocks + 1) * q + j
     tail = -np.log(edge) / q + 0.5 / edge + q / (12.0 * edge**2)
     return 1.0 / j + body + tail, blocks

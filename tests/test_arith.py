@@ -327,13 +327,17 @@ def test_dlog_round_trip(q, ns):
 
 
 def test_searches_build_no_dlog_tables():
+    # the subgroup search tests membership by exponents: it reads no unit group
     unit_group_structure.cache_clear()
     for q in (3001, 3003, 4096, 5000, 7919):
         bounds.verify_subgroup(q)
-        assert "dlogs" not in unit_group_structure(q).__dict__, q
+        assert unit_group_structure.cache_info().misses == 0, q
+    # the progression search reads the unit mask of the entry it built, never its dlogs
     for q in (4, 10, 64, 105, 2000):
         bounds.verify_ap(q)
+        misses = unit_group_structure.cache_info().misses
         assert "dlogs" not in unit_group_structure(q).__dict__, q
+        assert unit_group_structure.cache_info().misses == misses, q
 
 
 def test_subgroup_scan_memory_stays_small():

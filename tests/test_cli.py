@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonresidue import cli
+from nonresidue import cli, explicit_formula as ef
 from nonresidue.arith import is_prime
+from nonresidue.characters import character_group, primitive_characters
+from nonresidue.lfunctions import FINITE_METHOD, HURWITZ_METHOD, SERIES_METHOD, l_at_1, re_b
 from nonresidue.cli import (
     CSV_FIELDS,
     EXIT_FAIL,
@@ -607,6 +609,131 @@ def test_serial_scan_is_one_verify_stream_call(monkeypatch):
     assert [r.q for r in rows] == [q for q in range(5, 3001) if is_prime(q)]
 
 
+# ----------------------------------------------------------------------
+# Branches no other test runs: each case's rows are computed here from
+# the library, as (target, verdict) pairs in output order
+# ----------------------------------------------------------------------
+
+
+def _twisted_expected(lemma: str, q: int, xs: list[float]) -> list[tuple[str, str]]:
+    """Lemma 2.2, 2.3 or 2.5 mod q, built per character from the per-row
+    functions; also checks that cli.sec2_rows gives the same rows."""
+    want = []  # (formula, target, measured, verdict)
+    for chi in primitive_characters(q):
+        rb, logl = re_b(chi), math.log(abs(l_at_1(chi).value))
+        for x in xs:
+            target = f"x={x:g}:{chi.label}"
+            if lemma == "2.3":
+                win = ef.hadamard_window(x, chi)
+                want.append(("lemma2.3", target, rb, "pass" if win.contains(rb) else "fail"))
+                continue
+            if lemma == "2.2":
+                rep = ef.character_log_residual(x, chi, rb)
+            else:
+                rep = ef.log_l_residual(x, chi, rb, logl)
+            want.append((f"lemma{lemma}", target, abs(rep.theta), "pass" if abs(rep.theta) <= 1 else "fail"))
+    got = [(r.formula, r.target, r.measured, r.verdict) for r in cli.sec2_rows(q, xs, (lemma,))]
+    assert got == want
+    return [(target, verdict) for _, target, _, verdict in want]
+
+
+def _lvalue_expected(q: int, index: int | None = None) -> list[tuple[str, str]]:
+    rows = []
+    for chi in primitive_characters(q):
+        if index is not None and chi.index != index:
+            continue
+        base = l_at_1(chi, HURWITZ_METHOD).value
+        rows.append((f"{chi.label}:{HURWITZ_METHOD}", "not-applicable"))
+        rows.append((f"{chi.label}:agree", "pass" if abs(base - l_at_1(chi, SERIES_METHOD).value) < 1e-8 else "fail"))
+        if chi.is_real and chi.parity == 1:
+            rows.append((f"{chi.label}:{FINITE_METHOD}", "pass" if abs(base - l_at_1(chi, FINITE_METHOD).value) < 1e-10 else "fail"))
+    return rows
+
+
+def _elementary_expected(q: int) -> list[tuple[str, str]]:
+    """The sec43 rows of q, in the order eval writes them; stated for q > 20000."""
+    phi = sum(math.gcd(a, q) == 1 for a in range(1, q + 1))
+    omega = sum(1 for p in range(2, q + 1) if q % p == 0 and is_prime(p))
+    checks = {"phi>=4156": phi >= 4156, "2^omega<=q^(3/7)": 2**omega <= q ** (3 / 7), "phi>=q^(5/6)": phi >= q ** (5 / 6)}
+    return [(t, ("pass" if ok else "fail") if q > 20000 else "not-applicable") for t, ok in checks.items()]
+
+
+# (argv, format, exit code, expected rows or the stderr text of a usage error)
+_BRANCHES = {
+    "human-format": (["eval", "limit", "--h", "3"], "human", EXIT_OK, lambda: [("((h-1)/(2h-1))^2 at h=3", "not-applicable")]),
+    "human-margins": (["lemma", "5.1", "--q", "5", "--x", "100"], "human", EXIT_OK,
+                      lambda: [(f"x=100:{chi.label}", "pass") for chi in character_group(5)]),
+    "eval-cor15": (["eval", "cor15", "--q", "101"], "csv", EXIT_OK, lambda: [("(phi(q) log q)^2", "not-applicable")]),
+    "eval-thm15": (["eval", "thm15", "--q", "1000"], "csv", EXIT_OK, lambda: [
+        ("2e^g(loglog q - log2 + 1/2 + 1/loglog q)", "not-applicable"),
+        ("12e^g/pi^2 (... + 14 loglog q/log q) for 1/|L|", "not-applicable"),
+    ]),
+    "eval-sec43": (["eval", "sec43", "--q", "20001"], "csv", EXIT_OK, lambda: _elementary_expected(20001)),
+    "eval-limit": (["eval", "limit", "--h", "inf"], "csv", EXIT_OK, lambda: [("((h-1)/(2h-1))^2 at h=inf", "not-applicable")]),
+    "kernel-k-half": (["kernel", "gamma", "--k-half"], "csv", EXIT_OK, lambda: [("gamma:K(1/2)", "not-applicable")]),
+    "kernel-nothing": (["kernel", "gamma"], "csv", EXIT_USAGE, "error: nothing requested"),
+    "lemma-2.2": (["lemma", "2.2", "--q", "7", "--x", "50,1e3"], "csv", EXIT_OK, lambda: _twisted_expected("2.2", 7, [50.0, 1e3])),
+    "lemma-2.3": (["lemma", "2.3", "--q", "12", "--x", "50,1e4"], "csv", EXIT_OK, lambda: _twisted_expected("2.3", 12, [50.0, 1e4])),
+    "lemma-2.5": (["lemma", "2.5", "--q", "40", "--x", "50,1e3"], "csv", EXIT_OK, lambda: _twisted_expected("2.5", 40, [50.0, 1e3])),
+    "lemma-5.1": (["lemma", "5.1", "--q", "8", "--x", "100,1e3"], "csv", EXIT_OK,
+                  lambda: [(f"x={x:g}:{chi.label}", "pass") for chi in character_group(8) for x in (100.0, 1e3)]),
+    "lvalue-index": (["lvalue", "--q", "13", "--index", "6"], "csv", EXIT_OK, lambda: _lvalue_expected(13, 6)),
+    "lvalue-missing-index": (["lvalue", "--q", "13", "--index", "99"], "csv", EXIT_USAGE, "no primitive character with index 99 mod 13"),
+    "lvalue-finite-formula": (["lvalue", "--q", "7"], "csv", EXIT_OK, lambda: _lvalue_expected(7)),
+    "scan-elementary": (["scan", "elementary", "--q", "20000..20002"], "csv", EXIT_OK,
+                        lambda: [row for q in range(20000, 20003) for row in sorted(_elementary_expected(q))]),  # a scan sorts by target
+    "empty-range": (["scan", "qnr", "--q", "10..5"], "csv", EXIT_USAGE, "error: empty q range"),
+    "integer-flag-1e40": (["scan", "ap", "--q", "7", "--ceiling", "1e40"], "csv", EXIT_USAGE, "not an integer below 1e40: '1e40'"),
+}
+
+
+def _human_cells(line: str) -> list[str]:
+    """The cells of a human table line: padded to fixed widths, two spaces apart."""
+    cells, at = [], 0
+    for width in (10, 12, 28, 22, 22, 14, 6, 14):
+        cells.append(line[at : at + width].rstrip())
+        at += width + 2
+    return cells
+
+
+def _target_verdicts(out: str, fmt: str) -> list[tuple[str, str]]:
+    if fmt == "csv":
+        return [(r["target"], r["verdict"]) for r in csv.DictReader(io.StringIO(out))]
+    header, *lines = map(_human_cells, out.splitlines())
+    assert header == ["formula", "q", "target", "measured", "bound", "margin", "appl", "verdict"]
+    return [(cells[2], cells[7]) for cells in lines]
+
+
+@pytest.mark.parametrize("case", list(_BRANCHES))
+def test_cli_branches(case, capsys):
+    argv, fmt, code, expected = _BRANCHES[case]
+    got_code, out = run_main(argv + ([] if fmt == "human" else ["--format", fmt]))
+    assert got_code == code
+    if code == EXIT_USAGE:
+        assert out == "" and expected in capsys.readouterr().err
+        return
+    assert _target_verdicts(out, fmt) == [(target[:28] if fmt == "human" else target, verdict) for target, verdict in expected()]
+
+
+def test_human_cells_are_float_reprs_cut_to_width():
+    _, out = run_main(["lemma", "5.1", "--q", "5", "--x", "100"])
+    row = ef.negative_pattern_minimum(100.0, character_group(5)[2])
+    cells = _human_cells(out.splitlines()[3])
+    assert cells[:3] == ["lemma5.1", "5", row.target]
+    assert cells[3:7] == [repr(row.measured)[:22], repr(row.bound)[:22], repr(round(row.margin, 6)), "yes"]
+
+
+def test_sec2_rows_walk_characters_then_x_then_lemmas():
+    xs = [50.0, 1e3]
+    rows = cli.sec2_rows(5, xs)
+    want = [(f"lemma{lemma}", f"x={x:g}:{chi.label}") for chi in primitive_characters(5) for x in xs for lemma in ("2.2", "2.3", "2.5")]
+    assert [(r.formula, r.target) for r in rows] == want
+    assert [r.formula for r in cli.sec2_rows(5, [50.0], ("2.5", "2.2"))] == ["lemma2.5", "lemma2.2"] * 3
+    assert cli.sec2_rows(6, xs) == []  # no primitive character mod 6
+    with pytest.raises(ValueError, match="not a twisted sec2 identity"):
+        cli.sec2_rows(5, xs, ("2.1",))
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "x"])
 def test_lvalue_tolerance_is_a_finite_positive_number(tol, capsys):
     code, out = run_main(["lvalue", "--q", "5", "--tolerance", tol, "--format", "csv"])
@@ -690,3 +817,12 @@ def test_lemma_2_2_at_1e9_stays_under_300_mb(tmp_path):
         code, peak_mb = _run_cli(["lemma", "2.2", "--q", "7", "--x", "1e9", "--format", "csv"], out)
     assert code == EXIT_OK
     assert peak_mb < 300, peak_mb
+
+
+@pytest.mark.slow
+def test_lvalue_at_q_100003_stays_under_400_mb(tmp_path):
+    # the series oracle sums its 600 blocks 64 at a time, never as one q x 600 matrix
+    with open(tmp_path / "out.csv", "w") as out:
+        code, peak_mb = _run_cli(["lvalue", "--q", "100003", "--index", "1", "--format", "csv"], out)
+    assert code == EXIT_OK
+    assert peak_mb < 400, peak_mb

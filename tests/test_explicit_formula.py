@@ -195,9 +195,9 @@ def test_hadamard_row_fails_below_the_window_with_a_positive_margin():
 def test_log_l_residual_small_q():
     for q in (3, 5, 7, 8):
         for chi in primitive_characters(q):
-            rb = re_b(chi)
+            rb, logl = re_b(chi), math.log(abs(l_at_1(chi).value))
             for x in (50.0, 1000.0):
-                rep = log_l_residual(x, chi, rb)
+                rep = log_l_residual(x, chi, rb, logl)
                 assert _residual_report_row(rep).verdict == "pass", (q, chi.label, x, rep.theta)
 
 
@@ -455,12 +455,11 @@ def test_bin_cache_stays_within_its_cap():
 def test_checklist_builds_no_per_character_table():
     for q in (97, 240, 300):
         for chi in primitive_characters(q):
-            rb = re_b(chi)
-            l_at_1(chi)
+            rb, logl = re_b(chi), math.log(abs(l_at_1(chi).value))
             for x in (50.0, 1e3):
                 character_log_residual(x, chi, rb)
                 hadamard_window(x, chi)
-                log_l_residual(x, chi, rb)
+                log_l_residual(x, chi, rb, logl)
             assert not {"complex_table", "angles"} & vars(chi).keys(), chi.label
 
 

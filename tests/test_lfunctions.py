@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 import scipy.special
 from hypothesis import assume, given, settings, strategies as st
 
-from nonresidue.arith import DLOG_CEILING, ModulusTooLargeError, factorize
+from nonresidue import lfunctions
+from nonresidue.arith import DLOG_CEILING, ModulusTooLargeError, factorize, is_prime, unit_group_structure
 from nonresidue.characters import (
     DirichletCharacter,
     character_group,
@@ -231,6 +233,22 @@ def test_block_l_and_lprime_match_the_per_character_dot():
         want_lp = complex(np.dot(vals, c1[:-1])) / q - math.log(q) * want_l
         l1, lp = l_and_lprime_at_1(chi)
         assert abs(l1 - want_l) <= 1e-12 and abs(lp - want_lp) <= 1e-12, chi.label
+
+
+def test_l_at_1_over_many_moduli_keeps_few_laurent_tables_live():
+    # every block of a modulus reads the same Laurent entry, 16 q bytes, so
+    # the cache need hold only a few moduli, not one per modulus visited
+    qs = [q for q in range(20011, 21000) if is_prime(q)][:12]
+    hurwitz_laurent_pair.cache_clear()
+    tracemalloc.start()
+    try:
+        for q in qs:
+            l_at_1(DirichletCharacter(unit_group_structure(q), (1,)))
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    live = sum(t.size for t in snapshot.filter_traces([tracemalloc.Filter(True, lfunctions.__file__)]).traces)
+    assert live < 6 * 16 * qs[-1], live
 
 
 def test_l_at_1_rejects_bad_input():

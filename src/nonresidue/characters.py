@@ -30,6 +30,7 @@ __all__ = [
     "DirichletCharacter",
     "SubgroupSpec",
     "character_group",
+    "character_of_index",
     "character_sums",
     "is_fundamental_discriminant",
     "kth_power_subgroup",
@@ -39,7 +40,9 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=256)
+# Four entries of 16 E bytes (E = structure.exponent): one modulus reads
+# one table, so more would only keep those of moduli already passed.
+@lru_cache(maxsize=4)
 def _roots_of_unity(n: int) -> np.ndarray:
     return np.exp(2j * math.pi * np.arange(n) / n)
 
@@ -59,7 +62,7 @@ class DirichletCharacter:
     def __hash__(self) -> int:
         return hash((self.q, self.exponents))
 
-    @property
+    @cached_property
     def q(self) -> int:
         return self.structure.q
 
@@ -224,9 +227,34 @@ def character_group(q: int) -> list[DirichletCharacter]:
     return [DirichletCharacter(struct, exps) for exps in itertools.product(*ranges)]
 
 
+def character_of_index(q: int, index: int) -> DirichletCharacter | None:
+    """The character mod q whose `index` is the given one, or None unless
+    0 <= index < phi(q): its exponents are the mixed-radix digits of the
+    index over the component orders, as `_character_block` reads them."""
+    struct = unit_group_structure(q)
+    if not 0 <= index < struct.phi:
+        return None
+    digits = np.unravel_index(index, [d for _, d in struct.components])
+    return DirichletCharacter(struct, tuple(map(int, digits)))
+
+
 def primitive_characters(q: int) -> list[DirichletCharacter]:
-    """Non-principal characters mod q whose conductor is exactly q."""
-    return [c for c in character_group(q) if not c.is_principal and c.is_primitive]
+    """Non-principal characters mod q of conductor q, in exponent order:
+    the product of each component's primitive exponents, no conductor
+    computed.  On odd p^k, e != 0 and p does not divide e when k >= 2; on
+    4, e = 1; on 2^k, k >= 3, either sign and an odd exponent on <5>.
+    None when 2 || q or q = 1."""
+    struct = unit_group_structure(q)
+    if q == 1 or q % 4 == 2:
+        return []
+    choices = []
+    for p, k, idxs in struct.prime_blocks:
+        d = struct.components[idxs[-1]][1]
+        if p != 2:
+            choices.append([e for e in range(1, d) if k == 1 or e % p])
+        else:
+            choices += [range(2)] * (k > 2) + [range(1, d, 2)]
+    return [DirichletCharacter(struct, exps) for exps in itertools.product(*choices)]
 
 
 def is_fundamental_discriminant(q: int) -> bool:

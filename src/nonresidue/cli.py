@@ -32,7 +32,7 @@ from scipy.integrate import quad
 
 from . import bounds, explicit_formula as ef, kernels
 from .bounds import BoundReport
-from .characters import character_group, primitive_characters
+from .characters import character_group, character_of_index, primitive_characters
 from .lfunctions import (
     FINITE_METHOD,
     HURWITZ_METHOD,
@@ -413,14 +413,16 @@ def cmd_lemma(args) -> int:
 
 def cmd_lvalue(args) -> int:
     q = args.q
-    chars = primitive_characters(q)
-    if not chars:
-        return _no_primitive_character(q)
-    if args.index is not None:
-        chars = [c for c in chars if c.index == args.index]
-        if not chars:
+    if args.index is not None and q != 1 and q % 4 != 2:  # q = 1, 2 mod 4 have none
+        chi = character_of_index(q, args.index)  # the one character, not the group
+        if chi is None or not chi.is_primitive:
             _progress(f"error: no primitive character with index {args.index} mod {q}")
             return EXIT_USAGE
+        chars = [chi]
+    else:
+        chars = primitive_characters(q)
+        if not chars:
+            return _no_primitive_character(q)
     rows: list[BoundReport] = []
     tol = args.tolerance
     # Pop each character once its rows are built, so that its cached

@@ -19,14 +19,15 @@ Sum kinds (chi optional in each):
 `lemma_residual` evaluates the untwisted identities (Lemmas 2.1, 2.4, 2.6).
 The twisted ones, `character_log_residual`, `hadamard_window` and
 `log_l_residual` (2.2, 2.3, 2.5), take |Re B| and log |L(1, chi)| from
-the caller: `cli.sec2_rows` reads each once per character.
+the caller: `cli.sec2_rows` reads each once per character.  Each calls
+its prime-power sum and reads the rest from `_sec2_terms`, once per
+(x, q, parity).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
@@ -262,8 +263,7 @@ def error_terms(x: float, parity: int, family: str) -> float:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """One identity at one x; q and char are 0 and None when untwisted."""
 
     lemma: str
@@ -276,9 +276,20 @@ class ResidualReport:
     theta: float
 
 
-def _report(lemma: str, x: float, chi, lhs: float, main: float, env: float) -> ResidualReport:
-    q, char = (0, None) if chi is None else (chi.q, chi.label)
-    return ResidualReport(lemma, x, q, char, lhs, main, env, (lhs - main) / env)
+# Eight entries: the sec2 checklist's four x at both parities.
+@lru_cache(maxsize=8)
+def _sec2_terms(x: float, q: int, parity: int) -> tuple[tuple[float, ...], ...]:
+    """The parts of identities 2.2, 2.3 and 2.5 that depend only on
+    (x, q, parity), x > 1, one tuple per identity, each part evaluated in
+    its formula's operation order so the rows keep their bits.  Computed
+    once per modulus, not once per character."""
+    lx, log_q, root = math.log(x), math.log(q / math.pi), math.sqrt(x)
+    psi_term = PSI_AT_1 if parity == 1 else PSI_AT_HALF
+    return (
+        (lx, 0.5 * log_q * lx, error_terms(x, parity, "Etilde"), 2 * root + 2),
+        (0.5 * (1 - 1 / x) * log_q, error_terms(x, parity, "E"), 1 + 2 / root + 1 / x, 1 - 2 / root + 1 / x),
+        (lx, (0.5 * log_q + 0.5 * psi_term) / lx, root * lx**2, 2 / (x * lx**2)),
+    )
 
 
 def character_log_residual(x: float, chi: DirichletCharacter, re_b_value: float) -> ResidualReport:
@@ -291,10 +302,10 @@ def character_log_residual(x: float, chi: DirichletCharacter, re_b_value: float)
         raise ValueError("x > 1 required")
     _require_primitive_nonprincipal(chi)
     lhs = cheb_log_sum(x, chi).real
-    lx = math.log(x)
-    main = re_b_value * lx + 0.5 * math.log(chi.q / math.pi) * lx + error_terms(x, chi.parity, "Etilde")
-    env = re_b_value * (2 * math.sqrt(x) + 2)
-    return _report("2.2", x, chi, lhs, main, env)
+    lx, c22, e_tilde, s22 = _sec2_terms(x, chi.q, chi.parity)[0]
+    main = re_b_value * lx + c22 + e_tilde
+    env = re_b_value * s22
+    return ResidualReport("2.2", x, chi.q, chi.label, lhs, main, env, (lhs - main) / env)
 
 
 # How far |Re B| may lie outside its window and still pass: room for the
@@ -302,8 +313,7 @@ def character_log_residual(x: float, chi: DirichletCharacter, re_b_value: float)
 WINDOW_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class ThetaWindow:
+class ThetaWindow(NamedTuple):
     lower: float
     upper: float
 
@@ -320,14 +330,9 @@ def hadamard_window(x: float, chi: DirichletCharacter) -> ThetaWindow:
     if x <= 1:
         raise ValueError("x > 1 required")
     _require_primitive_nonprincipal(chi)
-    bracket = (
-        0.5 * (1 - 1 / x) * math.log(chi.q / math.pi)
-        - weighted_psi_sum(x, chi).real
-        + error_terms(x, chi.parity, "E")
-    )
-    d_hi = 1 + 2 / math.sqrt(x) + 1 / x
-    d_lo = 1 - 2 / math.sqrt(x) + 1 / x  # = (1 - 1/sqrt(x))^2
-    if d_lo <= 1e-12:
+    c23, e, d_hi, d_lo = _sec2_terms(x, chi.q, chi.parity)[1]
+    bracket = c23 - weighted_psi_sum(x, chi).real + e
+    if d_lo <= 1e-12:  # d_lo = (1 - 1/sqrt(x))^2
         raise DegenerateWindowError(f"theta denominator can vanish at x={x}")
     ends = sorted((bracket / d_hi, bracket / d_lo))
     return ThetaWindow(ends[0], ends[1])
@@ -347,15 +352,10 @@ def log_l_residual(
     if x < 2:
         raise ValueError("x >= 2 required")
     _require_primitive_nonprincipal(chi)
-    lx = math.log(x)
-    psi_term = PSI_AT_1 if chi.parity == 1 else PSI_AT_HALF
-    main = (
-        loglog_sum(x, chi).real
-        + (0.5 * math.log(chi.q / math.pi) + 0.5 * psi_term) / lx
-        - re_b_value / lx
-    )
-    env = 2 * re_b_value / (math.sqrt(x) * lx**2) + 2 / (x * lx**2)
-    return _report("2.5", x, chi, log_abs_l, main, env)
+    lx, c25, den, tail = _sec2_terms(x, chi.q, chi.parity)[2]
+    main = loglog_sum(x, chi).real + c25 - re_b_value / lx
+    env = 2 * re_b_value / den + tail
+    return ResidualReport("2.5", x, chi.q, chi.label, log_abs_l, main, env, (log_abs_l - main) / env)
 
 
 def lemma_residual(lemma: str, x: float) -> ResidualReport:
@@ -384,7 +384,7 @@ def lemma_residual(lemma: str, x: float) -> ResidualReport:
         lx = math.log(x)
         main = math.log(lx) + EULER_GAMMA - 1 + EULER_GAMMA / lx
         env = b2 / (math.sqrt(x) * lx**2) + 1 / (3 * x**3 * lx**2)
-    return _report(lemma, x, None, lhs, main, env)
+    return ResidualReport(lemma, x, 0, None, lhs, main, env, (lhs - main) / env)
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,8 +133,7 @@ FINITE_METHOD = "finite-gauss-formula"
 SERIES_METHOD = "dirichlet-series"
 
 
-@dataclass(frozen=True)
-class LValueResult:
+class LValueResult(NamedTuple):
     char: str
     value: complex
     method: str

@@ -1,22 +1,28 @@
 import cmath
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonresidue.arith import ModulusTooLargeError, euler_phi, primes_up_to, unit_group_structure
+from nonresidue import characters
+from nonresidue.arith import ModulusTooLargeError, euler_phi, is_prime, primes_up_to, unit_group_structure
 from nonresidue.characters import (
     DirichletCharacter,
     SubgroupSpec,
     _character_block,
     character_group,
+    character_of_index,
     is_fundamental_discriminant,
     kronecker_character_table,
     kth_power_subgroup,
+    primitive_characters,
     subgroup_from_generators,
     trivial_subgroup,
 )
+from nonresidue.lfunctions import l_at_1
 
 
 def legendre(a: int, p: int) -> int:
@@ -434,6 +440,49 @@ def test_conductor_formula_matches_divisor_scan():
     for q in range(3, 61):
         for chi in character_group(q):
             assert chi.conductor == brute_conductor(chi), (q, chi.label)
+
+
+def assert_primitive_characters_are_the_conductor_filter(qs) -> None:
+    for q in qs:
+        want = [c.exponents for c in character_group(q) if not c.is_principal and c.is_primitive]
+        assert [c.exponents for c in primitive_characters(q)] == want, q
+
+
+PRIMITIVE_MODULI = (2**10, 2**12 * 3, 3**7, 4 * 7**4)
+
+
+def test_primitive_characters_are_the_conductor_filter():
+    assert_primitive_characters_are_the_conductor_filter([*range(1, 401), *PRIMITIVE_MODULI])
+
+
+@pytest.mark.slow
+def test_primitive_characters_are_the_conductor_filter_exhaustive():
+    assert_primitive_characters_are_the_conductor_filter(range(1, 3001))
+
+
+def test_character_of_index_is_the_group_entry():
+    for q in (1, 2, 8, 40, 97, 240, 1000):
+        group = character_group(q)
+        assert [character_of_index(q, i) for i in range(len(group))] == group, q
+        assert character_of_index(q, -1) is None and character_of_index(q, len(group)) is None, q
+
+
+def test_root_tables_stay_few():
+    # one modulus reads one root table, so the cache holds the last few,
+    # not one per modulus visited
+    qs = [q for q in range(20011, 21000) if is_prime(q)][:12]
+    characters._roots_of_unity.cache_clear()
+    lines, first = inspect.getsourcelines(characters._roots_of_unity.__wrapped__)
+    tracemalloc.start()
+    try:
+        for q in qs:
+            l_at_1(DirichletCharacter(unit_group_structure(q), (1,)))
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    roots = [tracemalloc.Filter(True, characters.__file__, n) for n in range(first, first + len(lines))]
+    live = sum(t.size for t in snapshot.filter_traces(roots).traces)
+    assert 0 < live < 5 * 16 * qs[-1], live
 
 
 def test_primitivize_agrees_on_units_and_is_idempotent():

@@ -734,6 +734,22 @@ def test_sec2_rows_walk_characters_then_x_then_lemmas():
         cli.sec2_rows(5, xs, ("2.1",))
 
 
+@pytest.mark.parametrize("q", [13, 40])
+def test_lvalue_index_rows_are_the_full_list_filtered(q, capsys):
+    # --index builds one character; its rows are those the full run writes
+    # for it, and an index that is out of range or not primitive is refused
+    _, full = run_main(["lvalue", "--q", str(q), "--format", "csv"])
+    header, *lines = full.splitlines()
+    for index in range(-1, len(character_group(q)) + 1):
+        want = [line for line in lines if line.split(",")[2].startswith(f"chi{q}.{index}:")]
+        code, out = run_main(["lvalue", "--q", str(q), "--index", str(index), "--format", "csv"])
+        if want:
+            assert code == EXIT_OK and out.splitlines() == [header, *want], index
+        else:
+            assert code == EXIT_USAGE and out == "", index
+            assert f"no primitive character with index {index} mod {q}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "x"])
 def test_lvalue_tolerance_is_a_finite_positive_number(tol, capsys):
     code, out = run_main(["lvalue", "--q", "5", "--tolerance", tol, "--format", "csv"])

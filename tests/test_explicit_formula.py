@@ -21,7 +21,7 @@ from nonresidue.explicit_formula import (
     two_adic_trig_polynomial,
     weighted_psi_sum,
 )
-from nonresidue.lfunctions import EULER_GAMMA, HADAMARD_B, l_at_1, re_b
+from nonresidue.lfunctions import EULER_GAMMA, HADAMARD_B, PSI_AT_1, PSI_AT_HALF, l_at_1, re_b
 from nonresidue.search import least_prime_all_classes
 
 
@@ -190,6 +190,55 @@ def test_hadamard_row_fails_below_the_window_with_a_positive_margin():
     assert win.contains(win.lower - ef.WINDOW_SLACK / 2) and not win.contains(win.lower - 2 * ef.WINDOW_SLACK)
     above = _hadamard_row(100.0, chi, win.upper + 2 * ef.WINDOW_SLACK)
     assert above.margin < 0 and above.verdict == "fail"
+
+
+def reference_twisted_rows(x: float, chi, rb: float, logl: float):
+    """(lhs, main, envelope, theta) of 2.2, the 2.3 window and (lhs, main,
+    envelope, theta) of 2.5, each formula evaluated in full for the one
+    row, as the row functions did before their (x, q, parity) parts were
+    cached; the oracle for those parts."""
+    lx = math.log(x)
+    lhs = cheb_log_sum(x, chi).real
+    main = rb * lx + 0.5 * math.log(chi.q / math.pi) * lx + error_terms(x, chi.parity, "Etilde")
+    env = rb * (2 * math.sqrt(x) + 2)
+    r22 = (lhs, main, env, (lhs - main) / env)
+    bracket = (
+        0.5 * (1 - 1 / x) * math.log(chi.q / math.pi)
+        - weighted_psi_sum(x, chi).real
+        + error_terms(x, chi.parity, "E")
+    )
+    d_hi = 1 + 2 / math.sqrt(x) + 1 / x
+    d_lo = 1 - 2 / math.sqrt(x) + 1 / x
+    window = tuple(sorted((bracket / d_hi, bracket / d_lo)))
+    psi_term = PSI_AT_1 if chi.parity == 1 else PSI_AT_HALF
+    main = loglog_sum(x, chi).real + (0.5 * math.log(chi.q / math.pi) + 0.5 * psi_term) / lx - rb / lx
+    env = 2 * rb / (math.sqrt(x) * lx**2) + 2 / (x * lx**2)
+    r25 = (logl, main, env, (logl - main) / env)
+    return r22, window, r25
+
+
+def test_twisted_rows_are_bit_identical_to_the_full_formulas():
+    for q in range(3, 61):
+        for chi in primitive_characters(q):
+            rb, logl = re_b(chi), math.log(abs(l_at_1(chi).value))
+            for x in (50.0, 100.0, 1e3, 1e4):
+                r22, window, r25 = reference_twisted_rows(x, chi, rb, logl)
+                assert character_log_residual(x, chi, rb)[4:] == r22, (chi.label, x)
+                assert tuple(hadamard_window(x, chi)) == window, (chi.label, x)
+                assert log_l_residual(x, chi, rb, logl)[4:] == r25, (chi.label, x)
+
+
+def test_twisted_terms_are_computed_once_per_x_q_and_parity():
+    ef._sec2_terms.cache_clear()
+    for chi in primitive_characters(97)[:16]:  # both parities
+        rb, logl = re_b(chi), math.log(abs(l_at_1(chi).value))
+        for x in (50.0, 100.0, 1e3, 1e4):
+            character_log_residual(x, chi, rb)
+            hadamard_window(x, chi)
+            log_l_residual(x, chi, rb, logl)
+    info = ef._sec2_terms.cache_info()
+    assert info.misses <= 8 and info.hits + info.misses == 16 * 4 * 3, info
+    ef._sec2_terms.cache_clear()
 
 
 def test_log_l_residual_small_q():

@@ -250,7 +250,7 @@ class UnitGroupStructure:
     components[j] = (g_j, d_j): g_j generates a cyclic factor of order d_j,
     normalized so g_j is 1 modulo the other prime-power parts of q.
     prime_blocks groups component indices by the prime power they refine,
-    which is what conductor computations need.  unit_mask[r] says whether
+    which is what primitivity and parity read.  unit_mask[r] says whether
     r is coprime to q.  The discrete-log tables `dlogs` are O(q) per
     component and are built on their first read, not with the structure.
     """

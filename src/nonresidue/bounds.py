@@ -351,24 +351,24 @@ def verify_elementary(q: int) -> list[BoundReport]:
     ]
 
 
+# The rows of each formula at one q.  Each lambda looks its verifier up
+# when called, so a module attribute patched after import is what runs.
+_STREAMS = {
+    "cor12": lambda q, **_: [verify_qnr(q)] if q >= 5 and is_prime(q) else [],
+    "thm11": lambda q, **kw: [verify_subgroup(q, **kw)],
+    "thm12": lambda q, **kw: [verify_subgroup_clean(q, **kw)],
+    "cor15": lambda q, **kw: verify_ap(q, **kw),
+    "thm14": lambda q, **kw: verify_coset(q, **kw),
+    "eq13": lambda q, **_: [verify_classnum(q)] if q > 4 and is_fundamental_discriminant(q) else [],
+    "sec43": lambda q, **_: verify_elementary(q),
+}
+
+
 def verify_stream(formula: str, qs: Iterable[int], **kwargs) -> Iterator[BoundReport]:
-    """Uniform driver used by the command line scanner."""
+    """Uniform driver used by the command line scanner; an unknown formula
+    raises before the first q, so also over an empty range."""
+    if formula not in _STREAMS:
+        raise ValueError(f"unknown formula {formula!r}")
+    rows_at = _STREAMS[formula]
     for q in qs:
-        if formula == "cor12":
-            if q >= 5 and is_prime(q):
-                yield verify_qnr(q)
-        elif formula == "thm11":
-            yield verify_subgroup(q, **kwargs)
-        elif formula == "thm12":
-            yield verify_subgroup_clean(q, **kwargs)
-        elif formula == "cor15":
-            yield from verify_ap(q, **kwargs)
-        elif formula == "thm14":
-            yield from verify_coset(q, **kwargs)
-        elif formula == "eq13":
-            if q > 4 and is_fundamental_discriminant(q):
-                yield verify_classnum(q)
-        elif formula == "sec43":
-            yield from verify_elementary(q)
-        else:
-            raise ValueError(f"unknown formula {formula!r}")
+        yield from rows_at(q, **kwargs)

@@ -4,15 +4,18 @@ Characters are exponent vectors on the cyclic components of (Z/qZ)*.
 A character's values are integer angles mod E = structure.exponent:
 chi(n) = e(angles[n] / E), so exact questions are integer tests (angle 0
 means the value is 1) and complex doubles are a gather from the E-th
-roots of unity.  The twisted sums of the sec2 checklist and of lemma
-5.1, and L(1, chi), read no per-character table: `character_sums` takes
-the characters of a modulus 16 at a time, as the real cos and sin rows of
-one block built from the dlog tables, and evaluates the whole block with
-one real matrix product, in one cache for every caller.  The
-per-character `angles` and `complex_table` remain for the other sums and
-as the oracle for the blocks.  Also here: conductors, the Kronecker
-character table of a fundamental discriminant, and subgroups of (Z/qZ)*
-with membership by exponent tests.
+roots of unity.  Primitivity and parity are read from the exponent
+vector alone: on each prime block of q, the exponent of the block's last
+component decides primitivity and that of its first decides chi(-1).
+The twisted sums of the sec2 checklist and of lemma 5.1, and L(1, chi),
+read no per-character table: `character_sums` takes the characters of a
+modulus 16 at a time, as the real cos and sin rows of one block built
+from the dlog tables, and evaluates the whole block with one real matrix
+product, in one cache for every caller.  The per-character `angles` and
+`complex_table` remain for the other sums and as the oracle for the
+blocks.  Also here: the Kronecker character table of a fundamental
+discriminant, and subgroups of (Z/qZ)* with membership by exponent
+tests.
 """
 
 from __future__ import annotations
@@ -109,53 +112,21 @@ class DirichletCharacter:
 
     @cached_property
     def parity(self) -> int:
-        """0 for even characters (chi(-1) = 1), 1 for odd: the angle at
-        q - 1, read from the dlog tables without building `angles`."""
-        big = self.structure.exponent
-        angle = sum(
-            e * (big // d) * int(tab[self.q - 1])
-            for (_, d), e, tab in zip(self.structure.components, self.exponents, self.structure.dlogs)
-        )
-        return int(angle % big != 0)
-
-    @cached_property
-    def conductor(self) -> int:
-        """Smallest modulus through which the character factors.
-
-        Computed blockwise: an odd p^k component of order m contributes
-        p^(v_p(m) + 1) once nontrivial; the 2-adic block follows the
-        <-1> x <5> decomposition.
-        """
-        cond = 1
-        for p, k, idxs in self.structure.prime_blocks:
-            if p != 2:
-                (j,) = idxs
-                e = self.exponents[j]
-                if e == 0:
-                    continue
-                d = self.structure.components[j][1]
-                m = d // math.gcd(e, d)
-                a = 0
-                while m % p == 0:
-                    m //= p
-                    a += 1
-                cond *= p ** (a + 1)
-            elif k == 2:
-                if self.exponents[idxs[0]]:
-                    cond *= 4
-            else:
-                s = self.exponents[idxs[0]]
-                t = self.exponents[idxs[1]]
-                if t == 0:
-                    cond *= 4 if s else 1
-                else:
-                    v = (t & -t).bit_length() - 1
-                    cond *= 2 ** (k - v)
-        return cond
+        """0 for even characters (chi(-1) = 1), 1 for odd.  -1 has exponent
+        d/2 on the first component (g, d) of each prime block (the cyclic
+        group of an odd p^k, <3> mod 4, <-1> of 2^k) and 0 on the others, so
+        chi(-1) = (-1)^s, s the sum of chi's exponents on those components."""
+        return sum(self.exponents[idxs[0]] for _, _, idxs in self.structure.prime_blocks) % 2
 
     @cached_property
     def is_primitive(self) -> bool:
-        return self.conductor == self.q
+        """Conductor q: chi is nontrivial on the units = 1 mod q/p for each
+        p | q.  There are none but 1 when 2 || q.  Otherwise they lie in the
+        last component of p's block (the cyclic group of an odd p^k, <3> mod
+        4, <5> of 2^k): all of it when q/p is prime to p, else its subgroup
+        of order p; chi is trivial there exactly when p divides its
+        exponent on that component."""
+        return self.q % 4 != 2 and all(self.exponents[idxs[-1]] % p for p, _, idxs in self.structure.prime_blocks)
 
     @cached_property
     def complex_table(self) -> np.ndarray:
@@ -239,21 +210,17 @@ def character_of_index(q: int, index: int) -> DirichletCharacter | None:
 
 
 def primitive_characters(q: int) -> list[DirichletCharacter]:
-    """Non-principal characters mod q of conductor q, in exponent order:
-    the product of each component's primitive exponents, no conductor
-    computed.  On odd p^k, e != 0 and p does not divide e when k >= 2; on
-    4, e = 1; on 2^k, k >= 3, either sign and an odd exponent on <5>.
-    None when 2 || q or q = 1."""
+    """Non-principal primitive characters mod q, in exponent order: by the
+    rule of `DirichletCharacter.is_primitive`, the product of every
+    exponent on each prime block's free components and the exponents
+    prime to p on its last.  None when 2 || q or q = 1."""
     struct = unit_group_structure(q)
     if q == 1 or q % 4 == 2:
         return []
     choices = []
-    for p, k, idxs in struct.prime_blocks:
-        d = struct.components[idxs[-1]][1]
-        if p != 2:
-            choices.append([e for e in range(1, d) if k == 1 or e % p])
-        else:
-            choices += [range(2)] * (k > 2) + [range(1, d, 2)]
+    for p, _, idxs in struct.prime_blocks:
+        *free, last = (struct.components[j][1] for j in idxs)
+        choices += [range(d) for d in free] + [[e for e in range(last) if e % p]]
     return [DirichletCharacter(struct, exps) for exps in itertools.product(*choices)]
 
 

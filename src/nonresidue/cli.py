@@ -689,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lvalue", help="L(1, chi) by independent methods")
     p.add_argument("--q", type=_modulus, required=True)
-    p.add_argument("--index", type=int, default=None)
+    p.add_argument("--index", type=_exact_int, default=None)
     p.add_argument("--tolerance", type=_alpha, default=1e-8, help="agreement tolerance")
     _add_output(p)
     p.set_defaults(func=cmd_lvalue)

@@ -144,7 +144,7 @@ def _require_primitive_nonprincipal(chi: DirichletCharacter) -> None:
     if chi.is_principal:
         raise PrincipalCharacterError("principal character not allowed here")
     if not chi.is_primitive:
-        raise ValueError(f"character {chi.label} has conductor {chi.conductor} != {chi.q}")
+        raise ValueError(f"character {chi.label} is not primitive mod {chi.q}")
 
 
 def _laurent_columns(q: int) -> np.ndarray:

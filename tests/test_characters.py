@@ -1,5 +1,6 @@
 import cmath
 import inspect
+import itertools
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonresidue import characters
-from nonresidue.arith import ModulusTooLargeError, euler_phi, is_prime, primes_up_to, unit_group_structure
+from nonresidue.arith import ModulusTooLargeError, euler_phi, factorize, is_prime, primes_up_to, unit_group_structure
 from nonresidue.characters import (
     DirichletCharacter,
     SubgroupSpec,
@@ -89,10 +90,20 @@ def conjugate(chi: DirichletCharacter) -> DirichletCharacter:
     return DirichletCharacter(chi.structure, tuple(-e % d for e, (_, d) in zip(chi.exponents, chi.structure.components)))
 
 
+def brute_conductor(chi) -> int:
+    """Divisor-scan oracle: least d | q with chi trivial on units = 1 mod d."""
+    q = chi.q
+    n = np.arange(q)
+    for d in factorize(q).divisors():
+        if not chi.angles[chi.structure.unit_mask & (n % d == 1 % d)].any():
+            return d
+    return q
+
+
 def primitivize(chi: DirichletCharacter) -> tuple[int, DirichletCharacter]:
     """(conductor, inducing primitive character): the angle of each
     generator of (Z/cond Z)*, read at a lift of it coprime to q."""
-    cond = chi.conductor
+    cond = brute_conductor(chi)
     if cond == chi.q:
         return cond, chi
     sub = unit_group_structure(cond)
@@ -328,7 +339,7 @@ def test_kronecker_character_is_primitive_and_odd():
                 break
         assert match is not None, q
         assert match.parity == 1
-        assert match.conductor == q
+        assert match.is_primitive and brute_conductor(match) == q
     assert count > 100
 
 
@@ -403,43 +414,54 @@ def test_fundamental_discriminant_classification():
 
 
 # ----------------------------------------------------------------------
-# conductor and primitivization
+# primitivity and primitivization
 # ----------------------------------------------------------------------
-
-
-def brute_conductor(chi) -> int:
-    """Divisor-scan oracle: least d | q with chi trivial on units = 1 mod d."""
-    from nonresidue.arith import factorize
-
-    q = chi.q
-    for d in factorize(q).divisors():
-        ok = True
-        for n in range(1, q + 1):
-            if n % d == 1 % d and math.gcd(n, q) == 1:
-                if chi.angles[n % q] != 0:
-                    ok = False
-                    break
-        if ok:
-            return d
-    return q
 
 
 def test_conductor_examples():
     g12 = character_group(12)
-    assert g12[0].conductor == 1
+    assert brute_conductor(g12[0]) == 1 and not g12[0].is_primitive
     g6 = character_group(6)
     nonprincipal = [c for c in g6 if not c.is_principal][0]
-    assert nonprincipal.conductor == 3
+    assert brute_conductor(nonprincipal) == 3 and not nonprincipal.is_primitive
     for q in (5, 7, 11, 13):
         for chi in character_group(q):
             if not chi.is_principal:
-                assert chi.conductor == q
+                assert brute_conductor(chi) == q and chi.is_primitive
 
 
-def test_conductor_formula_matches_divisor_scan():
-    for q in range(3, 61):
+def test_is_primitive_matches_divisor_scan():
+    for q in range(1, 61):
         for chi in character_group(q):
-            assert chi.conductor == brute_conductor(chi), (q, chi.label)
+            assert chi.is_primitive == (brute_conductor(chi) == q), (q, chi.label)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(q=st.integers(1, 10**6), data=st.data())
+def test_parity_and_primitivity_are_read_off_the_values(q, data):
+    # a structure outside the cache, so the dlog tables of a large q go
+    # with the example
+    struct = unit_group_structure.__wrapped__(q)
+    exps = tuple(data.draw(st.integers(0, d - 1), label=f"e{j}") for j, (_, d) in enumerate(struct.components))
+    chi = DirichletCharacter(struct, exps)
+    angles = chi.angles
+    assert chi.parity == int(angles[q - 1] != 0)
+    # conductor q: for each p | q, some unit n = 1 (mod q/p) has chi(n) != 1
+    nontrivial = []
+    for p, _ in factorize(q).factors:
+        n = (1 + np.arange(p) * (q // p)) % q
+        nontrivial.append(bool(angles[n[struct.unit_mask[n]]].any()))
+    assert chi.is_primitive == all(nontrivial)
+
+
+@pytest.mark.parametrize("q", [1, 2, 8, 40, 97, 240, 2**10, 4 * 3**5])
+def test_parity_and_primitivity_read_no_dlog_table(q):
+    # a structure outside the cache, so no earlier reader has built its tables
+    struct = unit_group_structure.__wrapped__(q)
+    chars = [DirichletCharacter(struct, exps) for exps in itertools.product(*(range(d) for _, d in struct.components))]
+    facts = [(chi.parity, chi.is_primitive) for chi in chars]
+    assert "dlogs" not in vars(struct)
+    assert facts == [(int(chi.angles[q - 1] != 0), brute_conductor(chi) == q) for chi in chars]
 
 
 def assert_primitive_characters_are_the_conductor_filter(qs) -> None:
@@ -489,7 +511,7 @@ def test_primitivize_agrees_on_units_and_is_idempotent():
     for q in range(3, 101):
         for chi in character_group(q):
             cond, prim = primitivize(chi)
-            assert prim.q == cond == chi.conductor
+            assert prim.q == cond and chi.is_primitive == (cond == q)
             assert prim.is_primitive or cond == 1
             for n in range(1, q + 1):
                 if math.gcd(n, q) == 1:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -265,8 +266,30 @@ def test_verify_stream_unknown_formula():
     import pytest
     from nonresidue.bounds import verify_stream
 
-    with pytest.raises(ValueError):
-        list(verify_stream("nope", [10]))
+    # also over an empty range: the formula is checked before the first q
+    for qs in ([10], [], range(5, 5)):
+        with pytest.raises(ValueError, match="unknown formula 'nope'"):
+            list(verify_stream("nope", qs))
+
+
+def _sub_parsers(parser: argparse.ArgumentParser) -> dict:
+    """parser's sub-parsers by name, or {} when it takes none."""
+    return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def test_readme_synopsis_names_exactly_the_parsed_commands():
+    # the fenced block under "## CLI": one line per command or variant,
+    # a {a,b} group standing for each of its variants
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```\n", 2)[1]
+    named = set()
+    for line in block.splitlines():
+        prog, command, word, *_ = line.split() + [""]
+        assert prog == "nonresidue", line
+        variants = word.strip("{}").split(",") if word[:1] not in ("-", "[", "(") else [None]
+        named.update((command, v) for v in variants)
+    accepted = {(c, v) for c, p in _sub_parsers(build_parser()).items() for v in (_sub_parsers(p) or [None])}
+    assert named == accepted
 
 
 def test_scan_deterministic_bytes(tmp_path):
@@ -679,6 +702,8 @@ _BRANCHES = {
                   lambda: [(f"x={x:g}:{chi.label}", "pass") for chi in character_group(8) for x in (100.0, 1e3)]),
     "lvalue-index": (["lvalue", "--q", "13", "--index", "6"], "csv", EXIT_OK, lambda: _lvalue_expected(13, 6)),
     "lvalue-missing-index": (["lvalue", "--q", "13", "--index", "99"], "csv", EXIT_USAGE, "no primitive character with index 99 mod 13"),
+    "lvalue-index-1e0": (["lvalue", "--q", "13", "--index", "1e0"], "csv", EXIT_OK, lambda: _lvalue_expected(13, 1)),
+    "lvalue-negative-index": (["lvalue", "--q", "13", "--index", "-1"], "csv", EXIT_USAGE, "no primitive character with index -1 mod 13"),
     "lvalue-finite-formula": (["lvalue", "--q", "7"], "csv", EXIT_OK, lambda: _lvalue_expected(7)),
     "scan-elementary": (["scan", "elementary", "--q", "20000..20002"], "csv", EXIT_OK,
                         lambda: [row for q in range(20000, 20003) for row in sorted(_elementary_expected(q))]),  # a scan sorts by target

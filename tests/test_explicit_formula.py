@@ -345,14 +345,19 @@ def imprimitivity_gap(x: float, chi) -> tuple[float, float]:
     The gap collects prime powers touching q but not the conductor and is
     bounded by omega(q / conductor) (log x)^2 / 2.
     """
-    cond = chi.conductor
     units = [n for n in range(1, chi.q) if math.gcd(n, chi.q) == 1]
-    # the character mod cond that agrees with chi on the units mod q (as a fraction of a turn)
-    (prim,) = [
-        psi
-        for psi in character_group(cond)
-        if all(int(chi.angles[n]) * psi.structure.exponent == int(psi.angles[n % cond]) * chi.structure.exponent for n in units)
-    ]
+
+    def agreeing(d: int) -> list:
+        # the characters mod d that agree with chi on the units mod q (as a fraction of a turn)
+        return [
+            psi
+            for psi in character_group(d)
+            if all(int(chi.angles[n]) * psi.structure.exponent == int(psi.angles[n % d]) * chi.structure.exponent for n in units)
+        ]
+
+    # the conductor is the least d | q that has one; it is the only one
+    cond = next(d for d in factorize(chi.q).divisors() if agreeing(d))
+    (prim,) = agreeing(cond)
     gap = abs(cheb_log_sum(x, chi) - cheb_log_sum(x, prim))
     bound = 0.5 * factorize(chi.q // cond).omega * math.log(x) ** 2
     return gap, bound
@@ -361,7 +366,7 @@ def imprimitivity_gap(x: float, chi) -> tuple[float, float]:
 def test_imprimitivity_gap_bound():
     for q in (6, 12, 45):
         for chi in character_group(q):
-            if chi.conductor in (chi.q,):
+            if chi.is_primitive:
                 continue
             for x in (50.0, 500.0):
                 gap, bound = imprimitivity_gap(x, chi)

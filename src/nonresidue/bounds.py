@@ -19,7 +19,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import euler_phi, factorize, is_prime, unit_group_structure
+from . import arith
+from .arith import euler_phi, factorize, is_prime, primes_between, unit_group_structure
 from .characters import (
     SubgroupSpec,
     is_fundamental_discriminant,
@@ -351,10 +352,24 @@ def verify_elementary(q: int) -> list[BoundReport]:
     ]
 
 
+def _qnr_moduli(qs: Iterable[int]) -> Iterator[int]:
+    """The primes q >= 5 of qs, in order.  A step-1 range of at least
+    isqrt(t) integers, t its top, with isqrt(t) <= arith._WINDOW, reads them
+    from primes_between in stretches of at most _WINDOW integers.  Anything
+    else is filtered by is_prime, one q at a time: a shorter range costs less
+    that way than sieving by every prime up to isqrt(t), and a higher one
+    would ask the shared sieve for more than _WINDOW."""
+    if isinstance(qs, range) and qs.step == 1 and math.isqrt(max(qs.stop - 1, 0)) <= min(len(qs), arith._WINDOW):
+        for lo in range(max(qs.start, 5) - 1, qs.stop - 1, arith._WINDOW):
+            yield from primes_between(lo, min(lo + arith._WINDOW, qs.stop - 1)).tolist()
+    else:
+        yield from (q for q in qs if q >= 5 and is_prime(q))
+
+
 # The rows of each formula at one q.  Each lambda looks its verifier up
 # when called, so a module attribute patched after import is what runs.
 _STREAMS = {
-    "cor12": lambda q, **_: [verify_qnr(q)] if q >= 5 and is_prime(q) else [],
+    "cor12": lambda q, **_: [verify_qnr(q)],  # at the q of _qnr_moduli only
     "thm11": lambda q, **kw: [verify_subgroup(q, **kw)],
     "thm12": lambda q, **kw: [verify_subgroup_clean(q, **kw)],
     "cor15": lambda q, **kw: verify_ap(q, **kw),
@@ -366,9 +381,12 @@ _STREAMS = {
 
 def verify_stream(formula: str, qs: Iterable[int], **kwargs) -> Iterator[BoundReport]:
     """Uniform driver used by the command line scanner; an unknown formula
-    raises before the first q, so also over an empty range."""
+    raises before the first q, so also over an empty range.  cor12 visits
+    only the primes q >= 5 of qs (see _qnr_moduli)."""
     if formula not in _STREAMS:
         raise ValueError(f"unknown formula {formula!r}")
     rows_at = _STREAMS[formula]
+    if formula == "cor12":
+        qs = _qnr_moduli(qs)
     for q in qs:
         yield from rows_at(q, **kwargs)

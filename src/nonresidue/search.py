@@ -3,9 +3,12 @@
 Least prime outside a subgroup (outside the k-th powers it is the least
 k-th power non-residue), least quadratic non-residue, and least prime in
 every reduced class, or every coset of a subgroup (a progression is a coset
-of the trivial subgroup), at once.  Both searches read the primes through
-arith.prime_windows, one bounded walk: subgroup scans test membership by
-exponent, and the class and coset search folds each stretch into one array.
+of the trivial subgroup), at once.  The least quadratic non-residue of a
+prime reads one quadratic-reciprocity table per small prime, and hands the
+rare prime those leave unresolved to the subgroup search.  The other
+searches read the primes through arith.prime_windows, one bounded walk:
+subgroup scans test membership by exponent, and the class and coset search
+folds each stretch into one array.
 Results always report minimality: primes are visited in increasing order.
 Searches stop at the ceiling they are given; bounds derives it from the
 bound checked.  No stretch is wider than arith._WINDOW, so the sieve's
@@ -15,10 +18,11 @@ memory does not grow with the modulus, the index or the ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .arith import factorize, prime_windows, unit_group_structure
+from .arith import is_prime, prime_windows, primes_up_to, unit_group_structure
 from .characters import SubgroupSpec, kth_power_subgroup
 
 __all__ = [
@@ -67,11 +71,40 @@ def least_prime_outside_subgroup(q: int, h: SubgroupSpec, ceiling: int) -> Searc
     return SearchResult(q, target, None, examined, ceiling)
 
 
+# Every prime q below 10^9 has a non-residue at or below 83 (OEIS A000229),
+# so the tables of the primes below this resolve all but rare q.
+_QNR_TABLE_LIMIT = 256
+
+
+@cache
+def _reciprocity_tables() -> tuple[tuple[int, bytes], ...]:
+    """(l, table) for each prime l < _QNR_TABLE_LIMIT, increasing, built on
+    first use: table[q % len(table)] is 1 exactly when l is a quadratic
+    non-residue mod the odd prime q != l.  (2/q) = -1 for q = 3, 5 mod 8;
+    for odd l, (l/q) = (q/l) (-1)^((l-1)/2 (q-1)/2), a function of q mod 4l.
+    Entries at even r and at multiples of l are 0."""
+    out = [(2, bytes([0, 0, 0, 1, 0, 1, 0, 0]))]
+    for ell in primes_up_to(_QNR_TABLE_LIMIT)[1:].tolist():
+        squares = np.zeros(ell, dtype=bool)
+        squares[np.arange(1, ell) ** 2 % ell] = True
+        r = np.arange(4 * ell)
+        flip = (ell % 4 == 3) & (r % 4 == 3)  # (-1)^((l-1)/2 (q-1)/2) = -1
+        nonresidue = (r % 2 == 1) & (r % ell != 0) & (squares[r % ell] == flip)
+        out.append((ell, nonresidue.astype(np.uint8).tobytes()))
+    return tuple(out)
+
+
 def least_qnr(q: int) -> SearchResult:
     """Least prime quadratic non-residue mod an odd prime q: the least prime
-    off the squares.  One lies below q, so q is the ceiling."""
-    if q < 3 or factorize(q).factors != ((q, 1),):
+    off the squares, examined counting the primes tried.  It walks l = 2, 3,
+    5, ... through the reciprocity tables, one lookup each; a q that none
+    resolves goes to the subgroup search.  One lies below q, so q is the
+    ceiling."""
+    if q < 3 or not is_prime(q):
         raise ValueError("least_qnr expects an odd prime modulus")
+    for examined, (ell, table) in enumerate(_reciprocity_tables(), 1):
+        if table[q % len(table)]:
+            return SearchResult(q, "outside:powers:2", ell, examined, q)
     return least_prime_outside_subgroup(q, kth_power_subgroup(q, 2), q)
 
 
@@ -107,8 +140,12 @@ def coset_representatives(h: SubgroupSpec) -> tuple[list[int], np.ndarray]:
     arrays are the only memory that grows with the index; the sieve's does not."""
     q = h.q
     members = np.flatnonzero(h.mask)  # ModulusTooLargeError above DLOG_CEILING, before any O(q) array
-    free = unit_group_structure(q).unit_mask.copy()
+    units = unit_group_structure(q).unit_mask
     cosets = np.full(q, h.index, dtype=np.min_scalar_type(h.index))
+    if members.size == 1:  # H = {1}: each unit is its own coset, numbered by its rank
+        cosets[units] = np.arange(h.index)
+        return np.flatnonzero(units).tolist(), cosets
+    free = units.copy()
     coset = np.empty_like(members)  # one buffer for every aH: no temporaries of size |H|
     reps = []
     a = 0

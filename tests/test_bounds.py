@@ -314,6 +314,9 @@ def test_coset_representatives_match_the_walk():
         for h in (kth_power_subgroup(q, 2), kth_power_subgroup(q, 3), trivial_subgroup(q)):
             check(h)
     check(subgroup_from_generators(1001, [2]))
+    # {1} is numbered without a walk: an odd prime, 2^k and a mixed q, past uint8
+    for q in (100003, 2**14, 2**3 * 3**2 * 5 * 7 * 11):
+        check(trivial_subgroup(q))
 
 
 def test_verify_classnum():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonresidue import arith
+from nonresidue import arith, bounds, search
 from nonresidue.arith import is_prime, prime_windows, primes_up_to
-from nonresidue.bounds import verify_coset
+from nonresidue.bounds import verify_coset, verify_qnr, verify_stream
 from nonresidue.characters import (
     SubgroupSpec,
     kth_power_subgroup,
@@ -120,6 +120,49 @@ def test_least_qnr_matches_euler_criterion():
         assert (res.prime, res.examined) == euler_least_qnr(q), q
 
 
+# OEIS A000229: the least prime q whose least quadratic non-residue is l.
+A000229_RECORDS = ((9257329, 53), (22000801, 59), (36415991, 61), (48473881, 67), (120293879, 73), (131486759, 83))
+
+
+def test_least_qnr_finds_the_oeis_records():
+    for q, ell in A000229_RECORDS:
+        res = least_qnr(q)
+        assert (res.prime, res.examined, res.ceiling) == (ell, len(primes_up_to(ell)), q), q
+        assert res.target == "outside:powers:2"
+        # Euler's criterion: l is a non-residue, every smaller prime a residue
+        assert pow(ell, (q - 1) // 2, q) == q - 1, q
+        assert all(pow(p, (q - 1) // 2, q) == 1 for p in map(int, primes_up_to(ell - 1))), q
+
+
+def test_reciprocity_tables_match_euler_criterion():
+    qs = [int(q) for q in primes_up_to(20000) if q > 2]
+    for ell, table in search._reciprocity_tables():
+        for q in qs:
+            if q != ell:
+                assert table[q % len(table)] == (pow(ell, (q - 1) // 2, q) == q - 1), (ell, q)
+
+
+def test_least_qnr_falls_back_past_its_tables(monkeypatch):
+    # with the tables of 2 and 3 alone, every q whose non-residue is 5 or
+    # more goes to the subgroup search, and the answer stays Euler's
+    tables = search._reciprocity_tables()[:2]
+    monkeypatch.setattr(search, "_reciprocity_tables", lambda: tables)
+    fallbacks = []
+
+    def spy(q, h, ceiling):
+        fallbacks.append(q)
+        return least_prime_outside_subgroup(q, h, ceiling)
+
+    monkeypatch.setattr(search, "least_prime_outside_subgroup", spy)
+    expected_fallbacks = []
+    for q in map(int, primes_up_to(10**4)[1:]):
+        res = least_qnr(q)
+        assert (res.prime, res.examined, res.ceiling) == (*euler_least_qnr(q), q), q
+        if res.prime > 3:
+            expected_fallbacks.append(q)
+    assert fallbacks == expected_fallbacks and 23 in fallbacks
+
+
 def test_least_qnr_rejects_non_primes():
     for q in (-7, 0, 1, 2, 4, 9, 15, 3 * 1000000000000037):
         with pytest.raises(ValueError):
@@ -151,6 +194,51 @@ def test_search_sieves_only_as_far_as_it_reads(small_sieve_only):
     assert small_sieve_only == [64]
     res = least_qnr(1000000000000037)
     assert res.prime == 2 and res.ceiling == 1000000000000037
+
+
+def _qnr_rows_by_is_prime(qs) -> list:
+    return [verify_qnr(q) for q in qs if q >= 5 and is_prime(q)]
+
+
+def test_cor12_range_reads_the_same_primes():
+    w = arith._WINDOW
+    # the stops 7, 97 and 2^23 + 315 are prime, and out of their ranges
+    for qs in (range(5, 3000), range(-20, 400), range(0, 1), range(2, 12), range(4, 6), range(5, 7), range(90, 97),
+               range(w - 3000, w + 315), range(w - 300, w + 315), range(100, 100), range(50, 10), range(7, 1000, 2)):
+        assert list(verify_stream("cor12", qs)) == _qnr_rows_by_is_prime(qs), qs
+    qs = [11, 4, 13, 1, 97, 1000000000000037]
+    assert list(verify_stream("cor12", qs)) == _qnr_rows_by_is_prime(qs)
+
+
+def test_cor12_range_in_narrow_stretches(monkeypatch):
+    # with a 2^10 window, stretches past the first are sieved on their own;
+    # a top t with isqrt(t) > 2^10 (t >= 1025^2) or above the range's length
+    # falls back to is_prime
+    monkeypatch.setattr(arith, "_WINDOW", 1 << 10)
+    tested = []
+    monkeypatch.setattr(bounds, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    for qs in (range(1, 5000), range(1000, 3109), range(1023, 1080), range(1048000, 1025**2)):
+        assert list(verify_stream("cor12", qs)) == _qnr_rows_by_is_prime(qs), qs
+    assert tested == []
+    for qs in (range(1048000, 1025**2 + 1), range(1023, 1026), range(1000, 1030)):
+        tested.clear()
+        assert list(verify_stream("cor12", qs)) == _qnr_rows_by_is_prime(qs), qs
+        assert tested == list(qs), qs
+
+
+def test_cor12_range_tests_no_integer_for_primality(monkeypatch):
+    tested = []
+    monkeypatch.setattr(bounds, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    rows = list(verify_stream("cor12", range(5, 10**5)))
+    assert len(rows) == len(primes_up_to(10**5)) - 2 and tested == []
+    list(verify_stream("cor12", list(range(5, 100))))
+    assert tested == list(range(5, 100))
+
+
+def test_cor12_range_above_the_sieve_asks_it_for_nothing(small_sieve_only):
+    q = 1000000000000037
+    assert list(verify_stream("cor12", range(q, q + 1))) == [verify_qnr(q)]
+    assert small_sieve_only == []
 
 
 class _BelowCut(SubgroupSpec):

@@ -4,6 +4,9 @@ Deterministic 64-bit primality, factorization, a grow-only prime sieve to
 _WINDOW and the primes of any stretch past it (which every least-prime
 search and prime-power sum reads), and the decomposition of the unit group
 (Z/qZ)* into cyclic components, with discrete-log tables built on demand.
+The sieve keeps one bit per integer beside its primes: is_prime reads it,
+one lookup, wherever it reaches (growing it first for n < 2^20), and
+Miller-Rabin proves only what lies above it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "euler_phi",
     "factorize",
     "is_prime",
+    "is_prime_array",
     "prime_windows",
     "primes_between",
     "primes_up_to",
@@ -34,8 +38,9 @@ DLOG_CEILING = 10**7
 # n < psi_12 ~ 3.19e23, far past 2^63 (3.3e24 is psi_13, which needs 41).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # (psi_k, k): the first k witnesses prove every n < psi_k (Jaeschke, Math. Comp. 61, 1993;
-# Sorenson and Webster, Math. Comp. 86, 2017; OEIS A014233).
-_MR_PREFIXES = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+# Sorenson and Webster, Math. Comp. 86, 2017; OEIS A014233).  is_prime reads the sieve
+# below _SIEVE_FIRST > psi_1 = 2047, so the shortest prefix it reaches is two witnesses.
+_MR_PREFIXES = ((1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
                 (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9))
 
 _TRIAL_LIMIT = 10**5
@@ -45,11 +50,27 @@ class ModulusTooLargeError(ValueError):
     """Raised when an O(q) table (unit group, subgroup mask) would exceed DLOG_CEILING."""
 
 
+# is_prime grows the shared sieve to cover any n below this, once, for about
+# 4 ms and 0.8 MB (its bits and its primes), instead of proving it.
+_SIEVE_FIRST = 1 << 20
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for 0 <= n < 2**63: trial division by
-    the witnesses, then Miller-Rabin on the shortest prefix _MR_PREFIXES proves."""
+    """Deterministic primality test, exact for 0 <= n < 2**63: one lookup in
+    the shared sieve's bits wherever it reaches, after growing it for
+    n < _SIEVE_FIRST; Miller-Rabin above it."""
     if n < 2:
         return False
+    if n > _sieve_limit:
+        if n >= _SIEVE_FIRST:
+            return _miller_rabin(n)
+        primes_up_to(n)
+    return _sieve_bits[n >> 3] >> (n & 7) & 1 == 1
+
+
+def _miller_rabin(n: int) -> bool:
+    """Primality of 2 <= n < 2**63: trial division by the witnesses, then
+    Miller-Rabin on the shortest prefix _MR_PREFIXES proves."""
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
@@ -74,25 +95,42 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Grow-only sieve shared by every caller; treat the returned array as read-only.
+# Grow-only sieve shared by every caller: bit m & 7 of _sieve_bits[m >> 3]
+# says whether m is prime, 0 <= m <= _sieve_limit, and _sieve_primes lists
+# them.  The bits take an eighth of the bool mask they are packed from, so
+# keeping them costs 1 MB at _WINDOW.  Treat both as read-only.
 _sieve_limit = 0
+_sieve_bits = memoryview(bytes(1))
 _sieve_primes: np.ndarray = np.empty(0, dtype=np.int64)
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n in increasing order (view into a shared cache)."""
-    global _sieve_limit, _sieve_primes
+    """All primes <= n in increasing order (view into a shared cache).
+
+    The cache grows to n, or to twice its limit (at least 2^16) if that is
+    more, but doubles no further than _WINDOW unless n itself is larger."""
+    global _sieve_limit, _sieve_bits, _sieve_primes
     if n > _sieve_limit:
-        limit = max(int(n), 2 * _sieve_limit, 1 << 16)
+        limit = max(int(n), min(max(2 * _sieve_limit, 1 << 16), _WINDOW))
         mask = np.ones(limit + 1, dtype=bool)
         mask[:2] = False
         for p in range(2, math.isqrt(limit) + 1):
             if mask[p]:
                 mask[p * p :: p] = False
         _sieve_primes = np.flatnonzero(mask)
+        _sieve_bits = memoryview(np.packbits(mask, bitorder="little"))
         _sieve_limit = limit
     cut = _sieve_primes.searchsorted(n, side="right")
     return _sieve_primes[:cut]
+
+
+def is_prime_array(ns: np.ndarray) -> np.ndarray:
+    """is_prime of each entry of a non-empty int64 array, 0 <= ns, read from
+    the shared sieve's bits after growing it to ns.max(): for entries up to
+    _WINDOW, so that the sieve stays within it."""
+    primes_up_to(int(ns.max()))
+    bits = np.frombuffer(_sieve_bits, dtype=np.uint8)
+    return (bits[ns >> 3] >> (ns & 7) & 1).astype(bool)
 
 
 _WINDOW = 1 << 23  # widest stretch of a prime walk; past it each stretch has its own 8 MB mask

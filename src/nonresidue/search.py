@@ -8,7 +8,10 @@ prime reads one quadratic-reciprocity table per small prime, and hands the
 rare prime those leave unresolved to the subgroup search.  The other
 searches read the primes through arith.prime_windows, one bounded walk:
 subgroup scans test membership by exponent, and the class and coset search
-folds each stretch into one array.
+folds each stretch into one array.  The class search folds only its first
+stretch; each class that stretch leaves empty then steps along its
+progression, reading primality from the shared sieve's bits, and only the
+classes still empty past arith._WINDOW go on with the walk.
 Results always report minimality: primes are visited in increasing order.
 Searches stop at the ceiling they are given; bounds derives it from the
 bound checked.  No stretch is wider than arith._WINDOW, so the sieve's
@@ -17,12 +20,13 @@ memory does not grow with the modulus, the index or the ceiling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .arith import is_prime, prime_windows, primes_up_to, unit_group_structure
+from . import arith
+from .arith import is_prime, is_prime_array, prime_windows, primes_between, primes_up_to, unit_group_structure
 from .characters import SubgroupSpec, kth_power_subgroup
 
 __all__ = [
@@ -42,8 +46,7 @@ class ImproperSubgroupError(ValueError):
     """The subgroup is all of (Z/qZ)*, so nothing lies outside it."""
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     q: int
     target: str
     prime: int | None
@@ -117,7 +120,10 @@ def least_prime_all_classes(q: int, ceiling: int, cosets: np.ndarray | None = No
     coset_representatives, it returns the least prime of each of its n
     cosets, length n.  It reads prime_windows from max(64 n, 4096) (n = q
     without cosets) until every class or coset is hit; each stretch folds
-    into `least` by one unbuffered np.minimum.at pass.
+    into `least` by one unbuffered np.minimum.at pass.  Without cosets it
+    folds only that first stretch below arith._WINDOW: _step_empty_classes
+    finishes the classes it leaves empty along their progressions, and the
+    walk goes on from min(ceiling, _WINDOW) only for those still empty.
     """
     if cosets is None:
         n, wanted = q, unit_group_structure(q).unit_mask
@@ -125,12 +131,57 @@ def least_prime_all_classes(q: int, ceiling: int, cosets: np.ndarray | None = No
         n = int(cosets[0])  # residue 0 is not a unit (q >= 2), so it holds n
         wanted = np.arange(n + 1) < n  # slot n takes the primes dividing q
     least = np.where(wanted, _UNSEEN, 0)  # a slot at 0 stays 0, so the max reads only wanted ones
-    for ps in prime_windows(ceiling, max(64 * n, 4096)):
-        np.minimum.at(least, ps % q if cosets is None else cosets[ps % q], ps)
-        if least.max() < _UNSEEN:
-            break
+    first = max(64 * n, 4096)
+    if cosets is None:
+        top = min(ceiling, arith._WINDOW)
+        end = min(first, top)
+        ps = primes_between(0, end)
+        np.minimum.at(least, _residues(ps, q), ps)
+        _step_empty_classes(least, q, end, top)
+        width = arith._WINDOW
+        walk = (primes_between(lo, min(lo + width, ceiling)) for lo in range(top, ceiling, width))
+    else:
+        walk = prime_windows(ceiling, first)
+    while least.max() == _UNSEEN and (ps := next(walk, None)) is not None:
+        np.minimum.at(least, _residues(ps, q) if cosets is None else cosets[_residues(ps, q)], ps)
     least[least == _UNSEEN] = 0
     return least[:n]
+
+
+def _residues(ps: np.ndarray, q: int) -> np.ndarray:
+    """ps % q for increasing primes ps: each run of ps between consecutive
+    multiples of q, found by one binary search per multiple, less that
+    multiple.  A stretch below x holds about q / log x primes per multiple,
+    and a subtraction costs far less than an int64 division; where the
+    multiples are more than the primes, the division stays."""
+    if ps.size == 0 or int(ps[-1] - ps[0]) // q >= ps.size:
+        return ps % q
+    multiples = np.arange(int(ps[0]) // q, int(ps[-1]) // q + 2) * q
+    r = np.repeat(multiples[:-1], np.diff(ps.searchsorted(multiples)))
+    return np.subtract(ps, r, out=r)
+
+
+_STEP = 64  # terms of each empty class's progression read per pass
+
+
+def _step_empty_classes(least: np.ndarray, q: int, lo: int, top: int) -> None:
+    """Give each class a still at _UNSEEN in `least`, with no prime at or
+    below lo, its least prime in (lo, top], top <= arith._WINDOW: step along
+    a + j q, _STEP terms at a time, through the shared sieve's bits, and
+    take the first prime met.  A class with none stays at _UNSEEN."""
+    if lo >= top:  # nothing to step through, so no O(q) arrays either
+        return
+    a = np.flatnonzero(least == _UNSEEN)
+    term = a + ((lo - a) // q + 1) * q  # each class's first term past lo
+    a, term = a[term <= top], term[term <= top]
+    steps = np.arange(_STEP) * q
+    while a.size:
+        terms = term[:, None] + steps
+        hit = is_prime_array(np.minimum(terms, top)) & (terms <= top)
+        found = hit.any(axis=1)
+        least[a[found]] = terms[found, hit[found].argmax(axis=1)]
+        going = ~found & (terms[:, -1] + q <= top)
+        a, term = a[going], terms[going, -1] + q
 
 
 def coset_representatives(h: SubgroupSpec) -> tuple[list[int], np.ndarray]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonresidue import bounds
+from nonresidue import arith, bounds
 from nonresidue.arith import (
     ModulusTooLargeError,
     euler_phi,
@@ -155,6 +155,80 @@ def test_is_prime_across_each_prefix_switch():
         lo = psi - 1000
         want = _window_is_prime(lo, psi + 1000)
         assert [is_prime(n) for n in range(lo, psi + 1000)] == want.tolist(), psi
+
+
+def test_miller_rabin_across_each_prefix_switch():
+    # is_prime reads the sieve below 2^20, so Miller-Rabin itself is tested
+    # here: on a window each side of every psi_k past psi_1, where the
+    # prefix of k witnesses hands over to the next, and below 2^20
+    # (2047 = psi_1 needs two witnesses now that one is never used)
+    assert [arith._miller_rabin(n) for n in range(2, 5000)] == _window_is_prime(2, 5000).tolist()
+    for psi in WITNESS_PREFIX_BOUNDS[1:-1]:
+        lo = psi - 1000
+        want = _window_is_prime(lo, psi + 1000)
+        assert [arith._miller_rabin(n) for n in range(lo, psi + 1000)] == want.tolist(), psi
+    assert not arith._miller_rabin(WITNESS_PREFIX_BOUNDS[-1])  # psi_9, too high for a window sieve
+    # the strong pseudoprimes to base 2 in [2^20, psi_2), where two
+    # witnesses are the shortest prefix that is_prime hands over
+    for n in (1082401, 1145257, 1194649, 1207361, 1251949, 1252697, 1302451, 1325843, 1357441):
+        assert not arith._miller_rabin(n) and not is_prime(n), n
+
+
+def _empty_the_sieve(mp: pytest.MonkeyPatch) -> None:
+    """The shared sieve as a fresh process finds it, until mp is undone."""
+    mp.setattr(arith, "_sieve_limit", 0)
+    mp.setattr(arith, "_sieve_bits", memoryview(bytes(1)))
+    mp.setattr(arith, "_sieve_primes", np.empty(0, dtype=np.int64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1 << 21), st.integers(1, 3000))
+def test_is_prime_matches_a_window_sieve_across_the_sieve_limit(grow_to, width):
+    # from an emptied sieve, then once more after it grew to grow_to or
+    # beyond: n below the limit is a lookup, n above it below 2^20 grows
+    # the sieve, and n above both is Miller-Rabin
+    with pytest.MonkeyPatch.context() as mp:
+        _empty_the_sieve(mp)
+        for _ in range(2):
+            lo = max(arith._sieve_limit - width, 0)
+            hi = arith._sieve_limit + width
+            assert [is_prime(n) for n in range(lo, hi)] == _window_is_prime(lo, hi).tolist(), (lo, hi)
+            primes_up_to(grow_to)
+
+
+def test_is_prime_asks_the_sieve_for_little(small_sieve_only, monkeypatch):
+    _empty_the_sieve(monkeypatch)
+    # above 2^20 and the limit: Miller-Rabin, and nothing asked
+    assert is_prime(1000000007) and not is_prime(1000000007 * 3) and is_prime((1 << 20) + 7)
+    assert small_sieve_only == [] and arith._sieve_limit == 0
+    # below 2^20 each n grows the sieve once, never past 2^21
+    for n in (5, 65537, 70001, 600011, (1 << 20) - 3):
+        assert is_prime(n) == trial_is_prime(n), n
+        assert max(small_sieve_only) <= 1 << 21 and arith._sieve_limit <= 1 << 21, n
+    asked = len(small_sieve_only)
+    assert arith._sieve_limit > 1 << 20  # 1,200,022: twice 600,011
+    assert [is_prime(n) for n in range(1 << 20, arith._sieve_limit + 10)] == _window_is_prime(
+        1 << 20, arith._sieve_limit + 10
+    ).tolist()
+    assert len(small_sieve_only) == asked
+
+
+def test_primes_up_to_doubles_no_further_than_the_window(monkeypatch):
+    # the cache grows to n or to twice its limit, but a request at or below
+    # _WINDOW never builds past it, so neither do its mask's bytes
+    _empty_the_sieve(monkeypatch)
+    w = arith._WINDOW
+    asked = 0
+    for n in (10, 5 * 10**6, 6 * 10**6, w - 1, w, 7 * 10**6, w + 5, 3):
+        ps = primes_up_to(n)
+        asked = max(asked, n)
+        assert arith._sieve_limit <= max(w, asked), n
+        assert len(arith._sieve_bits) == arith._sieve_limit // 8 + 1, n
+        assert ps.size == 0 or ps[-1] <= n
+    assert arith._sieve_limit == w + 5
+    want = _window_is_prime(0, w + 6)
+    np.testing.assert_array_equal(arith.is_prime_array(np.arange(w + 6)), want)
+    np.testing.assert_array_equal(np.flatnonzero(want), arith._sieve_primes)
 
 
 @pytest.mark.slow

@@ -169,24 +169,6 @@ def test_least_qnr_rejects_non_primes():
             least_qnr(q)
 
 
-@pytest.fixture
-def small_sieve_only(monkeypatch):
-    """arith.primes_up_to, where prime_windows and factorize look it up,
-    raises above arith._WINDOW, the most a walk may ask of the shared cache,
-    so a search that sieves toward a far ceiling fails before it allocates;
-    records each limit asked for."""
-    asked = []
-
-    def spy(n):
-        asked.append(n)
-        if n > arith._WINDOW:
-            raise AssertionError(f"sieve to {n} requested")
-        return primes_up_to(n)
-
-    monkeypatch.setattr(arith, "primes_up_to", spy)
-    return asked
-
-
 def test_search_sieves_only_as_far_as_it_reads(small_sieve_only):
     h = kth_power_subgroup(7, 2)
     small_sieve_only.clear()  # factorize's requests while h was built
@@ -347,8 +329,8 @@ def test_searches_match_stepping_through_sieved_windows(monkeypatch):
 
 
 def test_all_classes_grows_past_the_first_stretch():
-    # a single pass at 64 q leaves classes empty at q = 10,007; the 4x
-    # growth finds them, each the least prime of its class
+    # a single pass at 64 q leaves classes empty at q = 10,007; stepping
+    # along their progressions finds them, each the least prime of its class
     q = 10_007
     first = least_prime_all_classes(q, 64 * q)
     empty = [a for a in range(1, q) if first[a] == 0]
@@ -363,11 +345,81 @@ def test_all_classes_grows_past_the_first_stretch():
 
 def test_all_classes_second_stretch_matches_stepping():
     # q = 461's worst class, 37,363, lies above the first stretch's
-    # max(64 q, 4096) = 29,504, so the array is finished by the second stretch
+    # max(64 q, 4096) = 29,504, so the array is finished past it
     q = 461
     least = least_prime_all_classes(q, 10**7)
     assert least.max() == 37_363 > max(64 * q, 4096)
     np.testing.assert_array_equal(least, _all_classes_by_coset_search(q, 10**7))
+
+
+def _all_classes_by_plain_sieve(q: int, ceiling: int) -> np.ndarray:
+    """The per-class oracle from one plain sieve to the ceiling: each
+    residue's first prime, by np.unique over the primes in increasing
+    order, 0 on non-units and on classes with no prime found."""
+    mask = np.ones(ceiling + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(ceiling) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    ps = np.flatnonzero(mask)
+    residues, first = np.unique(ps % q, return_index=True)
+    least = np.zeros(q, dtype=np.int64)
+    least[residues] = ps[first]
+    least[np.gcd(np.arange(q), q) != 1] = 0
+    return least
+
+
+@pytest.fixture
+def stretches(monkeypatch):
+    """Records the (lo, hi] of each stretch the class search reads."""
+    asked = []
+    monkeypatch.setattr(search, "primes_between", lambda lo, hi: asked.append((lo, hi)) or arith.primes_between(lo, hi))
+    return asked
+
+
+def test_all_classes_from_the_first_stretch_alone(stretches):
+    # every class of 97 has its least prime below max(64 q, 4096) = 6,208
+    least = least_prime_all_classes(97, 10**6)
+    np.testing.assert_array_equal(least, _all_classes_by_plain_sieve(97, 10**6))
+    assert 0 < least[1:].min() and least.max() <= 6208 and stretches == [(0, 6208)]
+
+
+@pytest.mark.parametrize("q", [461, 1933, 10_007])
+def test_all_classes_step_past_the_first_stretch(q, stretches):
+    # each has classes with no prime up to 64 q (14 at q = 10,007): they
+    # are finished along their progressions, and no second stretch is read
+    ceiling = 200 * q
+    least = least_prime_all_classes(q, ceiling)
+    np.testing.assert_array_equal(least, _all_classes_by_plain_sieve(q, ceiling))
+    assert (least > 0).sum() == q - 1 and least.max() > 64 * q
+    assert stretches == [(0, 64 * q)]
+
+
+def test_all_classes_step_to_the_window_then_walk(monkeypatch, stretches):
+    # with a 2^15 window, q = 461's first stretch ends at 29,504; its empty
+    # classes step through the sieve's bits up to 32,768, and the last one,
+    # 37,363, is found by the walk past the window
+    monkeypatch.setattr(arith, "_WINDOW", 1 << 15)
+    least = least_prime_all_classes(461, 10**6)
+    np.testing.assert_array_equal(least, _all_classes_by_plain_sieve(461, 10**6))
+    assert least.max() == 37_363 and stretches == [(0, 29_504), (1 << 15, 1 << 16)]
+    # up to the prime ceiling 37,361 the last class stays empty: its next
+    # term, 37,363, lies past the ceiling, though prime
+    monkeypatch.setattr(arith, "_WINDOW", 1 << 16)
+    least = least_prime_all_classes(461, 37_361)
+    np.testing.assert_array_equal(least, _all_classes_by_plain_sieve(461, 37_361))
+    assert least[37_363 % 461] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 1500), st.integers(0, 150_000), st.integers(10, 17))
+def test_all_classes_match_a_plain_sieve_at_any_window(q, ceiling, log_window):
+    # the first stretch, the stepping and the walk past the window, each
+    # cut short by the ceiling or the window
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_WINDOW", 1 << log_window)
+        least = least_prime_all_classes(q, ceiling)
+    np.testing.assert_array_equal(least, _all_classes_by_plain_sieve(q, ceiling))
 
 
 def test_all_classes_below_a_low_ceiling():

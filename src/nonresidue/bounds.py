@@ -319,22 +319,9 @@ def verify_coset(q: int, subgroup: str = "squares", ceiling: int | None = None) 
 
 
 def verify_classnum(q: int) -> BoundReport:
-    """Reduced-form count against the rounded class formula."""
-    counted = class_number_bqf(q)
-    formula = class_number_via_formula(q)
-    measured = float(counted.h)
-    bound = float(formula.h)
-    verdict = "pass" if counted.h == formula.h and formula.distance < 0.25 else "fail"
-    return BoundReport(
-        "eq13",
-        q,
-        f"h(-{q})",
-        measured,
-        bound,
-        formula.distance,
-        True,
-        verdict,
-    )
+    """Reduced-form count against the class formula, two exact integers."""
+    formula = float(class_number_via_formula(q))
+    return BoundReport.decide("eq13", q, f"h(-{q})", float(class_number_bqf(q)), lower=formula, upper=formula)
 
 
 def verify_elementary(q: int) -> list[BoundReport]:

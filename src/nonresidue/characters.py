@@ -366,7 +366,7 @@ def _legendre_table(p: int) -> np.ndarray:
 
 
 def kronecker_character_table(q: int) -> np.ndarray:
-    """Values of n -> (-q/n) on residues 0..q-1 as a float array.
+    """Values of n -> (-q/n) on residues 0..q-1 as an int8 array.
 
     -q must be a fundamental discriminant.  It is a product of prime
     discriminants: the 2-part (1, -4, 8 or -8) and p* = +-p for each odd
@@ -385,4 +385,4 @@ def kronecker_character_table(q: int) -> np.ndarray:
     for p, _ in factorize(q).factors:
         if p != 2:
             out.reshape(-1, p)[:] *= _legendre_table(p)
-    return out.astype(float)
+    return out

@@ -11,14 +11,13 @@ Contents, all double precision with stated error targets:
   series used only as an independent oracle;
 * the Hadamard real-part constant |Re B(chi)| recovered from
   L'/L(1, chi);
-* class numbers h(-q) by reduced-form counting and by the class number
-  formula h(-q) = (sqrt(q)/pi) L(1, chi_{-q}).
+* class numbers h(-q) by reduced-form counting and by Dirichlet's finite
+  form of the class number formula, both exact integers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -33,13 +32,11 @@ from .characters import (
 )
 
 __all__ = [
-    "ClassNumberResult",
     "EULER_GAMMA",
     "HADAMARD_B",
     "LValueResult",
     "NotFundamentalError",
     "PrincipalCharacterError",
-    "RoundingAmbiguousError",
     "class_number_bqf",
     "class_number_via_formula",
     "l_and_lprime_at_1",
@@ -74,10 +71,6 @@ class PrincipalCharacterError(ValueError):
 
 class NotFundamentalError(ValueError):
     """-q is not a fundamental discriminant."""
-
-
-class RoundingAmbiguousError(ArithmeticError):
-    """Class-formula value too far from an integer to round safely."""
 
 
 PSI_AT_1 = -EULER_GAMMA  # psi_0(1)
@@ -171,16 +164,21 @@ def l_and_lprime_at_1(chi: DirichletCharacter) -> tuple[complex, complex]:
     return l1, s1 / chi.q - math.log(chi.q) * l1
 
 
+def _finite_class_sum(q: int) -> tuple[int, int]:
+    """(sum_{0 < a < q/2} chi(a), chi(2)) for chi = chi_{-q}, -q fundamental
+    and q > 4, read from the Kronecker table and summed in int64."""
+    tab = kronecker_character_table(q)
+    return int(tab[1 : (q + 1) // 2].sum(dtype=np.int64)), int(tab[2])
+
+
 def _l1_finite_real_odd(chi: DirichletCharacter) -> float:
     """L(1, chi) for real odd primitive chi, q > 4, by the finite sum
-    pi * sum_{0 < a < q/2} chi(a) / ((2 - chi(2)) sqrt(q))."""
+    pi * sum_{0 < a < q/2} chi(a) / ((2 - chi(2)) sqrt(q)).  Such a chi is
+    chi_{-q}, so the sum is the class-number one."""
     q = chi.q
     if not (chi.is_real and chi.parity == 1 and q > 4):
         raise ValueError("finite formula needs a real odd primitive character, q > 4")
-    # a real character's angles are 0 (value 1), E/2 (value -1) or -1 (value 0)
-    half = chi.angles[1 : (q + 1) // 2]
-    total = int(np.count_nonzero(half == 0)) - int(np.count_nonzero(half > 0))
-    chi2 = (-1 if chi.angles[2] else 1) if q % 2 else 0
+    total, chi2 = _finite_class_sum(q)
     return math.pi * total / ((2 - chi2) * math.sqrt(q))
 
 
@@ -247,15 +245,6 @@ def re_b(chi: DirichletCharacter) -> float:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassNumberResult:
-    q: int
-    h: int
-    method: str
-    real_value: float | None = None
-    distance: float | None = None
-
-
 def _check_class_q(q: int) -> None:
     """-q fundamental below -4 and q <= DLOG_CEILING, before either route's O(q) arrays."""
     if q <= 4 or not is_fundamental_discriminant(q):
@@ -264,7 +253,7 @@ def _check_class_q(q: int) -> None:
         raise ModulusTooLargeError(f"q={q} exceeds the ceiling {DLOG_CEILING} of O(q) class-number arrays")
 
 
-def class_number_bqf(q: int) -> ClassNumberResult:
+def class_number_bqf(q: int) -> int:
     """h(-q) by counting reduced forms (a, b, c), b^2 - 4ac = -q.
 
     Reduced means |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
@@ -281,24 +270,20 @@ def class_number_bqf(q: int) -> ClassNumberResult:
     c, r = np.divmod(n, a)
     forms = (r == 0) & (a >= b) & (a <= c)  # a >= 1 = max(b, 1) when b = 0
     edge = forms & ((b == 0) | (a == b) | (a == c))
-    return ClassNumberResult(q, int(2 * np.count_nonzero(forms) - np.count_nonzero(edge)), "bqf-count")
+    return int(2 * np.count_nonzero(forms) - np.count_nonzero(edge))
 
 
-def class_number_via_formula(q: int) -> ClassNumberResult:
-    """h(-q) = (sqrt(q)/pi) L(1, chi_{-q}), rounded with its distance kept.
+def class_number_via_formula(q: int) -> int:
+    """h(-q) = sum_{0 < a < q/2} chi(a) / (2 - chi(2)), chi = chi_{-q}.
 
-    chi_{-q} is read from the Kronecker character table so scans stay free
-    of unit-group tables.  chi is odd, so the reflection psi_0(1 - x) -
-    psi_0(x) = pi cot(pi x) folds -1/q sum chi(a) psi_0(a/q) into
-    L(1) = (pi/q) sum_{0 < a < q/2} chi(a) cot(pi a/q).
+    Dirichlet's finite form of h(-q) = (sqrt(q)/pi) L(1, chi_{-q}) for a
+    fundamental -q < -4 (Davenport, Multiplicative Number Theory, ch. 6):
+    an exact integer, read from the Kronecker character table so scans
+    stay free of unit-group tables.  A remainder is a fault, not rounding.
     """
     _check_class_q(q)
-    half = np.arange(1, (q + 1) // 2)
-    cot = 1.0 / np.tan(np.pi * half / q)
-    lval = math.pi * float(np.dot(kronecker_character_table(q)[half], cot)) / q
-    real = math.sqrt(q) / math.pi * lval
-    h = round(real)
-    dist = abs(real - h)
-    if dist >= 0.25:
-        raise RoundingAmbiguousError(f"class value {real} for q={q} too far from integer")
-    return ClassNumberResult(q, int(h), "class-formula", real_value=real, distance=dist)
+    total, chi2 = _finite_class_sum(q)
+    h, rem = divmod(total, 2 - chi2)
+    if rem:
+        raise ArithmeticError(f"sum {total} for q={q} is not a multiple of 2 - chi(2) = {2 - chi2}")
+    return h

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nonresidue import bounds
 from nonresidue.arith import euler_phi, factorize, primes_up_to
 from nonresidue.bounds import (
     BoundReport,
@@ -23,6 +26,8 @@ from nonresidue.bounds import (
 from nonresidue.characters import kth_power_subgroup, subgroup_from_generators, trivial_subgroup
 from nonresidue.lfunctions import EULER_GAMMA
 from nonresidue.search import coset_representatives
+
+SRC = Path(bounds.__file__).resolve().parent
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +324,35 @@ def test_coset_representatives_match_the_walk():
         check(trivial_subgroup(q))
 
 
-def test_verify_classnum():
+def test_verify_classnum(monkeypatch):
     assert verify_classnum(7).verdict == "pass"
-    assert verify_classnum(23).verdict == "pass"
+    row = verify_classnum(23)
+    assert (row.measured, row.bound, row.margin, row.verdict) == (3.0, 3.0, 0.0, "pass")
+    # a count off by one is a fail row, decided by the same rule as the rest
+    monkeypatch.setattr(bounds, "class_number_bqf", lambda q: 4)
+    row = verify_classnum(23)
+    assert (row.measured, row.bound, row.margin, row.verdict) == (4.0, 3.0, -1.0, "fail")
+
+
+def test_every_report_row_is_built_inside_bound_report():
+    # rows come from BoundReport.decide or BoundReport.value, so one rule
+    # decides every verdict; a hand-built BoundReport(...) elsewhere is a
+    # second rule
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "BoundReport"
+            for node in ast.walk(cls)
+        }
+        outside += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "BoundReport"
+            and id(node) not in inside
+        ]
+    assert not outside, outside

@@ -312,6 +312,26 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert one.read_bytes() == many.read_bytes()
 
 
+def test_blas_thread_count_does_not_change_classnum_bytes():
+    # Each process fixes its OpenBLAS thread count at start-up.  A class
+    # formula summed in floats by a BLAS dot product follows that count in
+    # its summation order, which moved the margins of q = 20003, 20004,
+    # 20008 and 20011.  On a one-CPU host OpenBLAS may cap both runs at one
+    # thread, and this test then compares like with like.
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nonresidue", "scan", "classnum", "--q", "20003..20011", "--format", "csv"],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count(",0.0,true,pass") == 4
+
+
 def test_console_entry_point_subprocess():
     for module in ("nonresidue.cli", "nonresidue"):
         proc = subprocess.run(

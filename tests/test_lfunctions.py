@@ -337,15 +337,15 @@ def _fundamental_qs(limit: int) -> list[int]:
 
 
 def test_class_number_bqf_matches_reference_loop():
-    assert type(class_number_bqf(23).h) is int
+    assert type(class_number_bqf(23)) is int
     for q in _fundamental_qs(20_000):
-        assert class_number_bqf(q).h == reference_class_number_bqf(q), q
+        assert class_number_bqf(q) == reference_class_number_bqf(q), q
 
 
 @pytest.mark.slow
 def test_class_number_bqf_matches_reference_loop_to_1e5():
     for q in _fundamental_qs(100_000):
-        assert class_number_bqf(q).h == reference_class_number_bqf(q), q
+        assert class_number_bqf(q) == reference_class_number_bqf(q), q
 
 
 def test_class_number_bqf_adds_no_factorize_miss():
@@ -353,7 +353,7 @@ def test_class_number_bqf_adds_no_factorize_miss():
     for q in range(400_001, 400_200):
         if is_fundamental_discriminant(q):
             misses = factorize.cache_info().misses
-            assert class_number_bqf(q).h > 0
+            assert class_number_bqf(q) > 0
             assert factorize.cache_info().misses == misses, q
 
 
@@ -361,23 +361,23 @@ def test_class_number_bqf_adds_no_factorize_miss():
 @given(st.integers(5, 10**6))
 def test_class_number_bqf_equals_class_formula(q):
     assume(is_fundamental_discriminant(q))
-    assert class_number_bqf(q).h == class_number_via_formula(q).h
+    assert class_number_bqf(q) == class_number_via_formula(q)
 
 
 def test_class_number_bqf_examples():
-    assert class_number_bqf(7).h == 1
-    assert class_number_bqf(23).h == 3
-    assert class_number_bqf(8).h == 1
-    assert class_number_bqf(163).h == 1
-    assert class_number_bqf(20).h == 2
+    assert class_number_bqf(7) == 1
+    assert class_number_bqf(23) == 3
+    assert class_number_bqf(8) == 1
+    assert class_number_bqf(163) == 1
+    assert class_number_bqf(20) == 2
 
 
 def test_class_number_formula_examples():
     near_top = _fundamental_qs(10000)[-1]
     for q in (7, 23, 163, near_top):
-        r = class_number_via_formula(q)
-        assert r.h == class_number_bqf(q).h
-        assert r.distance < 1e-8
+        h = class_number_via_formula(q)
+        assert type(h) is int
+        assert h == class_number_bqf(q)
 
 
 def test_class_number_errors():
@@ -389,6 +389,18 @@ def test_class_number_errors():
         class_number_bqf(4)  # below the q > 4 floor
 
 
+def test_class_number_formula_raises_on_a_remainder(monkeypatch):
+    # h(-11) = 1: chi(2) = -1, so the sum over 0 < a < 11/2 is 3 = 3 h;
+    # flipping chi(1) makes it 1, which 2 - chi(2) = 3 does not divide
+    table = kronecker_character_table(11)
+    assert table[2] == -1 and class_number_via_formula(11) == 1
+    patched = table.copy()
+    patched[1] = -patched[1]
+    monkeypatch.setattr(lfunctions, "kronecker_character_table", lambda q: patched)
+    with pytest.raises(ArithmeticError, match="q=11"):
+        class_number_via_formula(11)
+
+
 @pytest.mark.parametrize("route", [class_number_bqf, class_number_via_formula])
 def test_class_numbers_stop_above_the_modulus_ceiling(route):
     # 10000019 is prime and 3 mod 4, so -q is fundamental: only the ceiling stops it
@@ -398,29 +410,26 @@ def test_class_numbers_stop_above_the_modulus_ceiling(route):
 
 def test_class_number_scan_small():
     for q in _fundamental_qs(500):
-        a = class_number_bqf(q)
-        b = class_number_via_formula(q)
-        assert a.h == b.h, q
-        assert b.distance < 1e-9
+        assert class_number_bqf(q) == class_number_via_formula(q), q
 
 
 def _digamma_real_value(q: int) -> float:
     """(sqrt(q)/pi) L(1, chi_{-q}) with L(1) = -(1/q) sum chi(a) psi_0(a/q)
-    over 0 < a < q, psi_0 from mpmath: the oracle for the cotangent sum."""
+    over 0 < a < q, psi_0 from mpmath: the analytic class number formula."""
     tab = kronecker_character_table(q)
     with mpmath.workdps(30):
         total = mpmath.fsum(int(tab[a]) * mpmath.digamma(mpmath.mpf(a) / q) for a in range(1, q) if tab[a])
         return float(-mpmath.sqrt(q) / mpmath.pi * total / q)
 
 
-def test_cotangent_real_value_matches_digamma_sum():
+def test_digamma_value_matches_exact_class_number():
     for q in (7, 23, 24, 163, 1243, 4003, 29_999):
-        r = class_number_via_formula(q)
-        assert abs(r.real_value - _digamma_real_value(q)) < 1e-12, q
-        assert r.h == class_number_bqf(q).h
+        h = class_number_via_formula(q)
+        assert abs(_digamma_real_value(q) - h) < 1e-12, q
+        assert h == class_number_bqf(q)
 
 
 @pytest.mark.slow
 def test_class_number_formula_matches_form_count_to_3e4():
     for q in _fundamental_qs(30_000):
-        assert class_number_via_formula(q).h == class_number_bqf(q).h, q
+        assert class_number_via_formula(q) == class_number_bqf(q), q

@@ -153,14 +153,14 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
     return np.concatenate(([2], odd)) if lo < 2 else odd
 
 
-def prime_windows(ceiling: int, first: int) -> Iterator[np.ndarray]:
-    """The primes <= ceiling, increasing, as consecutive primes_between stretches.
+def prime_windows(ceiling: int, first: int, lo: int = 0) -> Iterator[np.ndarray]:
+    """The primes in (lo, ceiling], increasing, as consecutive primes_between stretches.
 
-    Stretch ends start at min(first, _WINDOW), first >= 1, and grow 4x, no
-    stretch wider than _WINDOW integers, so a walk that stops early sieves
-    only as far as it read, and memory stays bounded however far it goes.
+    Stretch ends start at min(first, lo + _WINDOW), first > lo >= 0, and grow
+    4x, no stretch wider than _WINDOW integers, so a walk that stops early
+    sieves only as far as it read, and memory stays bounded however far it goes.
     """
-    lo, hi = 0, min(first, _WINDOW)
+    hi = min(first, lo + _WINDOW)
     while lo < ceiling:
         yield primes_between(lo, min(hi, ceiling))
         lo, hi = hi, min(4 * hi, hi + _WINDOW)

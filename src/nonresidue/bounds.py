@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import arith
-from .arith import euler_phi, factorize, is_prime, primes_between, unit_group_structure
+from .arith import euler_phi, factorize, is_prime, prime_windows, unit_group_structure
 from .characters import (
     SubgroupSpec,
     is_fundamental_discriminant,
@@ -342,13 +342,13 @@ def verify_elementary(q: int) -> list[BoundReport]:
 def _qnr_moduli(qs: Iterable[int]) -> Iterator[int]:
     """The primes q >= 5 of qs, in order.  A step-1 range of at least
     isqrt(t) integers, t its top, with isqrt(t) <= arith._WINDOW, reads them
-    from primes_between in stretches of at most _WINDOW integers.  Anything
-    else is filtered by is_prime, one q at a time: a shorter range costs less
-    that way than sieving by every prime up to isqrt(t), and a higher one
-    would ask the shared sieve for more than _WINDOW."""
+    from prime_windows, the walk of the least-prime searches.  Anything else
+    is filtered by is_prime, one q at a time: a shorter range costs less that
+    way than sieving by every prime up to isqrt(t), and a higher one would
+    ask the shared sieve for more than _WINDOW."""
     if isinstance(qs, range) and qs.step == 1 and math.isqrt(max(qs.stop - 1, 0)) <= min(len(qs), arith._WINDOW):
-        for lo in range(max(qs.start, 5) - 1, qs.stop - 1, arith._WINDOW):
-            yield from primes_between(lo, min(lo + arith._WINDOW, qs.stop - 1)).tolist()
+        for ps in prime_windows(qs.stop - 1, qs.stop - 1, max(qs.start, 5) - 1):
+            yield from ps.tolist()
     else:
         yield from (q for q in qs if q >= 5 and is_prime(q))
 

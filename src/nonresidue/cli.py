@@ -648,7 +648,7 @@ _SCAN_FLAGS = {
     "workers": dict(type=_int_at_least(1), default=1),
     "subgroup": dict(default="squares", help="squares | powers:K | gens:a,b | trivial"),
     "per-class": dict(action="store_true"),
-    "ceiling": dict(type=_exact_int, help="search ceiling override"),
+    "ceiling": dict(type=_int_at_least(2), help="search ceiling override"),
 }
 _EVALS = {
     **dict.fromkeys(("thm11", "thm12", "cor15", "thm15", "cor16", "sec43"), "q!"),

@@ -4,14 +4,12 @@ Least prime outside a subgroup (outside the k-th powers it is the least
 k-th power non-residue), least quadratic non-residue, and least prime in
 every reduced class, or every coset of a subgroup (a progression is a coset
 of the trivial subgroup), at once.  The least quadratic non-residue of a
-prime reads one quadratic-reciprocity table per small prime, and hands the
-rare prime those leave unresolved to the subgroup search.  The other
-searches read the primes through arith.prime_windows, one bounded walk:
-subgroup scans test membership by exponent, and the class and coset search
-folds each stretch into one array.  The class search folds only its first
-stretch; each class that stretch leaves empty then steps along its
-progression, reading primality from the shared sieve's bits, and only the
-classes still empty past arith._WINDOW go on with the walk.
+prime reads one quadratic-reciprocity table per small prime, built from
+Kronecker tables, and hands the rare prime those leave unresolved to the
+subgroup search.  Every other search reads arith.prime_windows, the one
+bounded walk: the subgroup search tests membership by exponent, and the
+class and coset search folds each stretch into one array; the classes its
+first stretch leaves empty step along their progressions before it walks on.
 Results always report minimality: primes are visited in increasing order.
 Searches stop at the ceiling they are given; bounds derives it from the
 bound checked.  No stretch is wider than arith._WINDOW, so the sieve's
@@ -27,7 +25,7 @@ import numpy as np
 
 from . import arith
 from .arith import is_prime, is_prime_array, prime_windows, primes_between, primes_up_to, unit_group_structure
-from .characters import SubgroupSpec, kth_power_subgroup
+from .characters import SubgroupSpec, kronecker_character_table, kth_power_subgroup
 
 __all__ = [
     "ImproperSubgroupError",
@@ -83,17 +81,15 @@ _QNR_TABLE_LIMIT = 256
 def _reciprocity_tables() -> tuple[tuple[int, bytes], ...]:
     """(l, table) for each prime l < _QNR_TABLE_LIMIT, increasing, built on
     first use: table[q % len(table)] is 1 exactly when l is a quadratic
-    non-residue mod the odd prime q != l.  (2/q) = -1 for q = 3, 5 mod 8;
-    for odd l, (l/q) = (q/l) (-1)^((l-1)/2 (q-1)/2), a function of q mod 4l.
-    Entries at even r and at multiples of l are 0."""
-    out = [(2, bytes([0, 0, 0, 1, 0, 1, 0, 0]))]
-    for ell in primes_up_to(_QNR_TABLE_LIMIT)[1:].tolist():
-        squares = np.zeros(ell, dtype=bool)
-        squares[np.arange(1, ell) ** 2 % ell] = True
-        r = np.arange(4 * ell)
-        flip = (ell % 4 == 3) & (r % 4 == 3)  # (-1)^((l-1)/2 (q-1)/2) = -1
-        nonresidue = (r % 2 == 1) & (r % ell != 0) & (squares[r % ell] == flip)
-        out.append((ell, nonresidue.astype(np.uint8).tobytes()))
+    non-residue mod the odd prime q != l.  (l/q) = chi_-4(q) chi_-d(q), a
+    function of q mod 4l, where -d = -8, -l or -4l is the discriminant of
+    Q(sqrt(-l)).  Entries at even r and at multiples of l are 0."""
+    chi4 = kronecker_character_table(4)
+    out = []
+    for ell in primes_up_to(_QNR_TABLE_LIMIT).tolist():
+        d = ell if ell % 4 == 3 else 4 * ell
+        symbol = np.tile(chi4, ell) * np.tile(kronecker_character_table(d), 4 * ell // d)
+        out.append((ell, (symbol == -1).astype(np.uint8).tobytes()))
     return tuple(out)
 
 
@@ -118,12 +114,11 @@ def least_prime_all_classes(q: int, ceiling: int, cosets: np.ndarray | None = No
     congruent to a at or below the ceiling, 0 on non-units and on classes
     with no prime found.  Given the numbering `cosets` of
     coset_representatives, it returns the least prime of each of its n
-    cosets, length n.  It reads prime_windows from max(64 n, 4096) (n = q
-    without cosets) until every class or coset is hit; each stretch folds
-    into `least` by one unbuffered np.minimum.at pass.  Without cosets it
-    folds only that first stretch below arith._WINDOW: _step_empty_classes
-    finishes the classes it leaves empty along their progressions, and the
-    walk goes on from min(ceiling, _WINDOW) only for those still empty.
+    cosets, length n.  Each stretch of primes folds into `least` by one
+    unbuffered np.minimum.at pass: first (0, end], end = min(max(64 n, 4096),
+    arith._WINDOW, ceiling) (n = q without cosets); then, for classes only,
+    _step_empty_classes finishes those left empty up to min(ceiling,
+    _WINDOW); then prime_windows walks on until every one is hit.
     """
     if cosets is None:
         n, wanted = q, unit_group_structure(q).unit_mask
@@ -131,19 +126,18 @@ def least_prime_all_classes(q: int, ceiling: int, cosets: np.ndarray | None = No
         n = int(cosets[0])  # residue 0 is not a unit (q >= 2), so it holds n
         wanted = np.arange(n + 1) < n  # slot n takes the primes dividing q
     least = np.where(wanted, _UNSEEN, 0)  # a slot at 0 stays 0, so the max reads only wanted ones
-    first = max(64 * n, 4096)
-    if cosets is None:
-        top = min(ceiling, arith._WINDOW)
-        end = min(first, top)
-        ps = primes_between(0, end)
-        np.minimum.at(least, _residues(ps, q), ps)
-        _step_empty_classes(least, q, end, top)
-        width = arith._WINDOW
-        walk = (primes_between(lo, min(lo + width, ceiling)) for lo in range(top, ceiling, width))
-    else:
-        walk = prime_windows(ceiling, first)
+
+    def fold(ps: np.ndarray) -> None:
+        r = _residues(ps, q)
+        np.minimum.at(least, r if cosets is None else cosets[r], ps)
+
+    end = min(max(64 * n, 4096), arith._WINDOW, ceiling)
+    fold(primes_between(0, end))
+    top = min(ceiling, arith._WINDOW) if cosets is None else end  # cosets walk on from end: nothing steps
+    _step_empty_classes(least, q, end, top)
+    walk = prime_windows(ceiling, 4 * top, top)
     while least.max() == _UNSEEN and (ps := next(walk, None)) is not None:
-        np.minimum.at(least, _residues(ps, q) if cosets is None else cosets[_residues(ps, q)], ps)
+        fold(ps)
     least[least == _UNSEEN] = 0
     return least[:n]
 

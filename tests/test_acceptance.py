@@ -9,11 +9,17 @@ checklist.
 """
 
 import functools
+import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
+import scipy
 
 from nonresidue.cli import CHECKS, FEJER_ALPHAS, THM13_CHOICES
 from nonresidue.kernels import (
@@ -24,6 +30,9 @@ from nonresidue.kernels import (
     prop62_constant,
     weighted_integral,
 )
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def _announce(num: int, text: str) -> None:
@@ -144,6 +153,37 @@ def test_no_quick_row_is_decided_within_its_slack():
     assert not borderline, borderline[:5]
 
 
+# sha256 of the `reproduce-paper --format csv` bytes at each scale.  Their
+# float cells come from numpy and scipy, so another version of either may
+# move them.
+_CSV_SHA256 = {
+    "--quick": "349db420392d209090b6ff4bf84e191dd7eed8688a6e348bbbb5d2b7e0aee016",
+    "default": "ec01f35ea75f64ffe9906bc49bdd7982134d3c66d5d33e35285b16d287139cfd",
+    "--full": "aa9cdecc25387e01e9a505e1bf84af0177a5738633c1d586ade4ac195d59ecab",
+}
+
+
+def _assert_pinned_bytes(data: bytes, scale: str) -> None:
+    got = hashlib.sha256(data).hexdigest()
+    assert got == _CSV_SHA256[scale], (
+        f"reproduce-paper {scale} --format csv hashes to {got}, not {_CSV_SHA256[scale]}, "
+        f"under numpy {np.__version__} and scipy {scipy.__version__}.  A change that moves "
+        "these bytes on purpose lists the moved cells in CHANGES.md and updates this hash."
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("scale", ["default", "--full"])
+def test_reproduce_paper_bytes_are_pinned(scale, tmp_path):
+    # in a child process: the suite's own memory would otherwise grow by the
+    # run's rows and show in the peak RSS of the children other tests measure
+    path = tmp_path / "out.csv"
+    flags = [] if scale == "default" else [scale]
+    argv = [sys.executable, "-m", "nonresidue", "reproduce-paper", *flags, "--format", "csv", "--out", str(path)]
+    assert subprocess.run(argv, env=dict(os.environ, PYTHONPATH=str(SRC))).returncode == 0
+    _assert_pinned_bytes(path.read_bytes(), scale)
+
+
 def test_criterion_12_reproduce_paper_determinism(tmp_path):
     from nonresidue.cli import main
 
@@ -168,5 +208,6 @@ def test_criterion_12_reproduce_paper_determinism(tmp_path):
     b1, b2, b8 = (p.read_bytes() for p in paths)
     assert b1 == b2, "re-run changed bytes"
     assert b1 == b8, "worker count changed bytes"
+    _assert_pinned_bytes(b1, "--quick")
     elapsed = time.time() - t0
     _announce(12, f"reproduce-paper byte-identical across reruns and workers 1 vs 8 ({elapsed:.1f}s, {len(b1)} bytes)")

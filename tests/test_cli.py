@@ -729,6 +729,9 @@ _BRANCHES = {
                         lambda: [row for q in range(20000, 20003) for row in sorted(_elementary_expected(q))]),  # a scan sorts by target
     "empty-range": (["scan", "qnr", "--q", "10..5"], "csv", EXIT_USAGE, "error: empty q range"),
     "integer-flag-1e40": (["scan", "ap", "--q", "7", "--ceiling", "1e40"], "csv", EXIT_USAGE, "not an integer below 1e40: '1e40'"),
+    # no prime lies below 2, so a lower ceiling could only print not-found rows
+    "ceiling-1": (["scan", "coset", "--q", "7", "--ceiling", "1"], "csv", EXIT_USAGE, "--ceiling: not an integer >= 2: '1'"),
+    "ceiling-minus-5": (["scan", "ap", "--q", "7", "--ceiling", "-5"], "csv", EXIT_USAGE, "--ceiling: not an integer >= 2: '-5'"),
 }
 
 

@@ -310,15 +310,18 @@ def test_all_classes_asks_the_cache_for_no_more_than_a_window(small_sieve_only):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10**5), st.integers(1, 10**4))
-def test_prime_windows_walk_the_sieve_in_bounded_stretches(ceiling, first):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(arith, "_WINDOW", 1 << 10)
-        stretches = list(prime_windows(ceiling, first))
-    walked = np.concatenate([np.empty(0, dtype=np.int64), *stretches])
-    np.testing.assert_array_equal(walked, primes_up_to(ceiling))
-    assert (np.diff(walked) > 0).all()
-    assert all(s[-1] - s[0] < 1 << 10 for s in stretches if s.size)
+@given(st.integers(0, 10**5), st.integers(1, 10**4), st.integers(0, 10**5))
+def test_prime_windows_walk_the_sieve_in_bounded_stretches(ceiling, first, lo):
+    # from 0, or from lo with the first stretch ending at lo + first
+    for start, first_end in ((0, first), (lo, lo + first)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_WINDOW", 1 << 10)
+            stretches = list(prime_windows(ceiling, first_end, start))
+        walked = np.concatenate([np.empty(0, dtype=np.int64), *stretches])
+        ps = primes_up_to(ceiling)
+        np.testing.assert_array_equal(walked, ps[ps > start])
+        assert (np.diff(walked) > 0).all()
+        assert all(s[-1] - s[0] < 1 << 10 for s in stretches if s.size)
 
 
 def test_searches_match_stepping_through_sieved_windows(monkeypatch):
@@ -371,9 +374,17 @@ def _all_classes_by_plain_sieve(q: int, ceiling: int) -> np.ndarray:
 
 @pytest.fixture
 def stretches(monkeypatch):
-    """Records the (lo, hi] of each stretch the class search reads."""
+    """Records the (lo, hi] of each stretch the class search reads: its
+    first, and those of the walk, from arith."""
     asked = []
-    monkeypatch.setattr(search, "primes_between", lambda lo, hi: asked.append((lo, hi)) or arith.primes_between(lo, hi))
+    primes_between = arith.primes_between
+
+    def spy(lo, hi):
+        asked.append((lo, hi))
+        return primes_between(lo, hi)
+
+    monkeypatch.setattr(search, "primes_between", spy)
+    monkeypatch.setattr(arith, "primes_between", spy)
     return asked
 
 

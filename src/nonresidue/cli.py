@@ -28,8 +28,6 @@ from decimal import Decimal, InvalidOperation
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from scipy.integrate import quad
-
 from . import bounds, explicit_formula as ef, kernels
 from .bounds import BoundReport
 from .characters import character_group, character_of_index, primitive_characters
@@ -503,7 +501,7 @@ def _fejer_rows(scale: str, workers: int) -> list[BoundReport]:
         rows.append(_tolerance_row("fejer", f"l1(alpha={alpha:g})-vs-2alpha", kernels.line_l1(kern), 2 * alpha, 1e-8))
         closed = 4 * alpha - 4 + 4 * math.exp(-alpha)
         # W(1) by quadrature of the Mellin transform, not by the closed form `weighted_integral` uses
-        w1, _ = quad(lambda u: kern.mellin(u) / math.sqrt(u), math.exp(-2 * alpha), 1.0, epsabs=1e-13, epsrel=1e-12)
+        w1, _ = kernels.quad(lambda u: kern.mellin(u) / math.sqrt(u), math.exp(-2 * alpha), 1.0, epsabs=1e-13, epsrel=1e-12)
         rows.append(_tolerance_row("fejer", f"W(1,alpha={alpha:g})-closed-form", w1, closed, 1e-10))
         for u in (0.5, 1.0, math.e, math.exp(2 * alpha)):
             rows.append(

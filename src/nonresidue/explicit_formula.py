@@ -33,7 +33,6 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import spence
 
 from . import arith
 from .arith import factorize
@@ -202,6 +201,8 @@ def loglog_sum(x: float, chi: DirichletCharacter | None = None):
 
 
 def _dilog(y: float) -> float:
+    from scipy.special import spence
+
     return float(spence(1.0 - y))
 
 

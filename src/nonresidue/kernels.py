@@ -33,9 +33,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import erf, erfc, gamma, gammainc, sici
 
 from .lfunctions import EULER_GAMMA
 
@@ -142,6 +139,7 @@ def fejer_kernel(alpha: float) -> Kernel:
 
 def gamma_kernel() -> Kernel:
     """K(s) = -(Gamma(s) + Gamma(-s)); real on the line, K(i0) = 2 gamma."""
+    from scipy.special import erf, erfc, gamma, gammainc
 
     def line(t: float) -> float:
         if t == 0.0:
@@ -185,17 +183,29 @@ _FEJER_LINE_CUTOFF = 100.0
 _L1_TOL = 1e-9
 
 
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported when called so that importing this
+    module loads no scipy; every quadrature here goes through this name."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
+
 def _cos_moment_tail(omega: float, t0: float) -> float:
     """int_t0^inf cos(omega t)/t^2 dt, exact via the sine integral."""
     omega = abs(omega)
     if omega == 0.0:
         return 1.0 / t0
+    from scipy.special import sici
+
     si = float(sici(omega * t0)[0])
     return math.cos(omega * t0) / t0 - omega * (math.pi / 2 - si)
 
 
 def _gamma_line_breakpoints(kernel: Kernel, upper: float) -> list[float]:
     """Zeros of K(it) on (0, upper), located by sign changes plus brentq."""
+    from scipy.optimize import brentq
+
     grid = np.linspace(0.0, upper, int(upper / 0.05) + 1)
     vals = np.array([kernel.line(float(t)) for t in grid])
     zeros = []

@@ -3,7 +3,6 @@ import csv
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -827,13 +826,38 @@ def test_scan_coset_rejects_q_below_3_before_building_the_subgroup(q, subgroup, 
     assert "error: q >= 3 required" in capsys.readouterr().err
 
 
+# Runs `python -m nonresidue` and, at exit, writes the process's own peak
+# resident size to stderr.  VmHWM starts afresh at exec; the ru_maxrss that
+# os.wait4 reports starts from the resident size of the process that forked.
+_PEAK_PROBE = """
+import atexit, runpy, sys
+
+def peak():
+    with open("/proc/self/status") as f:
+        sys.stderr.write(next(line for line in f if line.startswith("VmHWM:")))
+
+atexit.register(peak)
+runpy.run_module("nonresidue", run_name="__main__", alter_sys=True)
+"""
+
+
 def _run_cli(argv, stdout) -> tuple[int, float]:
     """Exit code and peak RSS in MB of `python -m nonresidue argv`, its
     stdout written to the open file `stdout`."""
-    proc = subprocess.Popen([sys.executable, "-m", "nonresidue", *argv], stdout=stdout, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, usage.ru_maxrss / 1024
+    cmd = [sys.executable, "-c", _PEAK_PROBE, *argv]
+    proc = subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    sys.stderr.write(proc.stderr)
+    peak_kb = int(proc.stderr.rsplit("VmHWM:", 1)[1].split()[0])
+    return proc.returncode, peak_kb / 1024
+
+
+def test_peak_rss_is_the_child_s_own(tmp_path):
+    grown = np.ones(300 * 2**20 // 8)  # 300 MB resident in this process
+    with open(tmp_path / "out.csv", "w") as out:
+        code, peak_mb = _run_cli(["scan", "qnr", "--q", "101", "--format", "csv"], out)
+    del grown
+    assert code == EXIT_OK
+    assert peak_mb < 150, peak_mb
 
 
 @pytest.mark.slow

@@ -452,3 +452,26 @@ def test_quadrature_cache_stays_within_its_cap():
     assert l1.cache_info().hits == hits + 1
     clear_quad_caches()
 
+
+def test_quad_passes_full_output_through():
+    # perfbench's tracer reads the evaluation count from full_output's info dict
+    val, err, info = kernels.quad(math.cos, 0.0, 1.0, full_output=1)
+    assert (val, err) == scipy.integrate.quad(math.cos, 0.0, 1.0)
+    assert info["neval"] > 0
+
+
+def test_sec62_w1_quadrature_goes_through_kernels_quad(monkeypatch):
+    from nonresidue.cli import CHECKS, FEJER_ALPHAS
+
+    (sec62,) = [c for c in CHECKS if c.id == "sec62"]
+    real_quad = kernels.quad
+    spans = []
+
+    def counted(f, a, b, *args, **kwargs):
+        spans.append((a, b))
+        return real_quad(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "quad", counted)
+    assert all(r.verdict == "pass" for r in sec62.run("quick", 1))
+    for alpha in FEJER_ALPHAS:  # W(1) integrates the Mellin transform over [e^(-2 alpha), 1]
+        assert spans.count((math.exp(-2 * alpha), 1.0)) == 1, alpha

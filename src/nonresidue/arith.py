@@ -223,12 +223,6 @@ class Factorization:
     def squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 
-    def divisors(self) -> list[int]:
-        divs = [1]
-        for p, e in self.factors:
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        return sorted(divs)
-
 
 # One modulus reads q, q/4 and p - 1 for each p | q; 64 entries hold
 # those, and a larger cache only keeps moduli already done.

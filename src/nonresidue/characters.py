@@ -269,9 +269,6 @@ class SubgroupSpec:
             out.reshape(-1, m)[:] &= _power_table(m, e) == 1
         return out
 
-    def members(self) -> list[int]:
-        return np.flatnonzero(self.mask).tolist()
-
 
 def _power_table(m: int, e: int) -> np.ndarray:
     """r^e mod m for r = 0..m-1, square and multiply in place in int64

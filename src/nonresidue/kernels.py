@@ -5,7 +5,7 @@ A kernel K is even and holomorphic on a vertical strip with
 Ktilde(u) = (1/2 pi i) int K(s) u^s ds satisfies Ktilde(u) = Ktilde(1/u)
 and is nonnegative.  Three derived numbers drive everything:
 
-    line_l1(K)              (1/2 pi) int |K(it)| dt, by quadrature
+    line_l1(K)              (1/2 pi) int |K(it)| dt
     weighted_integral(K, l) int_0^l Ktilde(u) du / sqrt(u), in closed form
     K(1/2)
 
@@ -21,15 +21,17 @@ Two kernels are built in: the squared-sine family with parameter alpha
 kernel -(Gamma(s) + Gamma(-s)) (Mellin transform 1 - e^(-1/u) - e^(-u)).
 Both Mellin transforms are elementary, so each kernel carries W(lambda)
 as one numpy expression, exact up to rounding, that takes a float or an
-array of lambdas; only line_l1 (cached per kernel) and the Mellin
-cross-check use quadrature.
+array of lambdas.  The squared-sine kernel is nonnegative on the line,
+so its line_l1 is Ktilde(1) = 2 alpha.  Only the reflected-Gamma
+kernel's line_l1 (computed once, then cached) and the Mellin cross-check
+use quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -75,8 +77,9 @@ class Kernel:
     """Even kernel with line evaluator, closed-form Mellin transform and
     closed-form W(lambda) (`weighted`, numpy in and out).
 
-    Kernels with the same kind and params compare equal, so they share
-    line_l1's quadrature cache.
+    Kernels with the same kind and params compare equal, so every
+    reflected-Gamma kernel shares line_l1's one quadrature; the
+    squared-sine kernel's line_l1 is 2 alpha, with no quadrature.
     """
 
     kind: str
@@ -138,7 +141,8 @@ def fejer_kernel(alpha: float) -> Kernel:
 
 
 def gamma_kernel() -> Kernel:
-    """K(s) = -(Gamma(s) + Gamma(-s)); real on the line, K(i0) = 2 gamma."""
+    """K(s) = -(Gamma(s) + Gamma(-s)); real on the line, K(i0) = 2 gamma,
+    and K(1/2) = -(sqrt(pi) - 2 sqrt(pi)) = sqrt(pi)."""
     from scipy.special import erf, erfc, gamma, gammainc
 
     def line(t: float) -> float:
@@ -167,7 +171,7 @@ def gamma_kernel() -> Kernel:
     return Kernel(
         kind="gamma",
         params=(),
-        at_half=float(-(gamma(0.5) + gamma(-0.5))),
+        at_half=_SQRT_PI,
         line=line,
         mellin=mellin,
         weighted=weighted,
@@ -219,47 +223,31 @@ def _gamma_line_breakpoints(kernel: Kernel, upper: float) -> list[float]:
 
 
 def line_l1(kernel: Kernel) -> float:
-    """(1/2 pi) int_R |K(it)| dt with certified truncation error <= 1e-9.
+    """(1/2 pi) int_R |K(it)| dt.
 
-    The integrand's inner function changes sign for the reflected-Gamma
-    kernel, so the integral is split at its zeros; the squared-sine
-    kernel is nonnegative and gets an exact sine-integral tail.  The
-    quadrature is cached per kernel; the error check runs on every call.
+    The squared-sine kernel is nonnegative on the line, so this is its
+    Mellin transform at u = 1, exactly 2 alpha.  The reflected-Gamma
+    kernel's has no closed form: its quadrature, split at the zeros of
+    K(it), is cached, and its certified error (<= 1e-9) is checked on
+    every call.
     """
-    total, err_budget = _line_l1_quadrature(kernel)
+    if kernel.kind == "fejer":
+        (alpha,) = kernel.params
+        return 2.0 * alpha
+    total, err_budget = _gamma_line_l1_quadrature(kernel)
     if err_budget > _L1_TOL:
         raise QuadratureError(f"line L1 error {err_budget:g} exceeds {_L1_TOL:g}")
     return total
 
 
-@lru_cache(maxsize=64)
-def _line_l1_quadrature(kernel: Kernel) -> tuple[float, float]:
-    """line_l1's value and its error budget, before the error check."""
-    err_budget = 0.0
-    if kernel.kind == "fejer":
-        (alpha,) = kernel.params
-        omega = 2 * alpha
-        t1 = _FEJER_LINE_CUTOFF
-
-        def integrand(t: float) -> float:
-            if t == 0.0:
-                return omega * omega / 2
-            return (1 - math.cos(omega * t)) / (t * t)
-
-        pieces = []
-        step = math.pi / omega
-        edges = [0.0]
-        while edges[-1] < t1:
-            edges.append(min(edges[-1] + 8 * step, t1))
-        for a, b in zip(edges, edges[1:]):
-            val, err = quad(integrand, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)
-            pieces.append(val)
-            err_budget += err
-        tail = 1.0 / t1 - _cos_moment_tail(omega, t1)
-        return (2 / math.pi) * (math.fsum(pieces) + tail), err_budget
+@cache
+def _gamma_line_l1_quadrature(kernel: Kernel) -> tuple[float, float]:
+    """The reflected-Gamma kernel's line_l1 and its error budget, before
+    the error check."""
     t1 = _GAMMA_LINE_CUTOFF
     edges = [0.0] + _gamma_line_breakpoints(kernel, t1) + [t1]
     pieces = []
+    err_budget = 0.0
     for a, b in zip(edges, edges[1:]):
         val, err = quad(kernel.line, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)
         pieces.append(abs(val))
@@ -383,8 +371,7 @@ def optimize_lambda(kernel: Kernel, h) -> tuple[float, float]:
     the coarse grid guards against bracketing a local valley.
 
     c_of takes the whole grid as one array and each golden-section step
-    as one float lambda; an infeasible lambda costs inf.  line_l1 is read
-    from its cache after the first call per kernel.
+    as one float lambda; an infeasible lambda costs inf.
     """
 
     def c_of(lam):

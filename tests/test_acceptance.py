@@ -1,11 +1,13 @@
 """Acceptance gate: one test per shipped criterion.
 
-Criteria 01-11 each run their entry of the reproduce-paper checklist
+Criteria 01-11 and 13 each run an entry of the reproduce-paper checklist
 (`nonresidue.cli.CHECKS`) at the default scale and require every row to
-pass; the ranges, grids and tolerances live in that entry.  A test adds
-only what its rows cannot express, and its time gate.  Each test prints
-a single summary line so a verbose run doubles as the verification
-checklist.
+pass; the ranges, grids and tolerances live in that entry.  Criteria 03
+and 04 both run `thm13`, and criterion 13 runs `thm11`.  A test adds
+only what its rows cannot express, and its time gate.  Criterion 12
+checks that the output bytes are pinned and the same across reruns and
+worker counts.  Each test prints a single summary line so a verbose run
+doubles as the verification checklist.
 """
 
 import functools
@@ -142,6 +144,12 @@ def test_criterion_11_method_floor():
     _announce(11, f"c >= ((h-1)/(2h-1))^2 at all {len(rows)} feasible grid points")
 
 
+def test_criterion_13_least_prime_outside_the_squares():
+    rows, elapsed = _passing_rows("thm11")
+    worst = max(rows, key=lambda r: r.measured / r.bound)
+    _announce(13, f"least prime outside the squares within its subgroup bound for {len(rows)} q, {_q_span(rows)}; largest measured/bound {worst.measured / worst.bound:.4f} at q = {worst.q} ({elapsed:.2f}s)")
+
+
 def test_no_quick_row_is_decided_within_its_slack():
     # A row whose margin lies within its slack passed (or failed) on the
     # slack alone; none should, until such rows are re-decided at high
@@ -157,9 +165,9 @@ def test_no_quick_row_is_decided_within_its_slack():
 # float cells come from numpy and scipy, so another version of either may
 # move them.
 _CSV_SHA256 = {
-    "--quick": "349db420392d209090b6ff4bf84e191dd7eed8688a6e348bbbb5d2b7e0aee016",
-    "default": "ec01f35ea75f64ffe9906bc49bdd7982134d3c66d5d33e35285b16d287139cfd",
-    "--full": "aa9cdecc25387e01e9a505e1bf84af0177a5738633c1d586ade4ac195d59ecab",
+    "--quick": "7141f87a98cb5bc04803f7b9cd36b0153f6aa501e8587991235e38a6248ac6db",
+    "default": "d66a5caf5142c5a8567cf5248f81b19d66722dfd759369b279d362a88373c3d6",
+    "--full": "48e0c23ef3879cdfa493d31027e61a52fa9de87779f4dc18f219654305e21879",
 }
 
 

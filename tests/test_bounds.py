@@ -27,6 +27,8 @@ from nonresidue.characters import kth_power_subgroup, subgroup_from_generators, 
 from nonresidue.lfunctions import EULER_GAMMA
 from nonresidue.search import coset_representatives
 
+from helpers import members
+
 SRC = Path(bounds.__file__).resolve().parent
 
 
@@ -291,7 +293,7 @@ def test_coset_representatives_partition():
     reps, numbering = coset_representatives(h)
     assert reps == [1, 3]
     assert numbering.dtype == np.uint8 and numbering.tolist() == [2, 0, 0, 1, 0, 1, 1]
-    cosets = [sorted(r * m % 7 for m in h.members()) for r in reps]
+    cosets = [sorted(r * m % 7 for m in members(h)) for r in reps]
     flat = sorted(x for c in cosets for x in c)
     assert flat == [1, 2, 3, 4, 5, 6]
 
@@ -299,11 +301,11 @@ def test_coset_representatives_partition():
 def _coset_representatives_by_walk(h):
     """Walk 1..q-1, keep each unit not yet covered and cover its coset;
     number each residue by its coset, h.index off the units."""
-    q, members = h.q, h.members()
+    q, elements = h.q, members(h)
     reps, numbering = [], [h.index] * q
     for a in range(1, q):
         if numbering[a] == h.index and math.gcd(a, q) == 1:
-            for m in members:
+            for m in elements:
                 numbering[a * m % q] = len(reps)
             reps.append(a)
     return reps, numbering

@@ -24,6 +24,8 @@ from nonresidue.explicit_formula import (
 from nonresidue.lfunctions import EULER_GAMMA, HADAMARD_B, PSI_AT_1, PSI_AT_HALF, l_at_1, re_b
 from nonresidue.search import least_prime_all_classes
 
+from helpers import divisors
+
 
 def brute_lambda(n: int) -> float:
     """Test-local von Mangoldt."""
@@ -356,7 +358,7 @@ def imprimitivity_gap(x: float, chi) -> tuple[float, float]:
         ]
 
     # the conductor is the least d | q that has one; it is the only one
-    cond = next(d for d in factorize(chi.q).divisors() if agreeing(d))
+    cond = next(d for d in divisors(chi.q) if agreeing(d))
     (prim,) = agreeing(cond)
     gap = abs(cheb_log_sum(x, chi) - cheb_log_sum(x, prim))
     bound = 0.5 * factorize(chi.q // cond).omega * math.log(x) ** 2

@@ -36,7 +36,13 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 assert not scipy_modules(), ("on import", scipy_modules()[:5])
-for argv in (["scan", "qnr", "--q", "101"], ["classnum", "--q", "23"], ["scan", "subgroup", "--q", "1000000000000037"]):
+for argv in (
+    ["scan", "qnr", "--q", "101"],
+    ["classnum", "--q", "23"],
+    ["scan", "subgroup", "--q", "1000000000000037"],
+    # the squared-sine constants are closed forms: line_l1 = 2 alpha and W(lambda)
+    ["kernel", "fejer", "--l1", "--weighted", "1", "--prop62", "--optimize"],
+):
     with contextlib.redirect_stdout(io.StringIO()):
         assert nonresidue.cli.main(argv + ["--format", "csv"]) == 0, argv
     assert not scipy_modules(), (argv, scipy_modules()[:5])
@@ -45,6 +51,7 @@ for argv in (["scan", "qnr", "--q", "101"], ["classnum", "--q", "23"], ["scan", 
 
 def test_integer_commands_load_no_scipy():
     # scipy is imported inside the functions that integrate or evaluate
-    # special functions, so the package and its integer commands start without it
+    # special functions, so the package, its integer commands and the
+    # squared-sine constants start without it
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE], env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

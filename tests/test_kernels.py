@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
 from nonresidue import kernels
 from nonresidue.kernels import (
@@ -42,7 +43,8 @@ def test_fejer_pointwise():
 def test_gamma_pointwise():
     g = gamma_kernel()
     assert g.line(0.0) == pytest.approx(2 * EULER_GAMMA, rel=1e-14)
-    assert g.at_half == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+    # Gamma(1/2) = sqrt(pi) and Gamma(-1/2) = -2 sqrt(pi): the same float either way
+    assert g.at_half == math.sqrt(math.pi) == float(-(scipy.special.gamma(0.5) + scipy.special.gamma(-0.5)))
     assert g.mellin(1.0) == pytest.approx(1 - 2 / math.e, rel=1e-14)
     # continuity through the removable point
     assert g.line(1e-6) == pytest.approx(g.line(0.0), abs=1e-9)
@@ -64,10 +66,14 @@ def test_mellin_symmetry_and_positivity():
 # ----------------------------------------------------------------------
 
 
-def test_fejer_line_l1_closed_form():
-    for alpha in (0.5, 1.0, 3.0):
-        assert line_l1(fejer_kernel(alpha)) == pytest.approx(2 * alpha, abs=1e-8)
+def test_fejer_line_l1_closed_form(monkeypatch):
+    calls = []
+    monkeypatch.setattr(kernels, "quad", lambda *args, **kwargs: calls.append(args))
+    for alpha in (0.5, 1.0, 3.0, 7.25, 1e-3):
+        assert line_l1(fejer_kernel(alpha)) == 2 * alpha
         assert type(line_l1(fejer_kernel(alpha))) is float
+    assert type(line_l1(fejer_kernel(2))) is float
+    assert not calls  # the closed form, with no quadrature
 
 
 @pytest.fixture(scope="module")
@@ -376,16 +382,16 @@ def test_weighted_integral_is_finite_nonnegative_and_monotone(recwarn):
 
 
 # ----------------------------------------------------------------------
-# line_l1's quadrature cache, the only cache left in kernels
+# the reflected-Gamma line_l1's quadrature cache, the only cache left in kernels
 # ----------------------------------------------------------------------
 
 
 def clear_quad_caches():
-    kernels._line_l1_quadrature.cache_clear()
+    kernels._gamma_line_l1_quadrature.cache_clear()
 
 
 def test_warm_and_cold_weighted_integral_are_bit_identical():
-    # W has no cache; the constants also read line_l1's cached quadrature
+    # W has no cache; the Gamma kernel's constants also read line_l1's cached quadrature
     for kern in (gamma_kernel(), fejer_kernel(1.0), fejer_kernel(2.5)):
         clear_quad_caches()
         cold = []
@@ -425,32 +431,12 @@ def test_cached_pieces_still_fail_the_error_budget(monkeypatch):
         assert weighted_integral(gamma_kernel(), 3.9) > 0 and not calls  # no quadrature in W
         for repeat in range(2):
             with pytest.raises(QuadratureError):
-                line_l1(fejer_kernel(1.0))
-            with pytest.raises(QuadratureError):
                 prop62_constant(gamma_kernel(), 3.9, 2)
             if not repeat:
                 first = len(calls)
-        assert len(calls) == first  # the repeat read line_l1's pieces from the cache
+        assert first and len(calls) == first  # the repeat read line_l1's pieces from the cache
     finally:
         clear_quad_caches()
-
-
-def test_quadrature_cache_stays_within_its_cap():
-    clear_quad_caches()
-    l1 = kernels._line_l1_quadrature
-    alphas = [1.0 + 0.05 * k for k in range(70)]
-    for alpha in alphas:
-        optimize_lambda(fejer_kernel(alpha), math.inf)
-        info = l1.cache_info()
-        assert info.currsize <= info.maxsize
-    # least recently used entries went first
-    assert l1.cache_info().misses == len(alphas) > l1.cache_info().maxsize
-    hits = l1.cache_info().hits
-    l1(fejer_kernel(alphas[-1]))
-    assert l1.cache_info().hits == hits + 1
-    l1(fejer_kernel(alphas[0]))
-    assert l1.cache_info().hits == hits + 1
-    clear_quad_caches()
 
 
 def test_quad_passes_full_output_through():
@@ -475,3 +461,16 @@ def test_sec62_w1_quadrature_goes_through_kernels_quad(monkeypatch):
     assert all(r.verdict == "pass" for r in sec62.run("quick", 1))
     for alpha in FEJER_ALPHAS:  # W(1) integrates the Mellin transform over [e^(-2 alpha), 1]
         assert spans.count((math.exp(-2 * alpha), 1.0)) == 1, alpha
+
+
+def test_sec62_l1_rows_check_line_l1(monkeypatch):
+    # the l1 rows hold line_l1 against the contour quadrature, so a
+    # squared-sine L1 off by 1e-7 fails them
+    from nonresidue.cli import CHECKS, FEJER_ALPHAS
+
+    (sec62,) = [c for c in CHECKS if c.id == "sec62"]
+    assert all(r.verdict == "pass" for r in sec62.run("quick", 1))
+    real_l1 = kernels.line_l1
+    monkeypatch.setattr(kernels, "line_l1", lambda k: real_l1(k) + (1e-7 if k.kind == "fejer" else 0.0))
+    failed = {r.target for r in sec62.run("quick", 1) if r.verdict == "fail"}
+    assert failed == {f"l1(alpha={alpha:g})-vs-2alpha" for alpha in FEJER_ALPHAS}

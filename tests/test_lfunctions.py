@@ -36,6 +36,8 @@ from nonresidue.lfunctions import (
     re_b,
 )
 
+from helpers import divisors
+
 
 # ----------------------------------------------------------------------
 # constants
@@ -323,7 +325,7 @@ def reference_class_number_bqf(q: int) -> int:
     h = 0
     for b in range(q % 2, math.isqrt(q // 3) + 1, 2):
         n = (b * b + q) // 4
-        for a in factorize(n).divisors():
+        for a in divisors(n):
             if a * a > n:
                 break
             if a >= max(b, 1):

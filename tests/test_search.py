@@ -21,13 +21,15 @@ from nonresidue.search import (
     least_qnr,
 )
 
+from helpers import members
+
 
 def least_prime_in_coset_by_stepping(q: int, h: SubgroupSpec, a: int, ceiling: int) -> int | None:
     """The per-coset oracle: step n = base + r over the residues r of aH,
     base = 0, q, 2q, ..., and return the first prime n <= ceiling."""
     if math.gcd(a, q) != 1:
         raise ValueError(f"a={a} is not a unit mod {q}")
-    residues = sorted(a * m % q for m in h.members())
+    residues = sorted(a * m % q for m in members(h))
     for base in range(0, ceiling + 1, q):
         for r in residues:
             if 2 <= base + r <= ceiling and is_prime(base + r):
@@ -56,7 +58,7 @@ def test_least_qnr_examples():
 def test_kth_nonresidue():
     # the least k-th power non-residue is the least prime outside the k-th powers
     assert least_prime_outside_subgroup(7, kth_power_subgroup(7, 3), 100).prime == 2  # cubes mod 7 are {1, 6}
-    assert set(kth_power_subgroup(7, 3).members()) == {1, 6}
+    assert set(members(kth_power_subgroup(7, 3))) == {1, 6}
     with pytest.raises(ImproperSubgroupError):
         least_prime_outside_subgroup(7, kth_power_subgroup(7, 5), 100)  # gcd(5, 6) = 1, powers cover the group
     assert least_prime_outside_subgroup(13, kth_power_subgroup(13, 2), 100).prime == 2
@@ -448,9 +450,9 @@ def test_coset_partition_of_primes():
         n_max = 500
         assigned = {}
         for rep in reps:
-            members = {rep * m % q for m in h.members()}
+            coset = {rep * m % q for m in members(h)}
             for p in map(int, primes_up_to(n_max)):
-                if q % p and p % q in members:
+                if q % p and p % q in coset:
                     assert p not in assigned, (q, p)
                     assert reps[cosets[p % q]] == rep, (q, p)
                     assigned[p] = rep

@@ -212,14 +212,11 @@ class ClassNumberBounds:
 
 
 def class_number_bounds(q: float) -> ClassNumberBounds:
-    """Two-sided bounds for h(-q) derived from the L(1, chi) bounds."""
-    if q <= math.e:
-        raise ValueError("log log q must be positive")
-    llq = math.log(math.log(q))
-    core = llq - math.log(2) + 0.5 + 1 / llq
-    recip_core = core + 14 * llq / math.log(q)
-    lower = math.pi / (12 * math.exp(EULER_GAMMA)) * math.sqrt(q) / recip_core
-    upper = 2 * math.exp(EULER_GAMMA) / math.pi * math.sqrt(q) * core
+    """Two-sided bounds for h(-q) = sqrt(q) L(1, chi)/pi from the
+    L(1, chi) bounds."""
+    vb = l1_value_bounds(q)
+    lower = math.sqrt(q) / (math.pi * vb.reciprocal_upper)
+    upper = math.sqrt(q) / math.pi * vb.upper
     return ClassNumberBounds(q, lower, upper, math.floor(lower))
 
 

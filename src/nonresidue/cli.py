@@ -498,16 +498,15 @@ def _fejer_rows(scale: str, workers: int) -> list[BoundReport]:
     rows = []
     for alpha in FEJER_ALPHAS:
         kern = kernels.fejer_kernel(alpha)
+        # one contour quadrature per distinct u: at alpha = 0.5, e^(2 alpha) is e
+        numeric = {u: kernels.mellin_numeric_check(kern, u) for u in (0.5, 1.0, math.e, math.exp(2 * alpha))}
         # line_l1 is the closed form 2 alpha; K(it) >= 0 makes it Ktilde(1), which the contour quadrature recomputes
-        rows.append(_tolerance_row("fejer", f"l1(alpha={alpha:g})-vs-2alpha", kernels.mellin_numeric_check(kern, 1.0), kernels.line_l1(kern), 1e-8))
-        closed = 4 * alpha - 4 + 4 * math.exp(-alpha)
-        # W(1) by quadrature of the Mellin transform, not by the closed form `weighted_integral` uses
+        rows.append(_tolerance_row("fejer", f"l1(alpha={alpha:g})-vs-2alpha", numeric[1.0], kernels.line_l1(kern), 1e-8))
+        # W(1) by quadrature of the Mellin transform, against the closed form the constants use
         w1, _ = kernels.quad(lambda u: kern.mellin(u) / math.sqrt(u), math.exp(-2 * alpha), 1.0, epsabs=1e-13, epsrel=1e-12)
-        rows.append(_tolerance_row("fejer", f"W(1,alpha={alpha:g})-closed-form", w1, closed, 1e-10))
-        for u in (0.5, 1.0, math.e, math.exp(2 * alpha)):
-            rows.append(
-                _tolerance_row("fejer", f"mellin(alpha={alpha:g};u={u:.3g})", kernels.mellin_numeric_check(kern, u), kern.mellin(u), 1e-6)
-            )
+        rows.append(_tolerance_row("fejer", f"W(1,alpha={alpha:g})-closed-form", w1, kernels.weighted_integral(kern, 1.0), 1e-10))
+        for u, value in numeric.items():
+            rows.append(_tolerance_row("fejer", f"mellin(alpha={alpha:g};u={u:.3g})", value, kern.mellin(u), 1e-6))
     return rows
 
 

@@ -150,24 +150,34 @@ def test_criterion_13_least_prime_outside_the_squares():
     _announce(13, f"least prime outside the squares within its subgroup bound for {len(rows)} q, {_q_span(rows)}; largest measured/bound {worst.measured / worst.bound:.4f} at q = {worst.q} ({elapsed:.2f}s)")
 
 
+@functools.cache
+def _quick_rows():
+    return [r for check in CHECKS for r in check.run("quick", 1)]
+
+
 def test_no_quick_row_is_decided_within_its_slack():
     # A row whose margin lies within its slack passed (or failed) on the
     # slack alone; none should, until such rows are re-decided at high
     # precision.  eq13's margin of 0.0 (an exact class number) has no slack.
-    rows = [r for check in CHECKS for r in check.run("quick", 1)]
+    rows = _quick_rows()
     slacked = [r for r in rows if r.slack > 0]
     assert {r.formula for r in slacked} == {"lemma2.3", "lemma3.1"}
     borderline = [r for r in slacked if abs(r.margin) <= r.slack]
     assert not borderline, borderline[:5]
 
 
+def test_no_quick_row_key_repeats():
+    keys = [(r.formula, r.q, r.target) for r in _quick_rows()]
+    assert len(keys) == len(set(keys)), sorted(k for k in set(keys) if keys.count(k) > 1)
+
+
 # sha256 of the `reproduce-paper --format csv` bytes at each scale.  Their
 # float cells come from numpy and scipy, so another version of either may
 # move them.
 _CSV_SHA256 = {
-    "--quick": "7141f87a98cb5bc04803f7b9cd36b0153f6aa501e8587991235e38a6248ac6db",
-    "default": "d66a5caf5142c5a8567cf5248f81b19d66722dfd759369b279d362a88373c3d6",
-    "--full": "48e0c23ef3879cdfa493d31027e61a52fa9de87779f4dc18f219654305e21879",
+    "--quick": "95bac03c0633cbce6d7fc683615e67b7e0eac18344b81ea75a443813b53be602",
+    "default": "2ddc5ea0b84c02101c59375e285fd529b4cc33fcf60a2492f0848b655cb77f98",
+    "--full": "0f4c06f82ede1e8f282c32154065f50055e79604fc8ef24c66c457d4dc524fa6",
 }
 
 

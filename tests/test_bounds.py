@@ -171,6 +171,14 @@ def test_class_number_bounds():
         assert 0 < b.lower < b.upper
 
 
+def test_class_number_bounds_derive_from_l1_value_bounds():
+    # h(-q) = sqrt(q) L(1, chi)/pi, so both ends come from one formula
+    for q in (10.0, 1e10, 1e11, 12345678901.0, 1e18):
+        cb, vb = class_number_bounds(q), l1_value_bounds(q)
+        assert cb.lower == math.sqrt(q) / (math.pi * vb.reciprocal_upper)
+        assert cb.upper == math.sqrt(q) / math.pi * vb.upper
+
+
 def test_elementary_phi_examples():
     assert [r.verdict for r in verify_elementary(20001)] == ["pass"] * 3
     rows = verify_elementary(30030)

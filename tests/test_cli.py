@@ -124,6 +124,12 @@ def test_kernel_command():
     assert code == EXIT_OK and len(values) == 3 and abs(values[0] - 2.0) < 1e-8
 
 
+def test_gamma_mellin_check_at_extreme_u():
+    for u in ("1e300", "1e-300"):
+        code, out = run_main(["kernel", "gamma", "--mellin", u, "--format", "csv"])
+        assert code == EXIT_OK and out.splitlines()[1].endswith(",pass"), u
+
+
 def test_kernel_flags_reject_nan_and_nonpositive_values(capsys):
     for argv, reason in (
         (["kernel", "gamma", "--weighted", "nan"], "--weighted: not a number > 0 or inf"),

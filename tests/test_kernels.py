@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -108,6 +109,30 @@ def test_mellin_numeric_agrees_with_closed_form():
         assert mellin_numeric_check(f, u) == pytest.approx(f.mellin(u), abs=1e-6)
     # numeric evaluation inherits the u <-> 1/u symmetry
     assert mellin_numeric_check(g, 2.0) == pytest.approx(mellin_numeric_check(g, 0.5), abs=1e-8)
+
+
+def test_fejer_mellin_check_to_1e_14():
+    # (2 sin(alpha t)/t)^2 cos(t log u) has no cancellation to lose digits to;
+    # the grid is criterion 05's plus the checklist's u
+    from nonresidue.cli import FEJER_ALPHAS
+
+    for alpha in FEJER_ALPHAS:
+        kern = fejer_kernel(alpha)
+        for u in [*np.geomspace(0.2, math.exp(2 * alpha), 7), 0.5, 1.0, math.e]:
+            assert abs(mellin_numeric_check(kern, float(u)) - kern.mellin(float(u))) <= 1e-14, (alpha, u)
+
+
+def test_fejer_mellin_check_integrates_the_kernels_line():
+    calls = []
+    kern = fejer_kernel(1.0)
+
+    def spy(t):
+        calls.append(t)
+        return kern.line(t)
+
+    spied = dataclasses.replace(kern, line=spy)
+    assert mellin_numeric_check(spied, math.e) == mellin_numeric_check(kern, math.e)
+    assert calls
 
 
 def test_mellin_numeric_check_rejects_u_not_finite_and_positive():
@@ -474,3 +499,14 @@ def test_sec62_l1_rows_check_line_l1(monkeypatch):
     monkeypatch.setattr(kernels, "line_l1", lambda k: real_l1(k) + (1e-7 if k.kind == "fejer" else 0.0))
     failed = {r.target for r in sec62.run("quick", 1) if r.verdict == "fail"}
     assert failed == {f"l1(alpha={alpha:g})-vs-2alpha" for alpha in FEJER_ALPHAS}
+
+
+def test_sec62_w1_rows_check_weighted_integral(monkeypatch):
+    # the W(1) rows hold the closed form the constants use against the
+    # quadrature, so a squared-sine W off by 1e-9 fails them and no other row
+    from nonresidue.cli import CHECKS, FEJER_ALPHAS
+
+    real_w = kernels.weighted_integral
+    monkeypatch.setattr(kernels, "weighted_integral", lambda k, lam: real_w(k, lam) + (1e-9 if k.kind == "fejer" else 0.0))
+    failed = [r.target for check in CHECKS for r in check.run("quick", 1) if r.verdict == "fail"]
+    assert sorted(failed) == sorted(f"W(1,alpha={alpha:g})-closed-form" for alpha in FEJER_ALPHAS)
